@@ -7,7 +7,7 @@ exact solving branches on the family member with fewest covering candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import CapacityError, InputError, InternalInconsistencyError
@@ -21,12 +21,13 @@ from .graph import (
     leq,
 )
 from .packing import (
+    EXACT_PACKING_VERTEX_CAP,
     GallaiResult,
     PackingInstance,
     _enumerate_a_paths,
+    _far_packing,
     gallai_packing,
     max_far_packing,
-    max_independent_set,
 )
 from .paths import enumerate_chordless_paths
 
@@ -139,20 +140,24 @@ def min_set_cover(universe: Sequence[int], sets: Dict[int, frozenset]):
 def min_ball_hitting(inst: CoverInstance) -> CoverSolution:
     """Minimum number of radius-``inst.radius`` vertex-centered balls whose
     union intersects every family member."""
-    g = inst.host
-    family = inst.family()
+    return _ball_hitting(inst.host, inst.family(), inst.radius, inst.mode)
+
+
+def _ball_hitting(
+    g: Graph, family: Sequence[frozenset], radius: Number, mode: str
+) -> CoverSolution:
     if not family:
         empty = VertexSet(frozenset(), g)
-        return CoverSolution(CenteredSet(empty, empty, inst.radius), 0, True)
+        return CoverSolution(CenteredSet(empty, empty, radius), 0, True)
 
-    balls = {c: _ball(g, c, inst.radius) for c in g.vertices}
+    balls = {c: _ball(g, c, radius) for c in g.vertices}
     hit_sets = {
         c: frozenset(i for i, member in enumerate(family) if balls[c] & member)
         for c in g.vertices
     }
     universe = range(len(family))
 
-    if inst.mode == "greedy":
+    if mode == "greedy":
         chosen: List[int] = []
         uncovered = set(universe)
         while uncovered:
@@ -168,7 +173,7 @@ def min_ball_hitting(inst: CoverInstance) -> CoverSolution:
     member_union = frozenset().union(*family)
     z = frozenset().union(*(balls[c] for c in chosen)) & member_union
     centered = CenteredSet(
-        VertexSet(z, g), VertexSet(frozenset(chosen), g), inst.radius
+        VertexSet(z, g), VertexSet(frozenset(chosen), g), radius
     )
     return CoverSolution(centered, len(chosen), optimal, nodes)
 
@@ -237,25 +242,36 @@ def duality_sweep(
     g: Graph, x, y, l: Number, r_values: Sequence[Number], beta_values: Sequence[Number]
 ) -> DualityReport:
     """Fill packing and cover tables; exact where caps permit, greedy with a
-    per-cell flag otherwise."""
+    per-cell flag otherwise.
+
+    Every exact cell works on one enumeration of the chordless (l,x,y)-paths.
+    When that enumeration is refused, each cell falls back exactly as
+    :func:`max_far_packing` and :func:`min_ball_hitting` would.
+    """
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
     report = DualityReport(graph_fingerprint(g, sorted(x.members), sorted(y.members), l))
+    try:
+        paths = enumerate_chordless_paths(g, l, x.members, y.members, cap=None).paths
+    except CapacityError:
+        paths = None
     for r in r_values:
-        try:
-            sol = max_far_packing(PackingInstance(g, x.members, y.members, l, r, "exact"))
+        # the instances validate l, r and beta even when the family is shared
+        inst = PackingInstance(g, x.members, y.members, l, r, "exact")
+        if paths is not None and len(g) <= EXACT_PACKING_VERTEX_CAP:
+            sol = _far_packing(g, paths, r)
             report.packing_by_r[r] = DualityCell(sol.size, True)
-        except CapacityError:
-            sol = max_far_packing(PackingInstance(g, x.members, y.members, l, r, "greedy"))
+        else:
+            sol = max_far_packing(replace(inst, mode="greedy"))
             report.packing_by_r[r] = DualityCell(sol.size, False, "capacity:greedy")
+    family = None if paths is None else tuple(p.vertex_set for p in paths)
     for beta in beta_values:
-        try:
-            sol = min_ball_hitting(CoverInstance(g, beta, l=l, x=x.members, y=y.members))
+        inst = CoverInstance(g, beta, l=l, x=x.members, y=y.members)
+        if family is not None:
+            sol = _ball_hitting(g, family, beta, inst.mode)
             report.cover_by_radius[beta] = DualityCell(sol.count, True)
-        except CapacityError:
-            sol = min_ball_hitting(
-                CoverInstance(g, beta, l=l, x=x.members, y=y.members, mode="greedy")
-            )
+        else:
+            sol = min_ball_hitting(replace(inst, mode="greedy"))
             report.cover_by_radius[beta] = DualityCell(sol.count, False, "capacity:greedy")
     return report
 

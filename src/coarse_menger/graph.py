@@ -49,7 +49,9 @@ def _norm_edge(u: int, v: int) -> tuple:
 class Graph:
     """A finite simple graph with optional strictly positive edge weights."""
 
-    __slots__ = ("vertices", "edges", "weights", "_vset", "_adj", "_dist_cache")
+    __slots__ = (
+        "vertices", "edges", "weights", "_vset", "_adj", "_dist_cache", "_bits", "_closed",
+    )
 
     def __init__(
         self,
@@ -90,6 +92,8 @@ class Graph:
             adj[v].append(u)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._dist_cache = {}
+        self._bits = None
+        self._closed = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -186,6 +190,23 @@ class Graph:
             len(self.edges) == len(self.vertices) - 1
             and len(self.components()) == 1
         )
+
+    # -- bitmask encoding --------------------------------------------------
+
+    def vertex_bits(self) -> dict:
+        """Bitmask encoding of vertex sets: ``vertices[i]`` is ``1 << i``."""
+        if self._bits is None:
+            self._bits = {v: 1 << i for i, v in enumerate(self.vertices)}
+        return self._bits
+
+    def closed_neighborhood_masks(self) -> dict:
+        """Mask of ``v`` and its neighbours, per vertex ``v``."""
+        if self._closed is None:
+            bit = self.vertex_bits()
+            self._closed = {
+                v: bit[v] | sum(bit[n] for n in ns) for v, ns in self._adj.items()
+            }
+        return self._closed
 
     # -- metrics -----------------------------------------------------------
 

@@ -1,23 +1,28 @@
 """Packings of pairwise-far paths: the packing side of the coarse duality.
 
-Exact mode enumerates all canonical simple paths, builds the conflict
-relation "set-distance < r" and extracts a maximum independent set of the
-conflict graph by branch-and-bound with greedy clique-cover bounds.
+Exact mode enumerates the chordless x-y paths, builds the conflict relation
+"set-distance < r" and extracts a maximum independent set of the conflict
+graph by branch-and-bound with greedy clique-cover bounds.
+
+Both inner steps work on bitmasks.  :func:`far_conflicts` encodes each path
+as a vertex mask (bit ``i`` for ``host.vertices[i]``) and ORs, per path, the
+masks of vertices within distance < r of it: two paths conflict iff one's
+reach meets the other's mask.  :func:`max_independent_set` branches on
+candidate masks in the same order, with the same bound, as a search over
+adjacency sets would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from typing import List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from .errors import CapacityError, InputError
 from .graph import Graph, Number, as_vertex_set, leq, set_distance
 from .paths import (
     PathWitness,
     enumerate_chordless_paths,
-    enumerate_paths,
     is_a_path,
     make_path,
 )
@@ -74,76 +79,128 @@ def _min_pairwise_distance(g: Graph, members: Sequence[frozenset]):
     return best
 
 
+def far_conflicts(g: Graph, members: Sequence, r: Number) -> List[set]:
+    """Conflict relation of an ``r``-far packing: ``j in result[i]`` iff
+    ``i != j`` and ``set_distance(g, members[i], members[j]) < r``.
+
+    ``leq`` decides each vertex pair, so int, Fraction and float weights
+    compare as in :func:`set_distance` (``leq`` is monotone in its second
+    argument: no pair is closer than ``r`` iff the set distance is not).
+    """
+    bit = g.vertex_bits()
+    near = {}  # vertex -> mask of the vertices at distance < r from it
+    masks: List[int] = []
+    reaches: List[int] = []
+    for member in members:
+        mask = reach = 0
+        for v in member:
+            if v not in near:
+                if v not in bit:
+                    raise InputError(f"vertex {v} not in host graph")
+                near[v] = sum(bit[u] for u, d in g.dist_from(v).items() if not leq(r, d))
+            mask |= bit[v]
+            reach |= near[v]
+        if not mask:
+            raise InputError("far conflicts over an empty set")
+        masks.append(mask)
+        reaches.append(reach)
+    everyone = range(len(masks))
+    conflicts: List[set] = []
+    for i, reach in enumerate(reaches):
+        row = set(compress(everyone, map(reach.__and__, masks)))
+        row.discard(i)
+        conflicts.append(row)
+    return conflicts
+
+
 def max_independent_set(conflicts: List[set], order: Sequence[int]):
     """Maximum independent set of a conflict graph given as adjacency sets.
 
-    ``order`` fixes the deterministic branching order.  Returns the chosen
-    indices (list) and the number of search nodes explored.
+    ``order`` (distinct indices) fixes the deterministic branching order.
+    Returns the chosen indices (list) and the number of search nodes
+    explored.  The search runs on masks over positions in ``order``, so the
+    candidates are always in ``order`` and the lowest set bit is the next
+    one to branch on.
     """
-    n = len(conflicts)
+    order = list(order)
+    bit = [0] * len(conflicts)
+    for k, v in enumerate(order):
+        bit[v] = 1 << k
+    # distinct indices have distinct bits, so the sum is their union
+    adj = [sum(map(bit.__getitem__, conflicts[v])) for v in order]
     best: List[int] = []
     nodes = 0
 
-    def clique_cover_bound(cands: List[int]) -> int:
-        # greedy clique cover: its size bounds the independent set from above
-        cliques: List[List[int]] = []
-        for v in cands:
-            for cl in cliques:
-                if all(u in conflicts[v] for u in cl):
-                    cl.append(v)
-                    break
-            else:
-                cliques.append([v])
-        return len(cliques)
+    def clique_cover_exceeds(cands: int, limit: int) -> bool:
+        # Greedy clique cover, each candidate in order joining the first
+        # clique it is adjacent to entirely: its size bounds the independent
+        # set above.  First fit builds the cliques one at a time, so each
+        # clique takes the lowest candidate adjacent to all its members until
+        # none is left.  Counting stops once the cover has more than
+        # ``limit`` cliques.
+        count = 0
+        while cands:
+            if count >= limit:
+                return True
+            count += 1
+            common = cands
+            while common:
+                low = common & -common
+                cands ^= low
+                common = (common ^ low) & adj[low.bit_length() - 1]
+        return False
 
-    def expand(cands: List[int], chosen: List[int]):
+    def expand(cands: int, chosen: List[int]):
+        # the "skip" branch is the loop, the "take" branch the recursion
         nonlocal best, nodes
-        nodes += 1
-        if not cands:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        if len(chosen) + clique_cover_bound(cands) <= len(best):
-            return
-        v = cands[0]
-        # branch 1: take v
-        expand([u for u in cands[1:] if u not in conflicts[v]], chosen + [v])
-        # branch 2: skip v
-        expand(cands[1:], chosen)
+        while True:
+            nodes += 1
+            if not cands:
+                if len(chosen) > len(best):
+                    best = list(chosen)
+                return
+            if not clique_cover_exceeds(cands, len(best) - len(chosen)):
+                return
+            low = cands & -cands
+            cands ^= low
+            k = low.bit_length() - 1
+            expand(cands & ~adj[k], chosen + [k])
 
-    expand(list(order), [])
-    return best, nodes
+    expand((1 << len(order)) - 1, [])
+    return [order[k] for k in best], nodes
 
 
 def max_far_packing(inst: PackingInstance) -> PackingSolution:
     """Maximum collection of simple (l,x,y)-paths pairwise at set-distance at
     least r (exact mode), or a maximal greedy collection."""
     g = inst.host
-    if inst.mode == "exact":
-        if len(g) > EXACT_PACKING_VERTEX_CAP:
-            raise CapacityError(
-                "exact packing capped by path enumeration",
-                cap=EXACT_PACKING_VERTEX_CAP,
-                actual=len(g),
-            )
-        # chordless paths suffice: shortcutting keeps endpoints and shrinks
-        # vertex sets, so it never breaks a far packing
-        enum = enumerate_chordless_paths(g, inst.l, inst.x, inst.y, cap=None)
-        paths = enum.paths
-        vsets = [p.vertex_set for p in paths]
-        conflicts: List[set] = [set() for _ in paths]
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                if not leq(inst.r, set_distance(g, vsets[i], vsets[j])):
-                    conflicts[i].add(j)
-                    conflicts[j].add(i)
-        chosen, nodes = max_independent_set(conflicts, range(len(paths)))
-        chosen_paths = tuple(paths[i] for i in sorted(chosen))
-        mind = _min_pairwise_distance(g, [p.vertex_set for p in chosen_paths])
-        return PackingSolution(chosen_paths, mind, optimal=True, nodes_explored=nodes)
+    if inst.mode == "greedy":
+        return _greedy_far_packing(inst)
+    if len(g) > EXACT_PACKING_VERTEX_CAP:
+        raise CapacityError(
+            "exact packing capped by path enumeration",
+            cap=EXACT_PACKING_VERTEX_CAP,
+            actual=len(g),
+        )
+    # chordless paths suffice: shortcutting keeps endpoints and shrinks
+    # vertex sets, so it never breaks a far packing
+    enum = enumerate_chordless_paths(g, inst.l, inst.x, inst.y, cap=None)
+    return _far_packing(g, enum.paths, inst.r)
 
-    # greedy: repeatedly insert a shortest valid path, then exclude every
-    # vertex at distance < r from it; paths in the remainder are r-far
+
+def _far_packing(g: Graph, paths: Sequence[PathWitness], r: Number) -> PackingSolution:
+    """Exact maximum ``r``-far subfamily of ``paths`` (the chordless family)."""
+    conflicts = far_conflicts(g, [p.sequence for p in paths], r)
+    chosen, nodes = max_independent_set(conflicts, range(len(paths)))
+    chosen_paths = tuple(paths[i] for i in sorted(chosen))
+    mind = _min_pairwise_distance(g, [p.vertex_set for p in chosen_paths])
+    return PackingSolution(chosen_paths, mind, optimal=True, nodes_explored=nodes)
+
+
+def _greedy_far_packing(inst: PackingInstance) -> PackingSolution:
+    """Repeatedly insert a shortest valid path, then exclude every vertex at
+    distance < r from it; paths in the remainder are r-far."""
+    g = inst.host
     x = as_vertex_set(g, inst.x)
     y = as_vertex_set(g, inst.y)
     allowed = set(g.vertices)
@@ -203,6 +260,8 @@ def _shortest_lxy_path(g: Graph, allowed: set, x: frozenset, y: frozenset, l):
 def menger_packing(g: Graph, x, y) -> int:
     """Maximum number of fully vertex-disjoint x-y paths, by vertex-capacitated
     maximum flow (each vertex split into an in/out pair of capacity one)."""
+    import networkx as nx
+
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
     if not x.members or not y.members:

@@ -2,6 +2,10 @@
 
 Paths are canonicalized up to reversal (a path equals its reversal as a
 subgraph); the stored orientation is the lexicographically smaller one.
+
+Chordless enumeration keeps the path's vertices, minus its tail, as a vertex
+bitmask (:meth:`Graph.vertex_bits`), so testing a candidate for a chord is one
+AND with its closed-neighbourhood mask.
 """
 
 from __future__ import annotations
@@ -304,6 +308,11 @@ def enumerate_chordless_paths(
 ) -> PathEnumeration:
     """Like :func:`enumerate_paths`, restricted to chordless (induced) paths.
 
+    The chord test is one AND of bitmasks (see
+    :meth:`Graph.closed_neighborhood_masks`); neighbours are tried in the
+    same order as :func:`enumerate_paths`, and the result is the same
+    canonical sorted tuple.
+
     Sufficient for packing and covering computations: shortcutting along a
     chord keeps the endpoints, never increases the vertex set, and so never
     decreases distances to other paths — optima over chordless paths equal
@@ -322,25 +331,26 @@ def enumerate_chordless_paths(
         return PathEnumeration((), False)
 
     found = set()
+    bit = g.vertex_bits()
+    closed = g.closed_neighborhood_masks()
+    ends = y.members
 
-    def extend(seq: list, seen: set):
+    def extend(seq: list, body: int, dist_start: dict):
+        # ``body`` is the mask of seq[:-1]; a neighbour n of the tail extends
+        # the path chordlessly iff neither n nor any neighbour of n is in it
         tail = seq[-1]
-        if tail in y.members and leq(l, distance(g, seq[0], tail)):
+        if tail in ends and leq(l, dist_start[tail]):
             found.add(canonical_sequence(seq))
+        grown = body | bit[tail]
         for n in g.neighbors(tail):
-            if n in seen:
+            if closed[n] & body:
                 continue
-            # chordless: the new vertex may touch only the current tail
-            if any(g.has_edge(n, w) for w in seq[:-1]):
-                continue
-            seen.add(n)
             seq.append(n)
-            extend(seq, seen)
+            extend(seq, grown, dist_start)
             seq.pop()
-            seen.remove(n)
 
     for start in sorted(x.members):
-        extend([start], {start})
+        extend([start], 0, g.dist_from(start))
 
     ordered = sorted(found)
     truncated = cap is not None and len(ordered) > cap

@@ -29,9 +29,8 @@ from .graph import (
     certify_centered,
     leq,
     neighborhood,
-    set_distance,
 )
-from .packing import max_independent_set
+from .packing import far_conflicts, max_independent_set
 from .trees import Separation
 
 SEPARATION_VERTEX_CAP = 10
@@ -173,12 +172,7 @@ def _members_inside(members: Sequence[frozenset], side: frozenset,
 
 def _max_far_count(g: Graph, members: Sequence[frozenset], r: Number) -> int:
     """Maximum number of members pairwise at distance at least r in g."""
-    conflicts: List[set] = [set() for _ in members]
-    for i, j in itertools.combinations(range(len(members)), 2):
-        if not leq(r, set_distance(g, members[i], members[j])):
-            conflicts[i].add(j)
-            conflicts[j].add(i)
-    chosen, _ = max_independent_set(conflicts, range(len(members)))
+    chosen, _ = max_independent_set(far_conflicts(g, members, r), range(len(members)))
     return len(chosen)
 
 

@@ -23,7 +23,6 @@ from .graph import (
     neighborhood,
     set_distance,
 )
-from .paths import enumerate_paths
 
 VERIFY_PAIRS_CAP = 32
 
