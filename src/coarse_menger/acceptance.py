@@ -48,7 +48,6 @@ from .trees import (
     TreeDecomposition,
     easy_tree_hitting,
     min_degree_decomposition,
-    min_transversal_blocker,
     rooted_fat_minor_ep,
     tree_helly,
 )
@@ -328,6 +327,62 @@ def _set_distance_gt(g: Graph, a: frozenset, b: frozenset, bound) -> bool:
 # 7. the rooted grid obstruction
 
 
+class _RootedSupports:
+    """Mask model of ``g`` with three root sets, for the rooted-grid oracle:
+    bit i is the i-th smallest vertex, neighbour masks come from
+    ``g.neighbors``.  Coded apart from the library's own mask helpers."""
+
+    def __init__(self, g: Graph, roots: Sequence[frozenset]):
+        if len(roots) != 3:
+            raise ValueError("oracle is specific to three root sets")
+        self.verts = sorted(g.vertices)
+        self.bit = {v: 1 << i for i, v in enumerate(self.verts)}
+        self.nbr = {
+            self.bit[v]: sum(self.bit[n] for n in g.neighbors(v))
+            for v in self.verts
+        }
+        self.rsets = [sum(self.bit[v] for v in r if v in self.bit) for r in roots]
+        self.everything = (1 << len(self.verts)) - 1
+        self._survives: Dict[int, bool] = {}
+
+    def mask(self, vs) -> int:
+        return sum(self.bit[v] for v in vs)
+
+    def members(self, mask: int) -> frozenset:
+        return frozenset(v for v in self.verts if mask & self.bit[v])
+
+    def has_sdr(self, pool: int) -> bool:
+        """Hall's condition for the three root sets within ``pool``."""
+        r1, r2, r3 = self.rsets
+        a, b, c = r1 & pool, r2 & pool, r3 & pool
+        if not (a and b and c):
+            return False
+        return (a | b).bit_count() >= 2 and (a | c).bit_count() >= 2 \
+            and (b | c).bit_count() >= 2 and (a | b | c).bit_count() >= 3
+
+    def components(self, removed: int):
+        """Components of ``g - removed`` as masks, lowest vertex first."""
+        left = self.everything & ~removed
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = self.nbr[low] & left & ~comp
+                comp |= new
+                frontier |= new
+            yield comp
+            left &= ~comp
+
+    def survives(self, removed: int) -> bool:
+        """Does some component of ``g - removed`` support the roots?"""
+        hit = self._survives.get(removed)
+        if hit is None:
+            hit = any(self.has_sdr(c) for c in self.components(removed))
+            self._survives[removed] = hit
+        return hit
+
+
 def exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
     """Complete search for two vertex-disjoint connected sets, each holding
     distinct representatives of three root sets.
@@ -336,104 +391,63 @@ def exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
     into a simple path between the first and third root sets plus at most one
     attachment path to the second; both parts are enumerated by depth-first
     search.  The partner-side check ("does some leftover component still
-    support the roots?") is monotone under growth, which prunes hard.
+    support the roots?") is monotone under growth, which prunes hard; it is
+    a function of the removed vertex mask alone, so it is memoised on it.
     """
-    if len(roots) != 3:
-        raise ValueError("oracle is specific to three root sets")
+    sup = _RootedSupports(g, roots)
+    bit = sup.bit
     adj = {v: sorted(g.neighbors(v)) for v in g.vertices}
-    rsets = [frozenset(r) for r in roots]
-    allv = sorted(g.vertices)
+    found: List[int] = []
 
-    def has_sdr(pool: frozenset) -> bool:
-        def match(i, used):
-            if i == 3:
-                return True
-            return any(
-                match(i + 1, used | {v})
-                for v in sorted(rsets[i] & pool) if v not in used
-            )
-        return match(0, frozenset())
-
-    def survives(removed) -> bool:
-        seen = set()
-        for v in allv:
-            if v in removed or v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                for n in adj[u]:
-                    if n not in removed and n not in seen:
-                        seen.add(n)
-                        comp.add(n)
-                        stack.append(n)
-            if has_sdr(frozenset(comp)):
-                return True
-        return False
-
-    found: List[frozenset] = []
-
-    def attach(pset: set):
-        def q_dfs(q: List[int], qset: set):
-            union = pset | qset
-            if not survives(union):
+    def attach(path: List[int], pmask: int):
+        def q_dfs(last: int, union: int):
+            if not sup.survives(union):
                 return
-            if has_sdr(frozenset(union)):
-                found.append(frozenset(union))
+            if sup.has_sdr(union):
+                found.append(union)
                 return
-            for n in adj[q[-1]]:
-                if n not in union:
-                    q.append(n)
-                    qset.add(n)
-                    q_dfs(q, qset)
-                    qset.discard(n)
-                    q.pop()
+            for n in adj[last]:
+                if not union & bit[n]:
+                    q_dfs(n, union | bit[n])
                     if found:
                         return
 
-        for p in sorted(pset):
+        for p in sorted(path):
             for n in adj[p]:
-                if n not in pset:
-                    q_dfs([p, n], {n})
+                if not pmask & bit[n]:
+                    q_dfs(n, pmask | bit[n])
                     if found:
                         return
 
-    def trunk_dfs(path: List[int], pset: set):
+    def trunk_dfs(path: List[int], pmask: int):
         if found:
             return
         v = path[-1]
-        if v in rsets[2]:
-            s = frozenset(pset)
-            if survives(s):
-                if has_sdr(s):
-                    found.append(s)
-                    return
-                attach(set(pset))
-                if found:
-                    return
+        if sup.rsets[2] & bit[v] and sup.survives(pmask):
+            if sup.has_sdr(pmask):
+                found.append(pmask)
+                return
+            attach(path, pmask)
+            if found:
+                return
         for n in adj[v]:
-            if n not in pset:
+            if not pmask & bit[n]:
                 path.append(n)
-                pset.add(n)
-                trunk_dfs(path, pset)
-                pset.discard(n)
+                trunk_dfs(path, pmask | bit[n])
                 path.pop()
             if found:
                 return
 
-    for start in sorted(rsets[0]):
-        trunk_dfs([start], {start})
+    for start in sorted(roots[0]):
+        trunk_dfs([start], bit[start])
         if found:
             break
     if not found:
         return None
     s1 = found[0]
-    rest = g.induced(frozenset(g.vertices) - s1)
-    for comp in rest.components():
-        if has_sdr(frozenset(comp)):
-            return s1, frozenset(comp)
+    for comp in sup.components(s1):
+        if sup.has_sdr(comp):
+            return sup.members(s1), sup.members(comp)
     raise InternalInconsistencyError("search result lost its partner side")
 
 
@@ -450,14 +464,20 @@ def check_rooted_p3(seed: int) -> CriterionResult:
         res = rooted_fat_minor_ep(g, td, pattern, roots, k=2, r=1)
         oracle = exhaustive_two_disjoint_supports(g, spec.roots)
         agree = (res.branch == "packing") == (oracle is not None)
-        blocker = min_transversal_blocker(g, list(spec.roots), size_cap=2 * w)
-        sizes.append(len(blocker))
+        z = res.centered.z.members if res.branch == "hitting" else None
+        blocked = False
+        if z is not None:
+            # the library's minimum blocker, checked by the oracle's own
+            # component test: G - z keeps no supporting component
+            sup = _RootedSupports(g, spec.roots)
+            blocked = not sup.survives(sup.mask(z))
+            sizes.append(len(z))
         detail[f"w={w}"] = {
             "library_branch": res.branch,
             "oracle_two_disjoint": oracle is not None,
-            "min_hitting": len(blocker),
+            "min_hitting": None if z is None else len(z),
         }
-        ok = ok and agree and res.branch == "hitting" and oracle is None
+        ok = ok and agree and blocked and oracle is None
     nondecreasing = all(a <= b for a, b in zip(sizes, sizes[1:]))
     detail["hitting_sizes_nondecreasing"] = nondecreasing
     return CriterionResult("rooted-p3", ok and nondecreasing, detail)

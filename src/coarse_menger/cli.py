@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .acceptance import CRITERIA, check_tangle_trichotomy, run_acceptance
@@ -57,6 +58,8 @@ def _env_cap(default: int) -> int:
 
 
 def _num_list(text: str) -> List:
+    """Comma-separated numbers: ``int`` where integral in form, else an exact
+    ``Fraction`` ("0.5" and "1/2" alike); nan and inf are refused."""
     out = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -66,9 +69,9 @@ def _num_list(text: str) -> List:
             out.append(int(piece))
         except ValueError:
             try:
-                out.append(float(piece))
-            except ValueError:
-                raise InputError(f"not a number: {piece!r}")
+                out.append(Fraction(piece))
+            except (ValueError, ZeroDivisionError):
+                raise InputError(f"not a finite number: {piece!r}")
     if not out:
         raise InputError("empty number list")
     return out

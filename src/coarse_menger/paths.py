@@ -11,10 +11,10 @@ AND with its closed-neighbourhood mask.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
-from .graph import Graph, Number, VertexSet, as_vertex_set, distance, leq, set_distance
+from .graph import Graph, Number, as_vertex_set, distance, leq, set_distance
 
 #: default vertex-count limit for uncapped path enumeration
 ENUM_VERTEX_LIMIT = 16
@@ -268,39 +268,6 @@ def check_fat_minor(g: Graph, m: FatMinorModel) -> ModelReport:
                 violations.append(f"root condition: branch set of {h} misses its roots")
 
     return ModelReport(not violations, violations)
-
-
-@dataclass(frozen=True)
-class ModelRefusal:
-    reason: str
-
-
-def lxy_path_to_rooted_k2(g: Graph, p: PathWitness, l: Number, x, y):
-    """Split an ``(l, x, y)``-path into an ``(x, y)``-rooted ``l``-fat
-    K2-minor model: singleton branch sets at the ends, the path itself as the
-    edge path.  Single-vertex paths are refused (K2 needs two branch sets)."""
-    x = as_vertex_set(g, x)
-    y = as_vertex_set(g, y)
-    if not is_lxy_path(g, p, l, x, y):
-        raise InputError("input is not an (l,x,y)-path")
-    if len(p.sequence) == 1:
-        return ModelRefusal("single-vertex path cannot split into two branch sets")
-    a, b = p.end_a, p.end_b
-    if not (a in x and b in y):
-        a, b = b, a
-    k2 = Graph([1, 2], [(1, 2)])
-    return FatMinorModel(
-        pattern=k2,
-        branch_sets={1: (a,), 2: (b,)},
-        edge_paths={(1, 2): p.sequence},
-        fatness=l,
-        roots={1: frozenset(x.members), 2: frozenset(y.members)},
-    )
-
-
-def model_distance(g: Graph, m1: FatMinorModel, m2: FatMinorModel) -> Number:
-    """Distance between two models: distance between their unions."""
-    return set_distance(g, m1.union_vertices(), m2.union_vertices())
 
 
 def enumerate_chordless_paths(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -112,14 +112,6 @@ class Location:
 
     def to_json_dict(self) -> dict:
         return {"separations": [s.to_json_dict() for s in self.separations]}
-
-
-def location_from_json_dict(g: Graph, doc: dict) -> Location:
-    seps = tuple(
-        Separation(g, frozenset(d["a"]), frozenset(d["b"]))
-        for d in doc["separations"]
-    )
-    return Location(g, seps)
 
 
 # ---------------------------------------------------------------------------
@@ -776,24 +768,6 @@ def _extract_path_model(
     )
 
 
-def _reaches(g: Graph, allowed: frozenset, start: int, targets: frozenset) -> bool:
-    if start in targets:
-        return True
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for n in g.neighbors(u):
-                if n in targets:
-                    return True
-                if n in allowed and n not in seen:
-                    seen.add(n)
-                    nxt.append(n)
-        frontier = nxt
-    return False
-
-
 # ---------------------------------------------------------------------------
 # two disjoint rooted connected sets, by boundary dynamic programming
 
@@ -822,6 +796,13 @@ def two_disjoint_connected_transversals(
     with unprocessed neighbors): label assignment, connectivity blocks per
     label, and which root subsets already have distinct representatives.
     Works whenever the order has small boundary (row-major on grids).
+
+    A state is ``(blocks, sdr1, sdr2, closed)`` on vertex masks
+    (:meth:`Graph.vertex_bits`): ``blocks`` is the sorted tuple of
+    ``(label, block mask)``; bit ``s`` of ``sdr1``/``sdr2`` is set once the
+    root sets with indices in the mask ``s`` have distinct representatives
+    among that label's vertices; bit ``label`` of ``closed`` is set once that
+    label's component is complete.
     """
     if order is None:
         order = sorted(g.vertices)
@@ -850,90 +831,106 @@ def two_disjoint_connected_transversals(
         for u in sorted(u for u in order[: step + 1] if forget_at[u] == step):
             phases.append(("forget", u))
 
-    idx = range(len(root_sets))
-    full = frozenset(idx)
-    init = (frozenset(), frozenset([frozenset()]), frozenset([frozenset()]),
-            frozenset())
-    layers = [{init}]
-    origin: Dict[tuple, tuple] = {}
-    active: set = set()
+    bit = g.vertex_bits()
+    closed_nbhd = g.closed_neighborhood_masks()
+    roots_at = {
+        v: sum(1 << i for i, r in enumerate(root_sets) if v in r)
+        for v in g.vertices
+    }
+    full = (1 << len(root_sets)) - 1
+    grown_cache: Dict[tuple, int] = {}
+
+    def grown(sdr: int, at: int) -> int:
+        """``sdr`` plus every subset in it extended by one root index in
+        ``at`` (the root sets holding the new vertex)."""
+        key = (at, sdr)
+        out = grown_cache.get(key)
+        if out is None:
+            out = sdr
+            subsets = sdr
+            while subsets:
+                low = subsets & -subsets
+                subsets ^= low
+                s = low.bit_length() - 1
+                free = at & ~s
+                while free:
+                    root = free & -free
+                    free ^= root
+                    out |= 1 << (s | root)
+            grown_cache[key] = out
+        return out
 
     def used(state, label):
         blocks, _, _, closed = state
-        return label in closed or any(lab == label for lab, _ in blocks)
+        return closed >> label & 1 or any(lab == label for lab, _ in blocks)
 
-    for p, (kind, v) in enumerate(phases):
-        nxt = set()
+    # one dict per layer: state -> (predecessor state, vertex, label given)
+    layers: List[Dict[tuple, Optional[tuple]]] = [{((), 1, 1, 0): None}]
+    active = 0
+    for kind, v in phases:
+        nxt: Dict[tuple, tuple] = {}
+        vb = bit[v]
         if kind == "intro":
-            nbrs = frozenset(g.neighbors(v)) & frozenset(active)
+            nbrs = closed_nbhd[v] & active  # v itself is not active yet
+            at = roots_at[v]
             for state in layers[-1]:
                 blocks, sdr1, sdr2, closed = state
                 if state not in nxt:
-                    nxt.add(state)
-                    origin[(p, state)] = (state, v, 0)
+                    nxt[state] = (state, v, 0)
                 for label in (1, 2):
-                    if label in closed:
+                    if closed >> label & 1:
                         continue
                     if label == 2 and not used(state, 1) and not used(state, 2):
                         continue  # symmetry: first labeled vertex gets label 1
-                    touching = [b for lab, b in blocks
-                                if lab == label and b & nbrs]
-                    merged = frozenset({v}).union(*touching)
-                    new_blocks = frozenset(
-                        (lab, b) for lab, b in blocks
-                        if not (lab == label and b & nbrs)
-                    ) | {(label, merged)}
-                    sdr = sdr1 if label == 1 else sdr2
-                    grown = sdr | frozenset(
-                        s | {i} for s in sdr for i in idx
-                        if i not in s and v in root_sets[i]
-                    )
-                    new_state = (
-                        new_blocks,
-                        grown if label == 1 else sdr1,
-                        grown if label == 2 else sdr2,
-                        closed,
-                    )
+                    merged = vb
+                    kept = []
+                    for lab, b in blocks:
+                        if lab == label and b & nbrs:
+                            merged |= b
+                        else:
+                            kept.append((lab, b))
+                    kept.append((label, merged))
+                    new_blocks = tuple(sorted(kept))
+                    if label == 1:
+                        new_state = (new_blocks, grown(sdr1, at), sdr2, closed)
+                    else:
+                        new_state = (new_blocks, sdr1, grown(sdr2, at), closed)
                     if new_state not in nxt:
-                        nxt.add(new_state)
-                        origin[(p, new_state)] = (state, v, label)
-            active.add(v)
+                        nxt[new_state] = (state, v, label)
+            active |= vb
         else:
             for state in layers[-1]:
                 blocks, sdr1, sdr2, closed = state
-                home = [(lab, b) for lab, b in blocks if v in b]
-                if not home:
+                home = next((j for j, (_, b) in enumerate(blocks) if b & vb), None)
+                if home is None:
                     out_state = state
                 else:
-                    lab, b = home[0]
-                    rest = blocks - {(lab, b)}
-                    shrunk = b - {v}
+                    lab, b = blocks[home]
+                    rest = blocks[:home] + blocks[home + 1:]
+                    shrunk = b & ~vb
                     if shrunk:
-                        out_state = (rest | {(lab, shrunk)}, sdr1, sdr2, closed)
+                        out_state = (tuple(sorted(rest + ((lab, shrunk),))),
+                                     sdr1, sdr2, closed)
                     else:
                         if any(l2 == lab for l2, _ in rest):
                             continue  # a second component would be stranded
-                        if full not in (sdr1 if lab == 1 else sdr2):
+                        if not (sdr1 if lab == 1 else sdr2) >> full & 1:
                             continue  # closed component missing some root
-                        out_state = (rest, sdr1, sdr2, closed | {lab})
+                        out_state = (rest, sdr1, sdr2, closed | 1 << lab)
                 if out_state not in nxt:
-                    nxt.add(out_state)
-                    origin[(p, out_state)] = (state, v, None)
-            active.discard(v)
+                    nxt[out_state] = (state, v, 0)
+            active &= ~vb
         layers.append(nxt)
 
-    final = next(
-        (s for s in layers[-1] if s[3] == frozenset({1, 2})), None
-    )
+    final = next((s for s in layers[-1] if s[3] == 0b110), None)
     if final is None:
         return None
     assignment: Dict[int, int] = {}
     state = final
-    for p in range(len(phases) - 1, -1, -1):
-        prev, v, label = origin[(p, state)]
-        if label is not None:
+    for layer in reversed(layers[1:]):
+        state, v, label = layer[state]
+        if label:
             assignment[v] = label
-        state = prev
     side1 = frozenset(v for v, lab in assignment.items() if lab == 1)
     side2 = frozenset(v for v, lab in assignment.items() if lab == 2)
     return side1, side2
@@ -943,24 +940,54 @@ def min_transversal_blocker(
     g: Graph, root_sets: Sequence[frozenset], size_cap: int
 ) -> frozenset:
     """Smallest vertex set whose removal leaves no connected component with
-    distinct representatives of every root set."""
+    distinct representatives of every root set.
 
-    def survives(z: frozenset) -> bool:
-        rest = g.induced(frozenset(g.vertices) - z)
-        return any(
-            _distinct_reps(root_sets, frozenset(comp)) is not None
-            for comp in rest.components()
-            if g.is_connected_set(comp)
-        )
+    Candidates are scanned by size, then lexicographically, so the first
+    blocker in that order is returned.  Each is tested by flood fills over
+    vertex masks (:meth:`Graph.vertex_bits`), with distinct representatives
+    decided by Hall's condition.
+    """
+    bit = g.vertex_bits()
+    closed = g.closed_neighborhood_masks()
+    reach = {bit[v]: closed[v] for v in g.vertices}
+    roots = [sum(bit[v] for v in r if v in bit) for r in root_sets]
+    # Hall: every nonempty subset of the root sets covers as many vertices
+    hall = []
+    for size in range(1, len(roots) + 1):
+        for subset in itertools.combinations(roots, size):
+            union = 0
+            for mask in subset:
+                union |= mask
+            hall.append((union, size))
+    everything = sum(bit.values())
 
-    if not survives(frozenset()):
+    def has_reps(pool: int) -> bool:
+        return all((union & pool).bit_count() >= size for union, size in hall)
+
+    def survives(removed: int) -> bool:
+        left = everything & ~removed
+        if not left or not has_reps(left):
+            return False
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = reach[low] & left & ~comp
+                comp |= new
+                frontier |= new
+            if has_reps(comp):
+                return True
+            left &= ~comp
+        return False
+
+    if not survives(0):
         return frozenset()
     verts = sorted(g.vertices)
     for size in range(1, size_cap + 1):
         for combo in itertools.combinations(verts, size):
-            z = frozenset(combo)
-            if not survives(z):
-                return z
+            if not survives(sum(bit[v] for v in combo)):
+                return frozenset(combo)
     raise CapacityError(
         "no blocker within the budget", cap=size_cap, actual=None
     )

@@ -1,16 +1,20 @@
-"""Set-based reference implementations of the bitmask solvers in
-``coarse_menger.packing``, kept as cross-check oracles.
+"""Set-based reference implementations of the bitmask solvers, kept as
+cross-check oracles.
 
-They are the straightforward formulations: one ``set_distance`` per pair of
-members, and a branch-and-bound over Python lists and adjacency sets.
+For ``coarse_menger.packing`` they are the straightforward formulations: one
+``set_distance`` per pair of members, and a branch-and-bound over Python lists
+and adjacency sets.  For the rooted-grid path they are the frozenset versions
+of the boundary DP and the blocker scan in ``coarse_menger.trees`` and of the
+exhaustive oracle in ``coarse_menger.acceptance``, with the same search orders.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from coarse_menger.graph import leq, set_distance
+from coarse_menger.errors import CapacityError, InputError, InternalInconsistencyError
+from coarse_menger.graph import Graph, leq, set_distance
 
 
 def set_far_conflicts(g, members: Sequence[frozenset], r) -> List[set]:
@@ -56,3 +60,296 @@ def set_max_independent_set(conflicts: List[set], order: Sequence[int]):
 
     expand(list(order), [])
     return best, nodes
+
+
+def _distinct_reps(root_sets: Sequence[frozenset], pool: frozenset):
+    """A system of distinct representatives for the root sets within pool,
+    or None."""
+
+    def extend(i: int, used: frozenset):
+        if i == len(root_sets):
+            return ()
+        for v in sorted(root_sets[i] & pool - used):
+            rest = extend(i + 1, used | {v})
+            if rest is not None:
+                return (v,) + rest
+        return None
+
+    return extend(0, frozenset())
+
+
+def _forget_times(g: Graph, order: Sequence[int]) -> Dict[int, int]:
+    pos = {v: i for i, v in enumerate(order)}
+    out = {}
+    for v in order:
+        last = pos[v]
+        for n in g.neighbors(v):
+            last = max(last, pos[n])
+        out[v] = last
+    return out
+
+
+def set_two_disjoint_connected_transversals(
+    g: Graph,
+    root_sets: Sequence[frozenset],
+    order: Optional[Sequence[int]] = None,
+    boundary_cap: int = 8,
+):
+    """Two vertex-disjoint connected sets, each holding distinct
+    representatives of every root set — or None.
+
+    Sweeps the vertices in ``order`` tracking only the boundary (vertices
+    with unprocessed neighbors): label assignment, connectivity blocks per
+    label, and which root subsets already have distinct representatives.
+    Works whenever the order has small boundary (row-major on grids).
+    """
+    if order is None:
+        order = sorted(g.vertices)
+    order = list(order)
+    if sorted(order) != sorted(g.vertices):
+        raise InputError("order must list every vertex once")
+    forget_at = _forget_times(g, order)
+    boundary = 0
+    alive = 0
+    for i, v in enumerate(order):
+        alive += 1
+        boundary = max(boundary, alive)
+        alive -= sum(1 for u in order[: i + 1] if forget_at[u] == i)
+    if boundary > boundary_cap:
+        raise CapacityError(
+            "sweep boundary too wide for the disjoint-transversal search",
+            cap=boundary_cap,
+            actual=boundary,
+        )
+
+    # flatten the sweep into sequential phases so every transition has an
+    # unambiguous predecessor layer for witness reconstruction
+    phases: List[tuple] = []
+    for step, v in enumerate(order):
+        phases.append(("intro", v))
+        for u in sorted(u for u in order[: step + 1] if forget_at[u] == step):
+            phases.append(("forget", u))
+
+    idx = range(len(root_sets))
+    full = frozenset(idx)
+    init = (frozenset(), frozenset([frozenset()]), frozenset([frozenset()]),
+            frozenset())
+    layers = [{init}]
+    origin: Dict[tuple, tuple] = {}
+    active: set = set()
+
+    def used(state, label):
+        blocks, _, _, closed = state
+        return label in closed or any(lab == label for lab, _ in blocks)
+
+    for p, (kind, v) in enumerate(phases):
+        nxt = set()
+        if kind == "intro":
+            nbrs = frozenset(g.neighbors(v)) & frozenset(active)
+            for state in layers[-1]:
+                blocks, sdr1, sdr2, closed = state
+                if state not in nxt:
+                    nxt.add(state)
+                    origin[(p, state)] = (state, v, 0)
+                for label in (1, 2):
+                    if label in closed:
+                        continue
+                    if label == 2 and not used(state, 1) and not used(state, 2):
+                        continue  # symmetry: first labeled vertex gets label 1
+                    touching = [b for lab, b in blocks
+                                if lab == label and b & nbrs]
+                    merged = frozenset({v}).union(*touching)
+                    new_blocks = frozenset(
+                        (lab, b) for lab, b in blocks
+                        if not (lab == label and b & nbrs)
+                    ) | {(label, merged)}
+                    sdr = sdr1 if label == 1 else sdr2
+                    grown = sdr | frozenset(
+                        s | {i} for s in sdr for i in idx
+                        if i not in s and v in root_sets[i]
+                    )
+                    new_state = (
+                        new_blocks,
+                        grown if label == 1 else sdr1,
+                        grown if label == 2 else sdr2,
+                        closed,
+                    )
+                    if new_state not in nxt:
+                        nxt.add(new_state)
+                        origin[(p, new_state)] = (state, v, label)
+            active.add(v)
+        else:
+            for state in layers[-1]:
+                blocks, sdr1, sdr2, closed = state
+                home = [(lab, b) for lab, b in blocks if v in b]
+                if not home:
+                    out_state = state
+                else:
+                    lab, b = home[0]
+                    rest = blocks - {(lab, b)}
+                    shrunk = b - {v}
+                    if shrunk:
+                        out_state = (rest | {(lab, shrunk)}, sdr1, sdr2, closed)
+                    else:
+                        if any(l2 == lab for l2, _ in rest):
+                            continue  # a second component would be stranded
+                        if full not in (sdr1 if lab == 1 else sdr2):
+                            continue  # closed component missing some root
+                        out_state = (rest, sdr1, sdr2, closed | {lab})
+                if out_state not in nxt:
+                    nxt.add(out_state)
+                    origin[(p, out_state)] = (state, v, None)
+            active.discard(v)
+        layers.append(nxt)
+
+    final = next(
+        (s for s in layers[-1] if s[3] == frozenset({1, 2})), None
+    )
+    if final is None:
+        return None
+    assignment: Dict[int, int] = {}
+    state = final
+    for p in range(len(phases) - 1, -1, -1):
+        prev, v, label = origin[(p, state)]
+        if label is not None:
+            assignment[v] = label
+        state = prev
+    side1 = frozenset(v for v, lab in assignment.items() if lab == 1)
+    side2 = frozenset(v for v, lab in assignment.items() if lab == 2)
+    return side1, side2
+
+
+def set_min_transversal_blocker(
+    g: Graph, root_sets: Sequence[frozenset], size_cap: int
+) -> frozenset:
+    """Smallest vertex set whose removal leaves no connected component with
+    distinct representatives of every root set."""
+
+    def survives(z: frozenset) -> bool:
+        rest = g.induced(frozenset(g.vertices) - z)
+        return any(
+            _distinct_reps(root_sets, frozenset(comp)) is not None
+            for comp in rest.components()
+            if g.is_connected_set(comp)
+        )
+
+    if not survives(frozenset()):
+        return frozenset()
+    verts = sorted(g.vertices)
+    for size in range(1, size_cap + 1):
+        for combo in itertools.combinations(verts, size):
+            z = frozenset(combo)
+            if not survives(z):
+                return z
+    raise CapacityError(
+        "no blocker within the budget", cap=size_cap, actual=None
+    )
+
+
+def set_exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
+    """Complete search for two vertex-disjoint connected sets, each holding
+    distinct representatives of three root sets.
+
+    Every minimal such set is a tree with at most three leaves, so it splits
+    into a simple path between the first and third root sets plus at most one
+    attachment path to the second; both parts are enumerated by depth-first
+    search.  The partner-side check ("does some leftover component still
+    support the roots?") is monotone under growth, which prunes hard.
+    """
+    if len(roots) != 3:
+        raise ValueError("oracle is specific to three root sets")
+    adj = {v: sorted(g.neighbors(v)) for v in g.vertices}
+    rsets = [frozenset(r) for r in roots]
+    allv = sorted(g.vertices)
+
+    def has_sdr(pool: frozenset) -> bool:
+        def match(i, used):
+            if i == 3:
+                return True
+            return any(
+                match(i + 1, used | {v})
+                for v in sorted(rsets[i] & pool) if v not in used
+            )
+        return match(0, frozenset())
+
+    def survives(removed) -> bool:
+        seen = set()
+        for v in allv:
+            if v in removed or v in seen:
+                continue
+            comp = {v}
+            stack = [v]
+            seen.add(v)
+            while stack:
+                u = stack.pop()
+                for n in adj[u]:
+                    if n not in removed and n not in seen:
+                        seen.add(n)
+                        comp.add(n)
+                        stack.append(n)
+            if has_sdr(frozenset(comp)):
+                return True
+        return False
+
+    found: List[frozenset] = []
+
+    def attach(pset: set):
+        def q_dfs(q: List[int], qset: set):
+            union = pset | qset
+            if not survives(union):
+                return
+            if has_sdr(frozenset(union)):
+                found.append(frozenset(union))
+                return
+            for n in adj[q[-1]]:
+                if n not in union:
+                    q.append(n)
+                    qset.add(n)
+                    q_dfs(q, qset)
+                    qset.discard(n)
+                    q.pop()
+                    if found:
+                        return
+
+        for p in sorted(pset):
+            for n in adj[p]:
+                if n not in pset:
+                    q_dfs([p, n], {n})
+                    if found:
+                        return
+
+    def trunk_dfs(path: List[int], pset: set):
+        if found:
+            return
+        v = path[-1]
+        if v in rsets[2]:
+            s = frozenset(pset)
+            if survives(s):
+                if has_sdr(s):
+                    found.append(s)
+                    return
+                attach(set(pset))
+                if found:
+                    return
+        for n in adj[v]:
+            if n not in pset:
+                path.append(n)
+                pset.add(n)
+                trunk_dfs(path, pset)
+                pset.discard(n)
+                path.pop()
+            if found:
+                return
+
+    for start in sorted(rsets[0]):
+        trunk_dfs([start], {start})
+        if found:
+            break
+    if not found:
+        return None
+    s1 = found[0]
+    rest = g.induced(frozenset(g.vertices) - s1)
+    for comp in rest.components():
+        if has_sdr(frozenset(comp)):
+            return s1, frozenset(comp)
+    raise InternalInconsistencyError("search result lost its partner side")

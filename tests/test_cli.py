@@ -52,6 +52,21 @@ def test_run_duality_bad_threshold_list(capsys):
                "--r", "1,,x")[0] == EXIT_CONFIG
 
 
+def test_run_duality_decimal_threshold_is_exact(capsys):
+    code, out, _ = run(capsys, "run-duality", "--grid", "2x3",
+                       "--r", "0.5,1", "--beta", "0")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["config"]["r"] == ["1/2", 1]
+    assert sorted(doc["instances"][0]["packing"]) == ["1", "1/2"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1/0"])
+def test_run_duality_non_finite_threshold_is_config_error(capsys, value):
+    assert run(capsys, "run-duality", "--grid", "2x2",
+               "--r", value)[0] == EXIT_CONFIG
+
+
 def test_run_duality_missing_file(capsys):
     assert run(capsys, "run-duality", "--file", "/nonexistent.json")[0] == \
         EXIT_CONFIG

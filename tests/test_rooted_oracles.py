@@ -1,0 +1,112 @@
+"""The mask-based rooted-grid solvers against their frozenset versions
+(``set_oracles``): the exhaustive acceptance oracle, the boundary DP and the
+blocker scan, on grids up to 4x5 and on connected random graphs of at most
+12 vertices, each with three random root sets."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coarse_menger.acceptance import exhaustive_two_disjoint_supports
+from coarse_menger.errors import CapacityError
+from coarse_menger.generators import grid, grid_column, rooted_p3_grid
+from coarse_menger.trees import min_transversal_blocker, two_disjoint_connected_transversals
+
+from conftest import random_connected
+from set_oracles import (
+    set_exhaustive_two_disjoint_supports,
+    set_min_transversal_blocker,
+    set_two_disjoint_connected_transversals,
+)
+
+
+@st.composite
+def rooted_hosts(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    if draw(st.booleans()):
+        g = grid(draw(st.integers(min_value=1, max_value=4)),
+                 draw(st.integers(min_value=2, max_value=5)))
+    else:
+        g = random_connected(rng, draw(st.integers(min_value=3, max_value=12)),
+                             p=draw(st.sampled_from((0.1, 0.2, 0.35))))
+    # two disjoint supports need two vertices in each root set: mostly draw more
+    most = max(2, len(g) // 2)
+    roots = [frozenset(rng.sample(g.vertices, min(len(g), rng.randint(1, most))))
+             for _ in range(3)]
+    return g, roots
+
+
+def _outcome(solver, *args):
+    """The solver's answer, or the type of the capacity refusal."""
+    try:
+        return solver(*args)
+    except CapacityError:
+        return CapacityError
+
+
+def _has_distinct_reps(roots, side) -> bool:
+    pools = [sorted(r & side) for r in roots]
+    return any(len(set(t)) == len(t) for t in itertools.product(*pools))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rooted_hosts())
+def test_exhaustive_oracle_returns_the_same_pair(host):
+    g, roots = host
+    assert exhaustive_two_disjoint_supports(g, roots) == \
+        set_exhaustive_two_disjoint_supports(g, roots)
+
+
+def _assert_valid_witness(g, roots, witness):
+    side1, side2 = witness
+    assert not side1 & side2
+    for side in (side1, side2):
+        assert g.is_connected_set(side)
+        assert _has_distinct_reps(roots, side)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rooted_hosts())
+def test_boundary_dp_agrees_and_its_witness_is_valid(host):
+    g, roots = host
+    got = _outcome(two_disjoint_connected_transversals, g, roots)
+    expect = _outcome(set_two_disjoint_connected_transversals, g, roots)
+    if expect is CapacityError or expect is None:
+        assert got is expect
+        return
+    assert got is not None and got is not CapacityError
+    _assert_valid_witness(g, roots, got)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 3), (2, 5), (3, 4), (4, 5)])
+def test_boundary_dp_witness_on_column_rooted_grids(rows, cols):
+    # any two rows are disjoint supports for the first, middle and last column
+    g = grid(rows, cols)
+    roots = [grid_column(rows, cols, c) for c in (0, cols // 2, cols - 1)]
+    witness = two_disjoint_connected_transversals(g, roots)
+    assert set_two_disjoint_connected_transversals(g, roots) is not None
+    _assert_valid_witness(g, roots, witness)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rooted_hosts(), st.integers(min_value=0, max_value=3))
+def test_blocker_returns_the_same_set(host, size_cap):
+    g, roots = host
+    assert _outcome(min_transversal_blocker, g, roots, size_cap) == \
+        _outcome(set_min_transversal_blocker, g, roots, size_cap)
+
+
+@pytest.mark.parametrize("w", [3, 4])
+def test_rooted_grid_answers_match(w):
+    spec = rooted_p3_grid(w)
+    g, roots = spec.graph, list(spec.roots)
+    assert exhaustive_two_disjoint_supports(g, roots) is None
+    assert set_exhaustive_two_disjoint_supports(g, roots) is None
+    assert two_disjoint_connected_transversals(g, roots) is None
+    assert set_two_disjoint_connected_transversals(g, roots) is None
+    z = min_transversal_blocker(g, roots, 2 * w)
+    assert len(z) == w
+    assert z == set_min_transversal_blocker(g, roots, 2 * w)
