@@ -25,16 +25,14 @@ from .covering import (
 from .errors import CoarseMengerError, InternalInconsistencyError
 from .generators import (
     grid,
-    grid_column,
-    grid_row,
     menger_lower_bound_instance,
     random_instances,
     rooted_p3_grid,
 )
-from .graph import Graph, VertexSet, certify_centered, distance
+from .graph import Graph, certify_centered, distance
 from .packing import PackingInstance, gallai_packing, max_far_packing, menger_packing
 from .paths import enumerate_chordless_paths
-from .tangles import Tangle, easy_tangle_trichotomy, verify_tangle
+from .tangles import easy_tangle_trichotomy, verify_tangle
 from .transfer import (
     QuasiIsometry,
     constant_witness,
@@ -45,7 +43,6 @@ from .transfer import (
 from .trees import (
     ExchangeableFamily,
     Location,
-    TreeDecomposition,
     easy_tree_hitting,
     min_degree_decomposition,
     rooted_fat_minor_ep,
@@ -198,15 +195,15 @@ def _random_tree(rng: random.Random, n: int) -> Graph:
     return Graph(range(n), edges)
 
 
-def _random_subtree(rng: random.Random, t: Graph) -> frozenset:
-    start = rng.randrange(len(t))
-    size = rng.randint(1, max(1, len(t) // 2))
+def _random_connected_subset(rng: random.Random, g: Graph, max_size: int) -> frozenset:
+    start = rng.choice(sorted(g.vertices))
+    size = rng.randint(1, max_size)
     chosen = {start}
-    frontier = set(t.neighbors(start))
+    frontier = set(g.neighbors(start))
     while len(chosen) < size and frontier:
         v = rng.choice(sorted(frontier))
         chosen.add(v)
-        frontier |= set(t.neighbors(v)) - chosen
+        frontier |= set(g.neighbors(v)) - chosen
         frontier.discard(v)
     return frozenset(chosen)
 
@@ -216,7 +213,10 @@ def check_tree_helly(seed: int) -> CriterionResult:
     failures = []
     for idx in range(500):
         t = _random_tree(rng, rng.randint(2, 12))
-        subtrees = [_random_subtree(rng, t) for _ in range(rng.randint(1, 10))]
+        subtrees = [
+            _random_connected_subset(rng, t, max(1, len(t) // 2))
+            for _ in range(rng.randint(1, 10))
+        ]
         k = rng.randint(1, 4)
         res = tree_helly(t, subtrees, k)
         if res.branch == "packing":
@@ -248,19 +248,6 @@ def check_tree_helly(seed: int) -> CriterionResult:
 # 6. centered hitting on bounded-width hosts
 
 
-def _random_connected_subset(rng: random.Random, g: Graph) -> frozenset:
-    start = rng.choice(sorted(g.vertices))
-    size = rng.randint(1, 3)
-    chosen = {start}
-    frontier = set(g.neighbors(start))
-    while len(chosen) < size and frontier:
-        v = rng.choice(sorted(frontier))
-        chosen.add(v)
-        frontier |= set(g.neighbors(v)) - chosen
-        frontier.discard(v)
-    return frozenset(chosen)
-
-
 def check_easy_tree(seed: int) -> CriterionResult:
     rng = random.Random(seed + 6)
     instances = random_instances(
@@ -271,7 +258,7 @@ def check_easy_tree(seed: int) -> CriterionResult:
         g = spec.graph
         td = spec.decomposition
         members = tuple(
-            (_random_connected_subset(rng, g),)
+            (_random_connected_subset(rng, g, 3),)
             for _ in range(rng.randint(1, 4))
         )
         fam = ExchangeableFamily(g, members, 1)
@@ -651,7 +638,7 @@ def check_tangle_trichotomy(seed: int) -> CriterionResult:
         for _ in range(rng.randint(1, 4)):
             if not len(sub):
                 break
-            m = _random_connected_subset(rng, sub)
+            m = _random_connected_subset(rng, sub, 3)
             members.append(m)
         k = rng.choice((2, 3))
         theta = rng.choice((1, 2))

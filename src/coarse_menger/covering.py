@@ -6,9 +6,8 @@ exact solving branches on the family member with fewest covering candidates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError, InternalInconsistencyError
 from .graph import (
@@ -17,8 +16,10 @@ from .graph import (
     Number,
     VertexSet,
     _ball,
+    _greedy_cover,
+    _hit_masks,
+    _set_cover,
     as_vertex_set,
-    leq,
 )
 from .packing import (
     EXACT_PACKING_VERTEX_CAP,
@@ -88,53 +89,25 @@ def _json_num(x):
 
 
 def min_set_cover(universe: Sequence[int], sets: Dict[int, frozenset]):
-    """Exact minimum set cover by branch-and-bound.
+    """Exact minimum set cover by branch-and-bound (:func:`graph._set_cover`).
 
     ``sets`` maps candidate ids to covered element sets.  Branches on the
     element covered by fewest candidates; deterministic tie-break by id.
     Returns (chosen ids sorted, nodes explored).
     """
-    universe = frozenset(universe)
-    for el in universe:
-        if not any(el in s for s in sets.values()):
-            raise InternalInconsistencyError(f"element {el} is uncoverable")
-    candidates = sorted(c for c in sets if sets[c] & universe)
-
-    # greedy upper bound
-    best: Optional[List[int]] = None
-    uncovered = set(universe)
-    greedy: List[int] = []
-    while uncovered:
-        c = max(candidates, key=lambda c: (len(sets[c] & uncovered), -c))
-        greedy.append(c)
-        uncovered -= sets[c]
-    best = greedy
-
-    max_size = max((len(sets[c] & universe) for c in candidates), default=1) or 1
-    nodes = 0
-
-    def search(uncovered: frozenset, chosen: List[int]):
-        nonlocal best, nodes
-        nodes += 1
-        if not uncovered:
-            if len(chosen) < len(best):
-                best = list(chosen)
-            return
-        if len(chosen) + math.ceil(len(uncovered) / max_size) >= len(best):
-            return
-        pivot = min(
-            uncovered,
-            key=lambda el: (sum(1 for c in candidates if el in sets[c]), el),
-        )
-        covers = [c for c in candidates if pivot in sets[c]]
-        covers.sort(key=lambda c: (-len(sets[c] & uncovered), c))
-        for c in covers:
-            chosen.append(c)
-            search(uncovered - sets[c], chosen)
-            chosen.pop()
-
-    search(universe, [])
-    return sorted(best), nodes
+    elements = sorted(set(universe))
+    bit = {el: 1 << i for i, el in enumerate(elements)}
+    target = (1 << len(elements)) - 1
+    ids = sorted(sets)
+    masks = [sum(bit[el] for el in sets[c] if el in bit) for c in ids]
+    uncoverable = target
+    for m in masks:
+        uncoverable &= ~m
+    if uncoverable:
+        el = elements[(uncoverable & -uncoverable).bit_length() - 1]
+        raise InternalInconsistencyError(f"element {el} is uncoverable")
+    chosen, nodes = _set_cover(target, masks)
+    return sorted(ids[i] for i in chosen), nodes
 
 
 def min_ball_hitting(inst: CoverInstance) -> CoverSolution:
@@ -150,32 +123,24 @@ def _ball_hitting(
         empty = VertexSet(frozenset(), g)
         return CoverSolution(CenteredSet(empty, empty, radius), 0, True)
 
-    balls = {c: _ball(g, c, radius) for c in g.vertices}
-    hit_sets = {
-        c: frozenset(i for i, member in enumerate(family) if balls[c] & member)
-        for c in g.vertices
-    }
-    universe = range(len(family))
+    hits = _hit_masks(g, family, radius)
+    target = (1 << len(family)) - 1
 
     if mode == "greedy":
-        chosen: List[int] = []
-        uncovered = set(universe)
-        while uncovered:
-            c = max(g.vertices, key=lambda c: (len(hit_sets[c] & uncovered), -c))
-            chosen.append(c)
-            uncovered -= hit_sets[c]
+        chosen, _ = _greedy_cover(target, hits)
         optimal = False
         nodes = 0
     else:
-        chosen, nodes = min_set_cover(universe, hit_sets)
+        chosen, nodes = _set_cover(target, hits)
         optimal = True
+    centers = [g.vertices[i] for i in chosen]
 
     member_union = frozenset().union(*family)
-    z = frozenset().union(*(balls[c] for c in chosen)) & member_union
+    z = frozenset().union(*(_ball(g, c, radius) for c in centers)) & member_union
     centered = CenteredSet(
-        VertexSet(z, g), VertexSet(frozenset(chosen), g), radius
+        VertexSet(z, g), VertexSet(frozenset(centers), g), radius
     )
-    return CoverSolution(centered, len(chosen), optimal, nodes)
+    return CoverSolution(centered, len(centers), optimal, nodes)
 
 
 # ---------------------------------------------------------------------------

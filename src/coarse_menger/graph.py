@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CapacityError, InputError
 
@@ -363,6 +363,95 @@ def _ball(g: Graph, center: int, r: Number) -> frozenset:
     return frozenset(v for v, d in du.items() if leq(d, r))
 
 
+def _ball_mask(g: Graph, center: int, r: Number) -> int:
+    """:func:`_ball` as a mask over :meth:`Graph.vertex_bits`."""
+    bit = g.vertex_bits()
+    mask = 0
+    for v, d in g.dist_from(center).items():
+        if leq(d, r):
+            mask |= bit[v]
+    return mask
+
+
+def _hit_masks(g: Graph, family: Sequence[frozenset], r: Number) -> list:
+    """Per vertex ``c`` in vertex order, the mask of the ``family`` members
+    (bit i: ``family[i]``) that the radius-``r`` ball around ``c`` meets."""
+    bit = g.vertex_bits()
+    members = [sum(bit[v] for v in f) for f in family]
+    hits = []
+    for c in g.vertices:
+        ball = _ball_mask(g, c, r)
+        hits.append(sum(1 << i for i, m in enumerate(members) if ball & m))
+    return hits
+
+
+# ---------------------------------------------------------------------------
+# set cover over bitmasks
+#
+# ``masks`` lists the candidates in ascending id order; element bits are in
+# ascending element order.  Both routines return candidate positions.
+
+
+def _greedy_cover(target: int, masks: Sequence[int], limit: Optional[int] = None):
+    """Repeatedly take the candidate covering the most uncovered elements,
+    the first on ties, until ``target`` is covered, ``limit`` candidates are
+    taken or nothing more is covered.  Returns (positions, uncovered mask)."""
+    chosen = []
+    uncovered = target
+    while uncovered and (limit is None or len(chosen) < limit):
+        i = max(range(len(masks)), key=lambda i: ((masks[i] & uncovered).bit_count(), -i))
+        if not masks[i] & uncovered:
+            break
+        chosen.append(i)
+        uncovered &= ~masks[i]
+    return chosen, uncovered
+
+
+def _set_cover(target: int, masks: Sequence[int], budget: Optional[int] = None):
+    """Branch-and-bound set cover of ``target``.  Returns (positions or None,
+    search nodes).
+
+    Without ``budget`` it minimises, starting from the greedy cover; with one
+    it returns the first cover of at most ``budget`` candidates.  Each node
+    branches on the uncovered element with the fewest covering candidates
+    (lowest element on ties), trying candidates by most new coverage, then
+    position, and prunes on ``ceil(uncovered / largest candidate)``.
+    """
+    elements = [1 << j for j in range(target.bit_length()) if target >> j & 1]
+    covering = {b: [i for i, m in enumerate(masks) if m & b] for b in elements}
+    pivots = sorted(covering, key=lambda b: (len(covering[b]), b))
+    max_size = max(((m & target).bit_count() for m in masks), default=0) or 1
+    if budget is None:
+        best, _ = _greedy_cover(target, masks)
+        limit = len(best) - 1
+    else:
+        best, limit = None, budget
+    chosen = []
+    nodes = 0
+
+    def search(uncovered: int) -> bool:
+        # True stops the search: the first cover within a budget was found
+        nonlocal best, limit, nodes
+        nodes += 1
+        if not uncovered:
+            if len(chosen) <= limit:
+                best, limit = list(chosen), len(chosen) - 1
+                return budget is not None
+            return False
+        if len(chosen) - (-uncovered.bit_count() // max_size) > limit:
+            return False
+        pivot = next(b for b in pivots if b & uncovered)
+        for i in sorted(covering[pivot], key=lambda i: (-(masks[i] & uncovered).bit_count(), i)):
+            chosen.append(i)
+            if search(uncovered & ~masks[i]):
+                return True
+            chosen.pop()
+        return False
+
+    search(target)
+    return best, nodes
+
+
 def certify_centered(g: Graph, z, k: int, r: Number, mode: str = "exact"):
     """Search for at most ``k`` vertex centers whose radius-``r`` balls cover
     ``z``.  Returns a :class:`CenteredSet` on success, else a
@@ -374,10 +463,10 @@ def certify_centered(g: Graph, z, k: int, r: Number, mode: str = "exact"):
     z = as_vertex_set(g, z)
     if k < 0 or r < 0:
         raise InputError("negative center count or radius")
-    if not z.members:
-        return CenteredSet(z, VertexSet(frozenset(), g), r)
     if mode not in ("exact", "greedy"):
         raise InputError(f"unknown mode {mode!r}")
+    if not z.members:
+        return CenteredSet(z, VertexSet(frozenset(), g), r)
     if mode == "exact" and len(g) > EXACT_CENTER_CAP:
         raise CapacityError(
             f"exact centered-set search capped at {EXACT_CENTER_CAP} vertices",
@@ -385,48 +474,19 @@ def certify_centered(g: Graph, z, k: int, r: Number, mode: str = "exact"):
             actual=len(g),
         )
 
-    balls = {c: _ball(g, c, r) & z.members for c in g.vertices}
-    candidates = [c for c in g.vertices if balls[c]]
+    bit = g.vertex_bits()
+    target = sum(bit[v] for v in z.members)
+    masks = [_ball_mask(g, c, r) & target for c in g.vertices]
 
     if mode == "greedy":
-        chosen = []
-        uncovered = set(z.members)
-        while uncovered and len(chosen) < k:
-            best = max(candidates, key=lambda c: (len(balls[c] & uncovered), -c))
-            if not balls[best] & uncovered:
-                break
-            chosen.append(best)
-            uncovered -= balls[best]
+        chosen, uncovered = _greedy_cover(target, masks, k)
         if uncovered:
             return CenteredRefusal("greedy-cover-exhausted", "greedy", k, r)
-        return CenteredSet(z, VertexSet(frozenset(chosen), g), r)
-
-    target = set(z.members)
-
-    def search(uncovered: frozenset, chosen: tuple):
-        if not uncovered:
-            return chosen
-        if len(chosen) >= k:
-            return None
-        # branch on the uncovered vertex with fewest covering candidates
-        pivot = min(
-            uncovered,
-            key=lambda u: (sum(1 for c in candidates if u in balls[c]), u),
-        )
-        covers = [c for c in candidates if pivot in balls[c]]
-        if not covers:
-            return None
-        covers.sort(key=lambda c: (-len(balls[c] & uncovered), c))
-        for c in covers:
-            res = search(uncovered - balls[c], chosen + (c,))
-            if res is not None:
-                return res
-        return None
-
-    res = search(frozenset(target), ())
-    if res is None:
-        return CenteredRefusal("exhaustive-center-search-failed", "exact", k, r)
-    return CenteredSet(z, VertexSet(frozenset(res), g), r)
+    else:
+        chosen, _ = _set_cover(target, masks, k)
+        if chosen is None:
+            return CenteredRefusal("exhaustive-center-search-failed", "exact", k, r)
+    return CenteredSet(z, VertexSet(frozenset(g.vertices[i] for i in chosen), g), r)
 
 
 # ---------------------------------------------------------------------------

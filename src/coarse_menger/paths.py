@@ -3,9 +3,10 @@
 Paths are canonicalized up to reversal (a path equals its reversal as a
 subgraph); the stored orientation is the lexicographically smaller one.
 
-Chordless enumeration keeps the path's vertices, minus its tail, as a vertex
-bitmask (:meth:`Graph.vertex_bits`), so testing a candidate for a chord is one
-AND with its closed-neighbourhood mask.
+Path enumeration keeps the path's vertices, minus its tail, as a vertex
+bitmask (:meth:`Graph.vertex_bits`).  A neighbour of the tail extends the path
+when one AND with its blocking mask is empty: its own bit for simple paths,
+its closed neighbourhood for chordless ones.
 """
 
 from __future__ import annotations
@@ -104,6 +105,15 @@ def enumerate_paths(
     vertices; with a finite ``cap`` the first ``cap`` canonical paths are
     returned and truncation is flagged.
     """
+    return _enumerate(g, l, x, y, cap, g.vertex_bits())
+
+
+def _enumerate(
+    g: Graph, l: Number, x, y, cap: Optional[int], blocking: Mapping[int, int]
+) -> PathEnumeration:
+    """Depth-first path enumeration shared by :func:`enumerate_paths` and
+    :func:`enumerate_chordless_paths`: a neighbour ``n`` of the tail extends
+    the path iff ``blocking[n]`` misses every path vertex but the tail."""
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
     if cap is None and len(g) > ENUM_VERTEX_LIMIT:
@@ -116,22 +126,24 @@ def enumerate_paths(
         return PathEnumeration((), False)
 
     found = set()
+    bit = g.vertex_bits()
+    ends = y.members
 
-    def extend(seq: list, seen: set):
+    def extend(seq: list, body: int, dist_start: dict):
+        # ``body`` is the mask of seq[:-1]
         tail = seq[-1]
-        if tail in y.members and leq(l, distance(g, seq[0], tail)):
+        if tail in ends and leq(l, dist_start[tail]):
             found.add(canonical_sequence(seq))
+        grown = body | bit[tail]
         for n in g.neighbors(tail):
-            if n not in seen:
-                seen.add(n)
-                seq.append(n)
-                extend(seq, seen)
-                seq.pop()
-                seen.remove(n)
+            if blocking[n] & body:
+                continue
+            seq.append(n)
+            extend(seq, grown, dist_start)
+            seq.pop()
 
-    for start in sorted(x.members | y.members):
-        if start in x.members:
-            extend([start], {start})
+    for start in sorted(x.members):
+        extend([start], 0, g.dist_from(start))
 
     ordered = sorted(found)
     truncated = cap is not None and len(ordered) > cap
@@ -275,10 +287,8 @@ def enumerate_chordless_paths(
 ) -> PathEnumeration:
     """Like :func:`enumerate_paths`, restricted to chordless (induced) paths.
 
-    The chord test is one AND of bitmasks (see
-    :meth:`Graph.closed_neighborhood_masks`); neighbours are tried in the
-    same order as :func:`enumerate_paths`, and the result is the same
-    canonical sorted tuple.
+    The same search as :func:`enumerate_paths`, blocking each neighbour of
+    the path's body as well (:meth:`Graph.closed_neighborhood_masks`).
 
     Sufficient for packing and covering computations: shortcutting along a
     chord keeps the endpoints, never increases the vertex set, and so never
@@ -286,42 +296,4 @@ def enumerate_chordless_paths(
     optima over all simple paths, and a set hitting every chordless path hits
     every path.
     """
-    x = as_vertex_set(g, x)
-    y = as_vertex_set(g, y)
-    if cap is None and len(g) > ENUM_VERTEX_LIMIT:
-        raise CapacityError(
-            f"uncapped path enumeration limited to {ENUM_VERTEX_LIMIT} vertices",
-            cap=ENUM_VERTEX_LIMIT,
-            actual=len(g),
-        )
-    if not x.members or not y.members:
-        return PathEnumeration((), False)
-
-    found = set()
-    bit = g.vertex_bits()
-    closed = g.closed_neighborhood_masks()
-    ends = y.members
-
-    def extend(seq: list, body: int, dist_start: dict):
-        # ``body`` is the mask of seq[:-1]; a neighbour n of the tail extends
-        # the path chordlessly iff neither n nor any neighbour of n is in it
-        tail = seq[-1]
-        if tail in ends and leq(l, dist_start[tail]):
-            found.add(canonical_sequence(seq))
-        grown = body | bit[tail]
-        for n in g.neighbors(tail):
-            if closed[n] & body:
-                continue
-            seq.append(n)
-            extend(seq, grown, dist_start)
-            seq.pop()
-
-    for start in sorted(x.members):
-        extend([start], 0, g.dist_from(start))
-
-    ordered = sorted(found)
-    truncated = cap is not None and len(ordered) > cap
-    if truncated:
-        ordered = ordered[:cap]
-    paths = tuple(PathWitness(s, distance(g, s[0], s[-1])) for s in ordered)
-    return PathEnumeration(paths, truncated)
+    return _enumerate(g, l, x, y, cap, g.closed_neighborhood_masks())

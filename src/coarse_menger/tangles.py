@@ -9,8 +9,8 @@ returned tangle re-verifies its axioms against the full enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     CapacityError,
@@ -25,6 +25,8 @@ from .graph import (
     Number,
     VertexSet,
     _ball,
+    _hit_masks,
+    _set_cover,
     as_vertex_set,
     certify_centered,
     leq,
@@ -237,43 +239,17 @@ class TrichotomyResult:
 
 
 def _hitting_center_search(
-    g: Graph, l: VertexSet, far: Sequence[frozenset], budget: int,
-    radius: Number
+    g: Graph, far: Sequence[frozenset], budget: int, radius: Number
 ):
-    """Centers (at most ``budget``) whose radius balls, cut to the subgraph,
-    hit every listed member — or None.  Exhaustive set-cover search."""
+    """Centers (at most ``budget``) whose radius balls hit every listed
+    member — or None.  Exhaustive set-cover search.  The members lie inside
+    the subgraph, so cutting the balls to it would change nothing."""
     if not far:
         return frozenset()
     if budget <= 0:
         return None
-    balls = {c: _ball(g, c, radius) & l.members for c in g.vertices}
-    hit = {
-        c: frozenset(i for i, f in enumerate(far) if balls[c] & f)
-        for c in g.vertices
-    }
-    candidates = [c for c in g.vertices if hit[c]]
-
-    def search(uncovered: frozenset, chosen: tuple):
-        if not uncovered:
-            return chosen
-        if len(chosen) >= budget:
-            return None
-        pivot = min(
-            uncovered,
-            key=lambda i: (sum(1 for c in candidates if i in hit[c]), i),
-        )
-        covers = sorted(
-            (c for c in candidates if pivot in hit[c]),
-            key=lambda c: (-len(hit[c] & uncovered), c),
-        )
-        for c in covers:
-            res = search(uncovered - hit[c], chosen + (c,))
-            if res is not None:
-                return res
-        return None
-
-    return_value = search(frozenset(range(len(far))), ())
-    return frozenset(return_value) if return_value is not None else None
+    chosen, _ = _set_cover((1 << len(far)) - 1, _hit_masks(g, far, radius), budget)
+    return None if chosen is None else frozenset(g.vertices[i] for i in chosen)
 
 
 def easy_tangle_trichotomy(
@@ -323,7 +299,7 @@ def easy_tangle_trichotomy(
     far = _far_members(g, members, fat_z)
 
     # outcome 1: few extra balls hit every far member
-    centers = _hitting_center_search(g, l, far, 3 * theta - 3, r_prime) \
+    centers = _hitting_center_search(g, far, 3 * theta - 3, r_prime) \
         if far else frozenset()
     if centers is not None:
         extra = frozenset().union(
@@ -497,7 +473,7 @@ def tangle_decompose(
         far = _far_members(g, mem, fat_z)
 
         # few extra balls hit every far member
-        centers = _hitting_center_search(g, lvs, far, 3 * theta1 - 3, r_prime)
+        centers = _hitting_center_search(g, far, 3 * theta1 - 3, r_prime)
         if centers is not None:
             extra = frozenset().union(
                 *(_ball(g, c, r_prime) for c in centers)

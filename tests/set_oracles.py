@@ -6,15 +6,36 @@ For ``coarse_menger.packing`` they are the straightforward formulations: one
 and adjacency sets.  For the rooted-grid path they are the frozenset versions
 of the boundary DP and the blocker scan in ``coarse_menger.trees`` and of the
 exhaustive oracle in ``coarse_menger.acceptance``, with the same search orders.
+For the covering side they are the frozenset set covers (``min_set_cover``,
+the exact and greedy search of ``certify_centered``, the greedy loop of
+``min_ball_hitting`` and the trichotomy's hitting-center search), and for path
+enumeration the ``seen``-set depth-first search of ``enumerate_paths``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Dict, List, Optional, Sequence
 
 from coarse_menger.errors import CapacityError, InputError, InternalInconsistencyError
-from coarse_menger.graph import Graph, leq, set_distance
+from coarse_menger.graph import (
+    EXACT_CENTER_CAP,
+    CenteredRefusal,
+    CenteredSet,
+    Graph,
+    VertexSet,
+    as_vertex_set,
+    distance,
+    leq,
+    set_distance,
+)
+from coarse_menger.paths import (
+    ENUM_VERTEX_LIMIT,
+    PathEnumeration,
+    PathWitness,
+    canonical_sequence,
+)
 
 
 def set_far_conflicts(g, members: Sequence[frozenset], r) -> List[set]:
@@ -353,3 +374,223 @@ def set_exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
         if has_sdr(frozenset(comp)):
             return s1, frozenset(comp)
     raise InternalInconsistencyError("search result lost its partner side")
+
+
+# ---------------------------------------------------------------------------
+# set covers
+
+
+def _ball(g: Graph, center: int, r) -> frozenset:
+    du = g.dist_from(center)
+    return frozenset(v for v, d in du.items() if leq(d, r))
+
+
+def set_min_set_cover(universe: Sequence[int], sets: Dict[int, frozenset]):
+    """Exact minimum set cover by branch-and-bound.
+
+    ``sets`` maps candidate ids to covered element sets.  Branches on the
+    element covered by fewest candidates; deterministic tie-break by id.
+    Returns (chosen ids sorted, nodes explored).
+    """
+    universe = frozenset(universe)
+    for el in universe:
+        if not any(el in s for s in sets.values()):
+            raise InternalInconsistencyError(f"element {el} is uncoverable")
+    candidates = sorted(c for c in sets if sets[c] & universe)
+
+    # greedy upper bound
+    best: Optional[List[int]] = None
+    uncovered = set(universe)
+    greedy: List[int] = []
+    while uncovered:
+        c = max(candidates, key=lambda c: (len(sets[c] & uncovered), -c))
+        greedy.append(c)
+        uncovered -= sets[c]
+    best = greedy
+
+    max_size = max((len(sets[c] & universe) for c in candidates), default=1) or 1
+    nodes = 0
+
+    def search(uncovered: frozenset, chosen: List[int]):
+        nonlocal best, nodes
+        nodes += 1
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        if len(chosen) + math.ceil(len(uncovered) / max_size) >= len(best):
+            return
+        pivot = min(
+            uncovered,
+            key=lambda el: (sum(1 for c in candidates if el in sets[c]), el),
+        )
+        covers = [c for c in candidates if pivot in sets[c]]
+        covers.sort(key=lambda c: (-len(sets[c] & uncovered), c))
+        for c in covers:
+            chosen.append(c)
+            search(uncovered - sets[c], chosen)
+            chosen.pop()
+
+    search(universe, [])
+    return sorted(best), nodes
+
+
+def set_ball_hitting_greedy(g: Graph, family: Sequence[frozenset], radius) -> List[int]:
+    """Centers picked, in order, by the greedy mode of ``min_ball_hitting``."""
+    balls = {c: _ball(g, c, radius) for c in g.vertices}
+    hit_sets = {
+        c: frozenset(i for i, member in enumerate(family) if balls[c] & member)
+        for c in g.vertices
+    }
+    chosen: List[int] = []
+    uncovered = set(range(len(family)))
+    while uncovered:
+        c = max(g.vertices, key=lambda c: (len(hit_sets[c] & uncovered), -c))
+        chosen.append(c)
+        uncovered -= hit_sets[c]
+    return chosen
+
+
+def set_certify_centered(g: Graph, z, k: int, r, mode: str = "exact"):
+    """Search for at most ``k`` vertex centers whose radius-``r`` balls cover
+    ``z``.  Returns a :class:`CenteredSet` on success, else a
+    :class:`CenteredRefusal`."""
+    z = as_vertex_set(g, z)
+    if k < 0 or r < 0:
+        raise InputError("negative center count or radius")
+    if not z.members:
+        return CenteredSet(z, VertexSet(frozenset(), g), r)
+    if mode not in ("exact", "greedy"):
+        raise InputError(f"unknown mode {mode!r}")
+    if mode == "exact" and len(g) > EXACT_CENTER_CAP:
+        raise CapacityError(
+            f"exact centered-set search capped at {EXACT_CENTER_CAP} vertices",
+            cap=EXACT_CENTER_CAP,
+            actual=len(g),
+        )
+
+    balls = {c: _ball(g, c, r) & z.members for c in g.vertices}
+    candidates = [c for c in g.vertices if balls[c]]
+
+    if mode == "greedy":
+        chosen = []
+        uncovered = set(z.members)
+        while uncovered and len(chosen) < k:
+            best = max(candidates, key=lambda c: (len(balls[c] & uncovered), -c))
+            if not balls[best] & uncovered:
+                break
+            chosen.append(best)
+            uncovered -= balls[best]
+        if uncovered:
+            return CenteredRefusal("greedy-cover-exhausted", "greedy", k, r)
+        return CenteredSet(z, VertexSet(frozenset(chosen), g), r)
+
+    target = set(z.members)
+
+    def search(uncovered: frozenset, chosen: tuple):
+        if not uncovered:
+            return chosen
+        if len(chosen) >= k:
+            return None
+        # branch on the uncovered vertex with fewest covering candidates
+        pivot = min(
+            uncovered,
+            key=lambda u: (sum(1 for c in candidates if u in balls[c]), u),
+        )
+        covers = [c for c in candidates if pivot in balls[c]]
+        if not covers:
+            return None
+        covers.sort(key=lambda c: (-len(balls[c] & uncovered), c))
+        for c in covers:
+            res = search(uncovered - balls[c], chosen + (c,))
+            if res is not None:
+                return res
+        return None
+
+    res = search(frozenset(target), ())
+    if res is None:
+        return CenteredRefusal("exhaustive-center-search-failed", "exact", k, r)
+    return CenteredSet(z, VertexSet(frozenset(res), g), r)
+
+
+def set_hitting_center_search(
+    g: Graph, l: VertexSet, far: Sequence[frozenset], budget: int, radius
+):
+    """Centers (at most ``budget``) whose radius balls, cut to the subgraph,
+    hit every listed member — or None.  Exhaustive set-cover search."""
+    if not far:
+        return frozenset()
+    if budget <= 0:
+        return None
+    balls = {c: _ball(g, c, radius) & l.members for c in g.vertices}
+    hit = {
+        c: frozenset(i for i, f in enumerate(far) if balls[c] & f)
+        for c in g.vertices
+    }
+    candidates = [c for c in g.vertices if hit[c]]
+
+    def search(uncovered: frozenset, chosen: tuple):
+        if not uncovered:
+            return chosen
+        if len(chosen) >= budget:
+            return None
+        pivot = min(
+            uncovered,
+            key=lambda i: (sum(1 for c in candidates if i in hit[c]), i),
+        )
+        covers = sorted(
+            (c for c in candidates if pivot in hit[c]),
+            key=lambda c: (-len(hit[c] & uncovered), c),
+        )
+        for c in covers:
+            res = search(uncovered - hit[c], chosen + (c,))
+            if res is not None:
+                return res
+        return None
+
+    return_value = search(frozenset(range(len(far))), ())
+    return frozenset(return_value) if return_value is not None else None
+
+
+# ---------------------------------------------------------------------------
+# path enumeration
+
+
+def set_enumerate_paths(g: Graph, l, x, y, cap: Optional[int] = None) -> PathEnumeration:
+    """All simple paths from ``x`` to ``y`` with endpoint distance >= ``l``,
+    deduplicated up to reversal, in canonical lexicographic order."""
+    x = as_vertex_set(g, x)
+    y = as_vertex_set(g, y)
+    if cap is None and len(g) > ENUM_VERTEX_LIMIT:
+        raise CapacityError(
+            f"uncapped path enumeration limited to {ENUM_VERTEX_LIMIT} vertices",
+            cap=ENUM_VERTEX_LIMIT,
+            actual=len(g),
+        )
+    if not x.members or not y.members:
+        return PathEnumeration((), False)
+
+    found = set()
+
+    def extend(seq: list, seen: set):
+        tail = seq[-1]
+        if tail in y.members and leq(l, distance(g, seq[0], tail)):
+            found.add(canonical_sequence(seq))
+        for n in g.neighbors(tail):
+            if n not in seen:
+                seen.add(n)
+                seq.append(n)
+                extend(seq, seen)
+                seq.pop()
+                seen.remove(n)
+
+    for start in sorted(x.members | y.members):
+        if start in x.members:
+            extend([start], {start})
+
+    ordered = sorted(found)
+    truncated = cap is not None and len(ordered) > cap
+    if truncated:
+        ordered = ordered[:cap]
+    paths = tuple(PathWitness(s, distance(g, s[0], s[-1])) for s in ordered)
+    return PathEnumeration(paths, truncated)

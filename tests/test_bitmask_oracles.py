@@ -1,5 +1,5 @@
 """The bitmask solvers against their set-based oracles (``set_oracles``), on
-unit, Fraction- and float-weighted random hosts."""
+unit, Fraction- and float-weighted random hosts and random set systems."""
 
 import random
 from fractions import Fraction
@@ -8,13 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarse_menger.errors import InputError
-from coarse_menger.graph import Graph
+from coarse_menger.covering import CoverInstance, min_ball_hitting, min_set_cover
+from coarse_menger.errors import InputError, InternalInconsistencyError
+from coarse_menger.graph import Graph, VertexSet, _greedy_cover, certify_centered
 from coarse_menger.packing import far_conflicts, max_independent_set
 from coarse_menger.paths import enumerate_chordless_paths, enumerate_paths
+from coarse_menger.tangles import _hitting_center_search
 
 from conftest import random_connected
-from set_oracles import set_far_conflicts, set_max_independent_set
+from set_oracles import (
+    set_ball_hitting_greedy,
+    set_certify_centered,
+    set_enumerate_paths,
+    set_far_conflicts,
+    set_hitting_center_search,
+    set_max_independent_set,
+    set_min_set_cover,
+)
 
 RADII = (0.3, Fraction(1, 2), 1, Fraction(3, 2), 2, 3)
 WEIGHT_KINDS = {
@@ -101,7 +111,7 @@ def test_chordless_enumeration_is_induced_filter(host, l):
     g, rng = host
     x, y = _endpoints(g, rng)
     chordless = enumerate_chordless_paths(g, l, x, y).paths
-    expected = tuple(p for p in enumerate_paths(g, l, x, y).paths if _induced(g, p.sequence))
+    expected = tuple(p for p in set_enumerate_paths(g, l, x, y).paths if _induced(g, p.sequence))
     assert chordless == expected
 
 
@@ -121,3 +131,140 @@ def test_far_conflicts_use_float_tolerance():
     assert set_far_conflicts(g, members, 1) == [set(), set()]
     assert far_conflicts(g, members, 1) == [set(), set()]
     assert far_conflicts(g, members, 1.5) == [{1}, {0}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_hosts(max_n=8), st.sampled_from((0, 1, Fraction(3, 2), 2)),
+       st.sampled_from((None, 3)))
+def test_path_enumeration_matches_seen_set_search(host, l, cap):
+    g, rng = host
+    x, y = _endpoints(g, rng)
+    assert enumerate_paths(g, l, x, y, cap) == set_enumerate_paths(g, l, x, y, cap)
+
+
+# -- set cover ----------------------------------------------------------------
+
+
+def _set_system(rng):
+    """Unsorted universe, candidates with unsorted ids; some sets empty or
+    reaching outside the universe."""
+    universe = rng.sample(range(40), rng.randint(0, 12))
+    sets = {}
+    for c in rng.sample(range(60), rng.randint(1, 16)):
+        pool = universe + [rng.randrange(40, 50)]
+        sets[c] = frozenset(rng.sample(pool, rng.randint(0, min(len(pool), 4))))
+    return universe, sets
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_min_set_cover_matches_oracle(seed):
+    universe, sets = _set_system(random.Random(seed))
+    try:
+        expected = set_min_set_cover(universe, sets)
+    except InternalInconsistencyError:
+        with pytest.raises(InternalInconsistencyError):
+            min_set_cover(universe, sets)
+        return
+    assert min_set_cover(universe, sets) == expected
+
+
+def test_min_set_cover_keeps_the_first_smallest_leaf():
+    # after [33, 37] lowers the bound, the sibling leaf [33, 58] of the same
+    # size must not replace it
+    universe = [14, 30, 21, 22, 13, 39, 36, 11, 0]
+    sets = {
+        37: {11, 14, 30, 36, 39}, 10: {21}, 42: set(), 16: set(),
+        33: {0, 13, 21, 22, 30, 36}, 13: set(), 25: {0, 21, 36},
+        6: {0, 14, 21, 22, 30, 36, 39}, 58: {0, 11, 14, 22, 30, 36, 39},
+        55: {36}, 38: set(),
+    }
+    sets = {c: frozenset(s) for c, s in sets.items()}
+    assert set_min_set_cover(universe, sets) == ([33, 37], 4)
+    assert min_set_cover(universe, sets) == ([33, 37], 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_greedy_cover_picks_like_the_set_loop(seed):
+    rng = random.Random(seed)
+    universe, sets = _set_system(rng)
+    ids = sorted(sets)
+    masks = [sum(1 << universe.index(e) for e in sets[c] if e in universe) for c in ids]
+    limit = rng.choice((None, 0, 1, 2, 3))
+    # the greedy loop of ``certify_centered`` (``min_set_cover``'s without a
+    # limit), over the set-based sets
+    picks, uncovered = [], set(universe)
+    while uncovered and (limit is None or len(picks) < limit):
+        best = max(ids, key=lambda c: (len(sets[c] & uncovered), -c))
+        if not sets[best] & uncovered:
+            break
+        picks.append(best)
+        uncovered -= sets[best]
+    chosen, rest = _greedy_cover((1 << len(universe)) - 1, masks, limit)
+    assert [ids[i] for i in chosen] == picks
+    assert rest == sum(1 << universe.index(e) for e in uncovered)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_hosts(), st.sampled_from(RADII), st.integers(min_value=0, max_value=9),
+       st.sampled_from(("exact", "greedy")))
+def test_certify_centered_matches_oracle(host, r, k, mode):
+    g, rng = host
+    z = frozenset(rng.sample(g.vertices, rng.randint(0, len(g))))
+    got = certify_centered(g, z, k, r, mode)
+    expected = set_certify_centered(g, z, k, r, mode)
+    assert type(got) is type(expected)
+    if hasattr(expected, "centers"):
+        assert got.centers.members == expected.centers.members
+    else:
+        assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_hosts(), st.sampled_from(RADII), st.integers(min_value=0, max_value=4))
+def test_hitting_center_search_matches_oracle(host, radius, budget):
+    g, rng = host
+    inside = frozenset(rng.sample(g.vertices, rng.randint(1, len(g))))
+    far = [frozenset(rng.sample(sorted(inside), rng.randint(1, len(inside))))
+           for _ in range(rng.randint(0, 6))]
+    l = VertexSet(inside, g)
+    assert (_hitting_center_search(g, far, budget, radius)
+            == set_hitting_center_search(g, l, far, budget, radius))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_hitting_center_search_matches_oracle_on_pair_systems(seed):
+    # radius-0 balls on an edgeless host are single vertices, so the members
+    # are the sets to hit; members of two vertices tie every pivot count
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    g = Graph(range(n), [])
+    far = [frozenset(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 12))]
+    l = VertexSet(frozenset(g.vertices), g)
+    budget = rng.randint(0, n)
+    assert (_hitting_center_search(g, far, budget, 0)
+            == set_hitting_center_search(g, l, far, budget, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from((1, 2)))
+def test_certify_centered_search_order_on_whole_vertex_sets(seed, r):
+    # with the budget at |V| the search returns its first leaf, which depends
+    # on the pivot and branch order
+    rng = random.Random(seed)
+    g = random_connected(rng, rng.randint(2, 12), p=0.2)
+    z = frozenset(g.vertices)
+    got = certify_centered(g, z, len(g), r)
+    assert got.centers.members == set_certify_centered(g, z, len(g), r).centers.members
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_hosts(), st.sampled_from(RADII))
+def test_greedy_ball_hitting_matches_oracle(host, radius):
+    g, rng = host
+    family = tuple(_members(g, rng))
+    sol = min_ball_hitting(CoverInstance(g, radius, explicit_family=family, mode="greedy"))
+    picks = set_ball_hitting_greedy(g, family, radius)
+    assert (sol.count, sol.centered.centers.members) == (len(picks), frozenset(picks))

@@ -110,6 +110,13 @@ def test_certify_centered_cap():
     assert isinstance(cert, CenteredSet)
 
 
+def test_certify_centered_rejects_bad_mode_even_for_empty_z():
+    g = path_graph(3)
+    for z in (frozenset(), frozenset([0])):
+        with pytest.raises(InputError):
+            certify_centered(g, z, 1, 1, "bogus")
+
+
 def test_edge_list_round_trip():
     g = Graph([0, 1, 2], [(0, 1), (1, 2)],
               {(0, 1): 1, (1, 2): Fraction(3, 2)})

@@ -14,16 +14,16 @@ from coarse_menger.packing import (
     max_independent_set,
     menger_packing,
 )
-from coarse_menger.paths import enumerate_paths
 
-from conftest import cycle_graph, path_graph, random_connected, small_connected_graphs
+from conftest import cycle_graph, path_graph, small_connected_graphs
+from set_oracles import set_enumerate_paths
 from coarse_menger.generators import grid, grid_column
 
 
 def brute_max_far_packing(g, x, y, l, r):
     """Oracle over *all* simple paths: plain take/skip recursion, no pruning
     tricks shared with the implementation under test."""
-    paths = enumerate_paths(g, l, x, y).paths
+    paths = set_enumerate_paths(g, l, x, y).paths
     vsets = [p.vertex_set for p in paths]
     best = 0
 
