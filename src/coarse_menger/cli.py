@@ -209,7 +209,7 @@ def cmd_run_acceptance(args) -> int:
 
 
 def cmd_run_tangle_lab(args) -> int:
-    result = check_tangle_trichotomy(args.seed - 11)
+    result = check_tangle_trichotomy(args.seed)
     shell = _report_shell("run-tangle-lab", {"seed": args.seed})
     shell["result"] = result.to_json_dict()
     _emit(shell, args.out)

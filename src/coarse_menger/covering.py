@@ -210,8 +210,10 @@ def duality_sweep(
     per-cell flag otherwise.
 
     Every exact cell works on one enumeration of the chordless (l,x,y)-paths.
-    When that enumeration is refused, each cell falls back exactly as
-    :func:`max_far_packing` and :func:`min_ball_hitting` would.
+    When that enumeration is refused, each packing cell falls back to the
+    greedy packing of :func:`max_far_packing`.  A cover cell then picks balls
+    greedily until they separate x from y at l = 0, and has no value at
+    l > 0.  Neither fallback enumerates paths.
     """
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
@@ -235,9 +237,12 @@ def duality_sweep(
         if family is not None:
             sol = _ball_hitting(g, family, beta, inst.mode)
             report.cover_by_radius[beta] = DualityCell(sol.count, True)
+        elif l == 0:
+            # at l = 0 the balls hit every x-y path iff they separate x from y
+            count = _greedy_separating_balls(g, x.members, y.members, beta)
+            report.cover_by_radius[beta] = DualityCell(count, False, "capacity:greedy")
         else:
-            sol = min_ball_hitting(replace(inst, mode="greedy"))
-            report.cover_by_radius[beta] = DualityCell(sol.count, False, "capacity:greedy")
+            report.cover_by_radius[beta] = DualityCell(None, False, "capacity:refused")
     return report
 
 
@@ -297,31 +302,47 @@ def min_separating_balls(g: Graph, x, y, radius: Number, size_cap: int):
     y = as_vertex_set(g, y)
     balls = {c: _ball(g, c, radius) for c in g.vertices}
 
-    def separated(union: frozenset) -> bool:
-        free_x = x.members - union
-        if not free_x:
-            return True
-        seen = set(free_x)
-        stack = list(free_x)
-        while stack:
-            u = stack.pop()
-            if u in y.members:
-                return False
-            for n in g.neighbors(u):
-                if n not in union and n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        return True
-
     verts = sorted(g.vertices)
     for size in range(size_cap + 1):
         for centers in combinations(verts, size):
             union = frozenset().union(*(balls[c] for c in centers)) \
                 if centers else frozenset()
-            if separated(union):
+            if _separated(g, x.members, y.members, union):
                 return size, frozenset(centers)
     raise CapacityError(
         "no separating ball family within the size cap",
         cap=size_cap,
         actual=None,
     )
+
+
+def _separated(g: Graph, x: frozenset, y: frozenset, removed: frozenset) -> bool:
+    """Whether ``g - removed`` has no x-y path."""
+    free_x = x - removed
+    if not free_x:
+        return True
+    seen = set(free_x)
+    stack = list(free_x)
+    while stack:
+        u = stack.pop()
+        if u in y:
+            return False
+        for n in g.neighbors(u):
+            if n not in removed and n not in seen:
+                seen.add(n)
+                stack.append(n)
+    return True
+
+
+def _greedy_separating_balls(g: Graph, x: frozenset, y: frozenset, radius: Number) -> int:
+    """Number of radius-balls, each around the lowest vertex of x that still
+    reaches y, picked until they separate x from y.  Every ball holds its
+    center, so at most |x| are picked."""
+    union = frozenset()
+    count = 0
+    for v in sorted(x):
+        # ``union`` only grows: a vertex cut off stays cut off
+        if not _separated(g, frozenset([v]), y, union):
+            union |= _ball(g, v, radius)
+            count += 1
+    return count

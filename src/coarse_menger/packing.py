@@ -14,6 +14,7 @@ adjacency sets would.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 from typing import List, Optional, Sequence, Tuple
@@ -113,7 +114,9 @@ def far_conflicts(g: Graph, members: Sequence, r: Number) -> List[set]:
     return conflicts
 
 
-def max_independent_set(conflicts: List[set], order: Sequence[int]):
+def max_independent_set(
+    conflicts: List[set], order: Sequence[int], enough: Optional[int] = None
+):
     """Maximum independent set of a conflict graph given as adjacency sets.
 
     ``order`` (distinct indices) fixes the deterministic branching order.
@@ -121,6 +124,11 @@ def max_independent_set(conflicts: List[set], order: Sequence[int]):
     explored.  The search runs on masks over positions in ``order``, so the
     candidates are always in ``order`` and the lowest set bit is the next
     one to branch on.
+
+    With ``enough``, the search stops at the first independent set of that
+    size: the lexicographically first one in ``order``, since "take" is
+    tried before "skip" and the bound only prunes branches that cannot beat
+    a smaller set already found.  A shorter result means there is none.
     """
     order = list(order)
     bit = [0] * len(conflicts)
@@ -150,21 +158,26 @@ def max_independent_set(conflicts: List[set], order: Sequence[int]):
                 common = (common ^ low) & adj[low.bit_length() - 1]
         return False
 
-    def expand(cands: int, chosen: List[int]):
-        # the "skip" branch is the loop, the "take" branch the recursion
+    def expand(cands: int, chosen: List[int]) -> bool:
+        # the "skip" branch is the loop, the "take" branch the recursion;
+        # True once ``enough`` is reached, which ends the search
         nonlocal best, nodes
         while True:
             nodes += 1
+            if len(chosen) == enough:
+                best = chosen
+                return True
             if not cands:
                 if len(chosen) > len(best):
                     best = list(chosen)
-                return
+                return False
             if not clique_cover_exceeds(cands, len(best) - len(chosen)):
-                return
+                return False
             low = cands & -cands
             cands ^= low
             k = low.bit_length() - 1
-            expand(cands & ~adj[k], chosen + [k])
+            if expand(cands & ~adj[k], chosen + [k]):
+                return True
 
     expand((1 << len(order)) - 1, [])
     return [order[k] for k in best], nodes
@@ -258,27 +271,52 @@ def _shortest_lxy_path(g: Graph, allowed: set, x: frozenset, y: frozenset, l):
 
 
 def menger_packing(g: Graph, x, y) -> int:
-    """Maximum number of fully vertex-disjoint x-y paths, by vertex-capacitated
-    maximum flow (each vertex split into an in/out pair of capacity one)."""
-    import networkx as nx
+    """Maximum number of fully vertex-disjoint x-y paths (a vertex of both
+    sides is a path by itself), by breadth-first augmenting paths on the
+    vertex-split graph (Even and Tarjan 1975): ``vertices[i]`` becomes the
+    unit arc ``2i -> 2i+1``, each edge joins the outs to the ins, the source
+    feeds the ins of x and the outs of y drain to the sink.  All capacities
+    are one, so each augmentation adds one path.
+    """
+    x = as_vertex_set(g, x).members
+    y = as_vertex_set(g, y).members
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    source, sink = 2 * len(pos), 2 * len(pos) + 1
+    residual = [{} for _ in range(sink + 1)]  # node -> {node: capacity left}
 
-    x = as_vertex_set(g, x)
-    y = as_vertex_set(g, y)
-    if not x.members or not y.members:
-        return 0
-    dg = nx.DiGraph()
-    src, dst = "s", "t"
-    for v in g.vertices:
-        dg.add_edge(("in", v), ("out", v), capacity=1)
+    def arc(u: int, v: int):
+        residual[u][v] = 1
+        residual[v][u] = 0
+
+    for i in pos.values():
+        arc(2 * i, 2 * i + 1)
     for u, v in g.edges:
-        dg.add_edge(("out", u), ("in", v), capacity=len(g.vertices))
-        dg.add_edge(("out", v), ("in", u), capacity=len(g.vertices))
+        arc(2 * pos[u] + 1, 2 * pos[v])
+        arc(2 * pos[v] + 1, 2 * pos[u])
     for v in x:
-        dg.add_edge(src, ("in", v), capacity=1)
+        arc(source, 2 * pos[v])
     for v in y:
-        dg.add_edge(("out", v), dst, capacity=len(g.vertices))
-    value, _ = nx.maximum_flow(dg, src, dst)
-    return value
+        arc(2 * pos[v] + 1, sink)
+
+    flow = 0
+    while True:
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, left in residual[u].items():
+                if left and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            return flow
+        v = sink
+        while v != source:
+            u = parent[v]
+            residual[u][v] -= 1
+            residual[v][u] += 1
+            v = u
+        flow += 1
 
 
 def _enumerate_a_paths(g: Graph, a) -> Tuple[PathWitness, ...]:

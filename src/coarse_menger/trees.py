@@ -33,6 +33,7 @@ from .graph import (
     neighborhood,
     set_distance,
 )
+from .packing import max_independent_set
 from .paths import FatMinorModel
 
 #: exact model-union enumeration bound
@@ -486,13 +487,13 @@ def easy_tree_hitting(
 
     # direct packing attempt: members pairwise farther than 2r
     unions = [fam.union(m) for m in fam.members]
-    far: List[set] = [set() for _ in unions]
+    conflicts: List[set] = [set() for _ in unions]
     for i, j in itertools.combinations(range(len(unions)), 2):
-        if set_distance(g, unions[i], unions[j]) > 2 * r:
-            far[i].add(j)
-            far[j].add(i)
-    packing = _find_clique(far, k)
-    if packing is not None:
+        if not set_distance(g, unions[i], unions[j]) > 2 * r:
+            conflicts[i].add(j)
+            conflicts[j].add(i)
+    packing, _ = max_independent_set(conflicts, range(len(unions)), enough=k)
+    if len(packing) >= k:
         return EasyTreeResult("packing",
                               packing=tuple(fam.members[i] for i in packing))
 
@@ -570,24 +571,6 @@ def easy_tree_hitting(
                 "recombined members are not pairwise far"
             )
     return EasyTreeResult("packing", packing=tuple(recombined))
-
-
-def _find_clique(adjacency: List[set], k: int) -> Optional[List[int]]:
-    """A k-clique in the compatibility graph, or None."""
-    n = len(adjacency)
-
-    def extend(chosen: List[int], cands: List[int]) -> Optional[List[int]]:
-        if len(chosen) == k:
-            return chosen
-        if len(chosen) + len(cands) < k:
-            return None
-        for idx, v in enumerate(cands):
-            res = extend(chosen + [v], [u for u in cands[idx + 1:] if u in adjacency[v]])
-            if res is not None:
-                return res
-        return None
-
-    return extend([], list(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -1053,13 +1036,13 @@ def rooted_fat_minor_ep(
     if len(g) <= MODEL_ENUM_CAP:
         supports = _minimal_supports(g, root_sets)
         if supports:
-            far: List[set] = [set() for _ in supports]
+            conflicts: List[set] = [set() for _ in supports]
             for i, j in itertools.combinations(range(len(supports)), 2):
-                if set_distance(g, supports[i], supports[j]) > 2 * rp:
-                    far[i].add(j)
-                    far[j].add(i)
-            chosen = _find_clique(far, k)
-            if chosen is not None:
+                if not set_distance(g, supports[i], supports[j]) > 2 * rp:
+                    conflicts[i].add(j)
+                    conflicts[j].add(i)
+            chosen, _ = max_independent_set(conflicts, range(len(supports)), enough=k)
+            if len(chosen) >= k:
                 models = tuple(
                     _extract_path_model(g, supports[i], pattern, roots)
                     for i in chosen

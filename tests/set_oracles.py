@@ -10,6 +10,9 @@ For the covering side they are the frozenset set covers (``min_set_cover``,
 the exact and greedy search of ``certify_centered``, the greedy loop of
 ``min_ball_hitting`` and the trichotomy's hitting-center search), and for path
 enumeration the ``seen``-set depth-first search of ``enumerate_paths``.
+For ``menger_packing`` the oracle is networkx maximum flow on the vertex-split
+digraph, and for ``max_independent_set(..., enough=k)`` the k-clique search
+over the complementary "far" relation that ``trees`` used before.
 """
 
 from __future__ import annotations
@@ -81,6 +84,48 @@ def set_max_independent_set(conflicts: List[set], order: Sequence[int]):
 
     expand(list(order), [])
     return best, nodes
+
+
+def nx_menger_packing(g: Graph, x, y) -> int:
+    """Maximum number of fully vertex-disjoint x-y paths, by vertex-capacitated
+    maximum flow (each vertex split into an in/out pair of capacity one)."""
+    import networkx as nx
+
+    x = as_vertex_set(g, x)
+    y = as_vertex_set(g, y)
+    if not x.members or not y.members:
+        return 0
+    dg = nx.DiGraph()
+    src, dst = "s", "t"
+    for v in g.vertices:
+        dg.add_edge(("in", v), ("out", v), capacity=1)
+    for u, v in g.edges:
+        dg.add_edge(("out", u), ("in", v), capacity=len(g.vertices))
+        dg.add_edge(("out", v), ("in", u), capacity=len(g.vertices))
+    for v in x:
+        dg.add_edge(src, ("in", v), capacity=1)
+    for v in y:
+        dg.add_edge(("out", v), dst, capacity=len(g.vertices))
+    value, _ = nx.maximum_flow(dg, src, dst)
+    return value
+
+
+def find_clique(adjacency: List[set], k: int) -> Optional[List[int]]:
+    """A k-clique in the compatibility graph, or None."""
+    n = len(adjacency)
+
+    def extend(chosen: List[int], cands: List[int]) -> Optional[List[int]]:
+        if len(chosen) == k:
+            return chosen
+        if len(chosen) + len(cands) < k:
+            return None
+        for idx, v in enumerate(cands):
+            res = extend(chosen + [v], [u for u in cands[idx + 1:] if u in adjacency[v]])
+            if res is not None:
+                return res
+        return None
+
+    return extend([], list(range(n)))
 
 
 def _distinct_reps(root_sets: Sequence[frozenset], pool: frozenset):

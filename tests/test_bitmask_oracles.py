@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from coarse_menger.covering import CoverInstance, min_ball_hitting, min_set_cover
 from coarse_menger.errors import InputError, InternalInconsistencyError
 from coarse_menger.graph import Graph, VertexSet, _greedy_cover, certify_centered
-from coarse_menger.packing import far_conflicts, max_independent_set
+from coarse_menger.packing import far_conflicts, max_independent_set, menger_packing
 from coarse_menger.paths import enumerate_chordless_paths, enumerate_paths
 from coarse_menger.tangles import _hitting_center_search
 
 from conftest import random_connected
 from set_oracles import (
+    find_clique,
+    nx_menger_packing,
     set_ball_hitting_greedy,
     set_certify_centered,
     set_enumerate_paths,
@@ -98,6 +100,26 @@ def test_mis_matches_oracle_on_random_relations(n, p, seed):
     # a branching order over part of the indices ignores the others
     order = order[:rng.randint(0, n)]
     assert max_independent_set(conflicts, order) == set_max_independent_set(conflicts, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=14),
+       st.integers(min_value=0, max_value=6),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=10**6))
+def test_mis_enough_finds_the_first_k_set(n, k, p, seed):
+    # the first k-clique of the complementary "far" relation, or none
+    rng = random.Random(seed)
+    conflicts = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                conflicts[i].add(j)
+                conflicts[j].add(i)
+    far = [set(range(n)) - conflicts[i] - {i} for i in range(n)]
+    chosen, _ = max_independent_set(conflicts, range(n), enough=k)
+    assert len(chosen) <= k
+    assert (chosen if len(chosen) == k else None) == find_clique(far, k)
 
 
 def _induced(g, seq) -> bool:
@@ -268,3 +290,24 @@ def test_greedy_ball_hitting_matches_oracle(host, radius):
     sol = min_ball_hitting(CoverInstance(g, radius, explicit_family=family, mode="greedy"))
     picks = set_ball_hitting_greedy(g, family, radius)
     assert (sol.count, sol.centered.centers.members) == (len(picks), frozenset(picks))
+
+
+# -- Menger flow ----------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=14),
+       st.sampled_from((0.0, 0.1, 0.25, 0.5)),
+       st.booleans(),
+       st.integers(min_value=0, max_value=10**6))
+def test_menger_packing_matches_networkx_flow(n, p, connected, seed):
+    # disconnected hosts when not ``connected``; x and y may overlap or be empty
+    rng = random.Random(seed)
+    if connected and n:
+        g = random_connected(rng, n, p)
+    else:
+        g = Graph(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < p])
+    x = frozenset(rng.sample(range(n), rng.randint(0, n)))
+    y = frozenset(rng.sample(range(n), rng.randint(0, n)))
+    assert menger_packing(g, x, y) == nx_menger_packing(g, x, y)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from coarse_menger.acceptance import run_criterion
 from coarse_menger.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
@@ -11,6 +12,7 @@ from coarse_menger.cli import (
 )
 from coarse_menger.generators import grid, grid_column
 from coarse_menger.graph import to_json_dict
+from coarse_menger.packing import menger_packing
 
 
 def run(capsys, *argv):
@@ -41,6 +43,33 @@ def test_run_duality_grid(capsys):
     assert doc["violations"] == []
     inst = doc["instances"][0]
     assert inst["packing"]["1"]["value"] == 3
+
+
+GRID_3X6 = ("run-duality", "--grid", "3x6", "--r", "1,2", "--beta", "0,1")
+
+
+def test_run_duality_above_the_cap_answers_with_flags(capsys):
+    # 18 vertices: past the exact cap, every cell takes its flagged fallback
+    code, out, _ = run(capsys, *GRID_3X6)
+    assert code == EXIT_OK
+    inst = json.loads(out)["instances"][0]
+    cells = list(inst["packing"].values()) + list(inst["cover"].values())
+    assert all(c["flag"] and not c["exact"] for c in cells)
+    flow = menger_packing(grid(3, 6), grid_column(3, 6, 0), grid_column(3, 6, 5))
+    assert flow == 3
+    assert inst["cover"]["0"]["value"] >= flow
+
+
+def test_run_duality_above_the_cap_strict_exits_capacity(capsys):
+    assert run(capsys, *GRID_3X6, "--strict")[0] == EXIT_CAPACITY
+
+
+def test_run_duality_above_the_cap_with_positive_l_has_no_cover_value(capsys):
+    code, out, _ = run(capsys, *GRID_3X6, "--l", "1")
+    assert code == EXIT_OK
+    cover = json.loads(out)["instances"][0]["cover"]
+    assert [c["value"] for c in cover.values()] == [None, None]
+    assert all(c["flag"] and not c["exact"] for c in cover.values())
 
 
 def test_run_duality_bad_grid(capsys):
@@ -139,6 +168,16 @@ def test_run_acceptance_single_criterion(capsys):
 
 def test_run_acceptance_unknown_criterion(capsys):
     assert run(capsys, "run-acceptance", "--only", "nope")[0] == EXIT_CONFIG
+
+
+def test_run_tangle_lab_is_the_tangle_criterion(capsys):
+    code, out, _ = run(capsys, "run-tangle-lab", "--seed", "5")
+    assert code == EXIT_OK
+    expected = run_criterion("tangle", 5).to_json_dict()
+    expected.pop("seconds")
+    result = json.loads(out)["result"]
+    result.pop("seconds")
+    assert result == json.loads(json.dumps(expected))
 
 
 def test_run_transfer_pinned(capsys):
