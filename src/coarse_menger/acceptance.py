@@ -407,10 +407,14 @@ def exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
                         return
 
     def trunk_dfs(path: List[int], pmask: int):
-        if found:
+        # every set this branch can accept contains pmask and must survive;
+        # survives is antitone in the removed mask (removing more only splits
+        # components, and Hall's condition is monotone in the pool), so a
+        # trunk that fails it ends the branch and the first find is unchanged
+        if found or not sup.survives(pmask):
             return
         v = path[-1]
-        if sup.rsets[2] & bit[v] and sup.survives(pmask):
+        if sup.rsets[2] & bit[v]:
             if sup.has_sdr(pmask):
                 found.append(pmask)
                 return
@@ -455,9 +459,13 @@ def check_rooted_p3(seed: int) -> CriterionResult:
         blocked = False
         if z is not None:
             # the library's minimum blocker, checked by the oracle's own
-            # component test: G - z keeps no supporting component
+            # component test: G - z keeps no supporting component, and, as
+            # blocking is monotone, no set one smaller blocks
             sup = _RootedSupports(g, spec.roots)
-            blocked = not sup.survives(sup.mask(z))
+            blocked = not sup.survives(sup.mask(z)) and (not z or all(
+                sup.survives(sup.mask(c))
+                for c in itertools.combinations(sup.verts, len(z) - 1)
+            ))
             sizes.append(len(z))
         detail[f"w={w}"] = {
             "library_branch": res.branch,

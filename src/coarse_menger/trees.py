@@ -27,6 +27,8 @@ from .graph import (
     Graph,
     Number,
     VertexSet,
+    _greedy_cover,
+    _set_cover,
     as_vertex_set,
     certify_centered,
     leq,
@@ -766,6 +768,29 @@ def _forget_times(g: Graph, order: Sequence[int]) -> Dict[int, int]:
     return out
 
 
+def _drop_dominated(layer: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
+    """``layer`` without the states whose ``sdr1`` and ``sdr2`` masks are
+    both subsets of another state's with equal ``blocks`` and ``closed``.
+
+    Each group is scanned by falling total mask size, so a state can only be
+    dominated by one scanned before it; the kept ones form an antichain."""
+    groups: Dict[tuple, List[tuple]] = {}
+    for state in layer:
+        groups.setdefault((state[0], state[3]), []).append(state)
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        group.sort(key=lambda s: -(s[1].bit_count() + s[2].bit_count()))
+        kept: List[Tuple[int, int]] = []
+        for state in group:
+            _, sdr1, sdr2, _ = state
+            if any(not sdr1 & ~k1 and not sdr2 & ~k2 for k1, k2 in kept):
+                del layer[state]
+            else:
+                kept.append((sdr1, sdr2))
+    return layer
+
+
 def two_disjoint_connected_transversals(
     g: Graph,
     root_sets: Sequence[frozenset],
@@ -786,6 +811,14 @@ def two_disjoint_connected_transversals(
     root sets with indices in the mask ``s`` have distinct representatives
     among that label's vertices; bit ``label`` of ``closed`` is set once that
     label's component is complete.
+
+    After each phase, a state whose ``sdr1`` and ``sdr2`` are both subsets of
+    another state's with the same ``(blocks, closed)`` is dropped
+    (:func:`_drop_dominated`).  That is exact: the transitions on ``blocks``
+    and ``closed`` never read the ``sdr`` masks, ``grown`` is monotone in
+    them, and the only test on them (the full set, when a component closes)
+    is monotone too, so whatever the dropped state reaches, the state that
+    dominates it reaches with larger masks.
     """
     if order is None:
         order = sorted(g.vertices)
@@ -903,7 +936,7 @@ def two_disjoint_connected_transversals(
                 if out_state not in nxt:
                     nxt[out_state] = (state, v, 0)
             active &= ~vb
-        layers.append(nxt)
+        layers.append(_drop_dominated(nxt))
 
     final = next((s for s in layers[-1] if s[3] == 0b110), None)
     if final is None:
@@ -929,6 +962,13 @@ def min_transversal_blocker(
     blocker in that order is returned.  Each is tested by flood fills over
     vertex masks (:meth:`Graph.vertex_bits`), with distinct representatives
     decided by Hall's condition.
+
+    The scan starts at the minimum size, found first by an implicit hitting
+    set loop (Chandrasekaran, Karp, Moreno-Centeno and Vempala, SODA 2011):
+    every blocker hits every minimal support (connected, with distinct
+    representatives), so a minimum hitting set of the supports found so far
+    is a lower bound; its cover either blocks, and the bound is the minimum,
+    or leaves a component from which more supports are cut.
     """
     bit = g.vertex_bits()
     closed = g.closed_neighborhood_masks()
@@ -947,10 +987,11 @@ def min_transversal_blocker(
     def has_reps(pool: int) -> bool:
         return all((union & pool).bit_count() >= size for union, size in hall)
 
-    def survives(removed: int) -> bool:
-        left = everything & ~removed
+    def supporting_component(left: int) -> int:
+        """A component of the vertices in ``left`` with distinct
+        representatives (the one with the lowest vertex), or 0."""
         if not left or not has_reps(left):
-            return False
+            return 0
         while left:
             comp = frontier = left & -left
             while frontier:
@@ -960,20 +1001,67 @@ def min_transversal_blocker(
                 comp |= new
                 frontier |= new
             if has_reps(comp):
-                return True
+                return comp
             left &= ~comp
-        return False
+        return 0
 
-    if not survives(0):
-        return frozenset()
-    verts = sorted(g.vertices)
-    for size in range(1, size_cap + 1):
-        for combo in itertools.combinations(verts, size):
-            if not survives(sum(bit[v] for v in combo)):
-                return frozenset(combo)
-    raise CapacityError(
-        "no blocker within the budget", cap=size_cap, actual=None
-    )
+    def survives(removed: int) -> bool:
+        return bool(supporting_component(everything & ~removed))
+
+    def minimal_support(comp: int) -> int:
+        # a vertex that cannot go stays put once the support shrinks further,
+        # since a supporting component of the smaller rest would lie in one
+        # of the larger rest; so one pass leaves a minimal support
+        for b in [1 << i for i in range(comp.bit_length()) if comp >> i & 1]:
+            if comp & b:
+                comp = supporting_component(comp & ~b) or comp
+        return comp
+
+    hits = [0] * len(bit)  # per vertex bit position, the supports it is in
+    supports: List[int] = []
+    lb = 0  # a lower bound on the blocker size
+    z: List[int] = []  # bit positions; hits every support, blocks only if |z| = lb
+    while True:
+        left = everything & ~sum(1 << i for i in z)
+        comp = supporting_component(left)
+        if not comp:
+            break
+        # a minimal support missed by z, plus one avoiding each of its
+        # vertices in turn: each is missed by z, and they differ
+        first = minimal_support(comp)
+        cuts = [first]
+        for b in [1 << i for i in range(first.bit_length()) if first >> i & 1]:
+            comp = supporting_component(left & ~b)
+            if comp:
+                support = minimal_support(comp)
+                if support not in cuts:
+                    cuts.append(support)
+        for support in cuts:
+            for i in range(support.bit_length()):
+                if support >> i & 1:
+                    hits[i] |= 1 << len(supports)
+            supports.append(support)
+        target = (1 << len(supports)) - 1
+        z, _ = _greedy_cover(target, hits)
+        if len(z) > lb and not survives(sum(1 << i for i in z)):
+            # the greedy cover blocks but may be too large: deepen the exact
+            # cover from the last bound until one fits
+            while True:
+                if lb > size_cap:
+                    raise CapacityError(
+                        "no blocker within the budget", cap=size_cap, actual=None
+                    )
+                z, _ = _set_cover(target, hits, lb)
+                if z is not None:
+                    break
+                lb += 1
+    # no blocker is smaller than |z|; a candidate missing a found support
+    # leaves it whole, so it cannot block
+    for combo in itertools.combinations(sorted(g.vertices), len(z)):
+        mask = sum(bit[v] for v in combo)
+        if all(s & mask for s in supports) and not survives(mask):
+            return frozenset(combo)
+    raise InternalInconsistencyError("no blocker at the proven minimum size")
 
 
 # ---------------------------------------------------------------------------

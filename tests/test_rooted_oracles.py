@@ -1,7 +1,8 @@
 """The mask-based rooted-grid solvers against their frozenset versions
 (``set_oracles``): the exhaustive acceptance oracle, the boundary DP and the
 blocker scan, on grids up to 4x5 and on connected random graphs of at most
-12 vertices, each with three random root sets."""
+12 vertices, each with three random root sets; the dominance-pruned DP on
+hosts with two planted disjoint supports; and the 6x6 rooted grid."""
 
 import itertools
 import random
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarse_menger.acceptance import exhaustive_two_disjoint_supports
+from coarse_menger.acceptance import _RootedSupports, exhaustive_two_disjoint_supports
 from coarse_menger.errors import CapacityError
-from coarse_menger.generators import grid, grid_column, rooted_p3_grid
+from coarse_menger.generators import grid, grid_column, grid_row, rooted_p3_grid
+from coarse_menger.graph import Graph
 from coarse_menger.trees import min_transversal_blocker, two_disjoint_connected_transversals
 
 from conftest import random_connected
@@ -36,6 +38,37 @@ def rooted_hosts(draw):
     most = max(2, len(g) // 2)
     roots = [frozenset(rng.sample(g.vertices, min(len(g), rng.randint(1, most))))
              for _ in range(3)]
+    return g, roots
+
+
+@st.composite
+def planted_hosts(draw):
+    """Connected hosts of 6-8 vertices (so the sweep boundary stays within
+    the DP's cap) holding two disjoint random trees, each with its own
+    distinct representatives of three root sets, plus stray vertices and
+    random extra edges."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+    n = draw(st.integers(min_value=6, max_value=8))
+    verts = list(range(n))
+    rng.shuffle(verts)
+    a = rng.randint(3, n - 3)
+    b = rng.randint(3, n - a)
+    sides = (verts[:a], verts[a:a + b])
+    edges = set()
+    for side in sides:
+        for i in range(1, len(side)):
+            edges.add(frozenset((side[i], rng.choice(side[:i]))))
+    for i in range(a + b, n):
+        edges.add(frozenset((verts[i], rng.choice(verts[:i]))))
+    edges.add(frozenset((sides[0][0], sides[1][0])))  # one host component
+    p = draw(st.sampled_from((0.0, 0.1, 0.25)))
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            edges.add(frozenset((u, v)))
+    g = Graph(range(n), [tuple(sorted(e)) for e in edges])
+    reps = [rng.sample(side, 3) for side in sides]
+    roots = [frozenset({reps[0][i], reps[1][i]} | set(rng.sample(range(n), rng.randint(0, 2))))
+             for i in range(3)]
     return g, roots
 
 
@@ -81,6 +114,16 @@ def test_boundary_dp_agrees_and_its_witness_is_valid(host):
     _assert_valid_witness(g, roots, got)
 
 
+@settings(max_examples=150, deadline=None)
+@given(planted_hosts())
+def test_pruned_dp_finds_a_valid_pair_on_planted_hosts(host):
+    g, roots = host
+    assert set_two_disjoint_connected_transversals(g, roots) is not None
+    witness = two_disjoint_connected_transversals(g, roots)
+    assert witness is not None
+    _assert_valid_witness(g, roots, witness)
+
+
 @pytest.mark.parametrize("rows,cols", [(2, 3), (2, 5), (3, 4), (4, 5)])
 def test_boundary_dp_witness_on_column_rooted_grids(rows, cols):
     # any two rows are disjoint supports for the first, middle and last column
@@ -92,7 +135,7 @@ def test_boundary_dp_witness_on_column_rooted_grids(rows, cols):
 
 
 @settings(max_examples=120, deadline=None)
-@given(rooted_hosts(), st.integers(min_value=0, max_value=3))
+@given(rooted_hosts(), st.integers(min_value=0, max_value=6))
 def test_blocker_returns_the_same_set(host, size_cap):
     g, roots = host
     assert _outcome(min_transversal_blocker, g, roots, size_cap) == \
@@ -110,3 +153,14 @@ def test_rooted_grid_answers_match(w):
     z = min_transversal_blocker(g, roots, 2 * w)
     assert len(z) == w
     assert z == set_min_transversal_blocker(g, roots, 2 * w)
+
+
+def test_rooted_grid_6_has_no_pair_and_the_first_row_blocks():
+    spec = rooted_p3_grid(6)
+    g, roots = spec.graph, list(spec.roots)
+    assert two_disjoint_connected_transversals(g, roots) is None
+    z = min_transversal_blocker(g, roots, 12)
+    assert z == grid_row(6, 6, 0)
+    sup = _RootedSupports(g, roots)
+    assert sup.survives(0)
+    assert not sup.survives(sup.mask(z))
