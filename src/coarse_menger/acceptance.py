@@ -652,16 +652,12 @@ def check_tangle_trichotomy(seed: int) -> CriterionResult:
         theta = rng.choice((1, 2))
         r, r_prime = 2, 1
         # thin the family until the far-packing premise holds
-        from .packing import max_independent_set
+        from .packing import _pairwise_conflicts, max_independent_set
         from .graph import set_distance, leq as _leq
 
         def far_count(mem):
-            conf = [set() for _ in mem]
-            for i, j in itertools.combinations(range(len(mem)), 2):
-                if not _leq(r, set_distance(g, mem[i], mem[j])):
-                    conf[i].add(j)
-                    conf[j].add(i)
-            return len(max_independent_set(conf, range(len(mem)))[0])
+            conf = _pairwise_conflicts(mem, lambda s, t: not _leq(r, set_distance(g, s, t)))
+            return len(max_independent_set(conf)[0])
 
         while members and far_count(members) >= k:
             members.pop()

@@ -16,6 +16,7 @@ from .graph import (
     Number,
     VertexSet,
     _ball,
+    _ball_mask,
     _greedy_cover,
     _hit_masks,
     _set_cover,
@@ -135,8 +136,11 @@ def _ball_hitting(
         optimal = True
     centers = [g.vertices[i] for i in chosen]
 
-    member_union = frozenset().union(*family)
-    z = frozenset().union(*(_ball(g, c, radius) for c in centers)) & member_union
+    bit = g.vertex_bits()
+    balls = 0
+    for c in centers:
+        balls |= _ball_mask(g, c, radius)
+    z = frozenset(v for v in frozenset().union(*family) if balls & bit[v])
     centered = CenteredSet(
         VertexSet(z, g), VertexSet(frozenset(centers), g), radius
     )

@@ -373,15 +373,31 @@ def _ball_mask(g: Graph, center: int, r: Number) -> int:
     return mask
 
 
+def _member_masks(g: Graph, members: Sequence) -> dict:
+    """The member x vertex incidence, transposed: per vertex ``v`` in some
+    member, the mask of the members that contain it (bit i: ``members[i]``)."""
+    through = {}
+    for i, member in enumerate(members):
+        bit = 1 << i
+        for v in member:
+            through[v] = through.get(v, 0) | bit
+    if not through.keys() <= g._vset:
+        raise InputError(f"vertex {next(iter(through.keys() - g._vset))} not in host graph")
+    return through
+
+
 def _hit_masks(g: Graph, family: Sequence[frozenset], r: Number) -> list:
     """Per vertex ``c`` in vertex order, the mask of the ``family`` members
     (bit i: ``family[i]``) that the radius-``r`` ball around ``c`` meets."""
-    bit = g.vertex_bits()
-    members = [sum(bit[v] for v in f) for f in family]
+    through = _member_masks(g, family)
     hits = []
     for c in g.vertices:
-        ball = _ball_mask(g, c, r)
-        hits.append(sum(1 << i for i, m in enumerate(members) if ball & m))
+        dc = g.dist_from(c)
+        hit = 0
+        for v, holders in through.items():
+            if leq(dc[v], r):
+                hit |= holders
+        hits.append(hit)
     return hits
 
 

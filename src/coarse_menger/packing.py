@@ -4,23 +4,23 @@ Exact mode enumerates the chordless x-y paths, builds the conflict relation
 "set-distance < r" and extracts a maximum independent set of the conflict
 graph by branch-and-bound with greedy clique-cover bounds.
 
-Both inner steps work on bitmasks.  :func:`far_conflicts` encodes each path
-as a vertex mask (bit ``i`` for ``host.vertices[i]``) and ORs, per path, the
-masks of vertices within distance < r of it: two paths conflict iff one's
-reach meets the other's mask.  :func:`max_independent_set` branches on
-candidate masks in the same order, with the same bound, as a search over
-adjacency sets would.
+Both steps work on masks over the paths (bit i: path i).  :func:`far_conflicts`
+transposes the path x vertex incidence once (:func:`graph._member_masks`: per
+vertex, the mask of the paths through it).  A vertex's reach is the OR of those
+masks over the vertices closer than r, and a path's conflict row the OR of its
+vertices' reaches.  :func:`max_independent_set` takes the adjacency masks and
+branches in index order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
-from .graph import Graph, Number, as_vertex_set, leq, set_distance
+from .graph import Graph, Number, _member_masks, as_vertex_set, leq, set_distance
 from .paths import (
     PathWitness,
     enumerate_chordless_paths,
@@ -71,71 +71,70 @@ class PackingSolution:
 
 
 def _min_pairwise_distance(g: Graph, members: Sequence[frozenset]):
-    best = None
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            d = set_distance(g, members[i], members[j])
-            if best is None or d < best:
-                best = d
-    return best
+    return min((set_distance(g, s, t) for s, t in combinations(members, 2)), default=None)
 
 
-def far_conflicts(g: Graph, members: Sequence, r: Number) -> List[set]:
-    """Conflict relation of an ``r``-far packing: ``j in result[i]`` iff
-    ``i != j`` and ``set_distance(g, members[i], members[j]) < r``.
+class Adjacency(int):
+    """An adjacency mask (bit j: neighbour j) whose ``len`` is its degree, as
+    for an adjacency set: ``sum(map(len, rows)) // 2`` counts edges either way."""
 
-    ``leq`` decides each vertex pair, so int, Fraction and float weights
-    compare as in :func:`set_distance` (``leq`` is monotone in its second
-    argument: no pair is closer than ``r`` iff the set distance is not).
+    __len__ = int.bit_count
+
+
+def _pairwise_conflicts(members: Sequence, conflict) -> List[Adjacency]:
+    """Adjacency masks of ``conflict(members[i], members[j])``, tested once
+    per pair i < j."""
+    adj = [0] * len(members)
+    for i, j in combinations(range(len(members)), 2):
+        if conflict(members[i], members[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return list(map(Adjacency, adj))
+
+
+def far_conflicts(g: Graph, members: Sequence, r: Number) -> List[Adjacency]:
+    """Conflict relation of an ``r``-far packing as adjacency masks: bit j of
+    ``result[i]`` is set iff ``i != j`` and ``set_distance(g, members[i],
+    members[j]) < r``.
+
+    ``leq`` decides each vertex pair on the row of its vertex in
+    ``members[i]``, so int, Fraction and float weights compare as in
+    :func:`set_distance` (``leq`` is monotone in its second argument: no pair
+    is closer than ``r`` iff the set distance is not).
     """
-    bit = g.vertex_bits()
-    near = {}  # vertex -> mask of the vertices at distance < r from it
-    masks: List[int] = []
-    reaches: List[int] = []
-    for member in members:
-        mask = reach = 0
+    if not all(members):
+        raise InputError("far conflicts over an empty set")
+    through = _member_masks(g, members)
+    near = {}  # vertex -> mask of the members with a vertex at distance < r
+    for v in through:
+        dv = g.dist_from(v)
+        reach = 0
+        for u, holders in through.items():
+            if not leq(r, dv[u]):
+                reach |= holders
+        near[v] = reach
+    rows: List[Adjacency] = []
+    for i, member in enumerate(members):
+        row = 0
         for v in member:
-            if v not in near:
-                if v not in bit:
-                    raise InputError(f"vertex {v} not in host graph")
-                near[v] = sum(bit[u] for u, d in g.dist_from(v).items() if not leq(r, d))
-            mask |= bit[v]
-            reach |= near[v]
-        if not mask:
-            raise InputError("far conflicts over an empty set")
-        masks.append(mask)
-        reaches.append(reach)
-    everyone = range(len(masks))
-    conflicts: List[set] = []
-    for i, reach in enumerate(reaches):
-        row = set(compress(everyone, map(reach.__and__, masks)))
-        row.discard(i)
-        conflicts.append(row)
-    return conflicts
+            row |= near[v]
+        rows.append(Adjacency(row & ~(1 << i)))
+    return rows
 
 
-def max_independent_set(
-    conflicts: List[set], order: Sequence[int], enough: Optional[int] = None
-):
-    """Maximum independent set of a conflict graph given as adjacency sets.
+def max_independent_set(adj: Sequence[int], enough: Optional[int] = None):
+    """Maximum independent set of a conflict graph given as adjacency masks
+    (bit j of ``adj[i]``: i and j conflict; bit i clear).
 
-    ``order`` (distinct indices) fixes the deterministic branching order.
-    Returns the chosen indices (list) and the number of search nodes
-    explored.  The search runs on masks over positions in ``order``, so the
-    candidates are always in ``order`` and the lowest set bit is the next
-    one to branch on.
+    The search branches on candidates in index order: the lowest set bit is
+    the next one to branch on.  Returns the chosen indices (ascending list)
+    and the number of search nodes explored.
 
     With ``enough``, the search stops at the first independent set of that
-    size: the lexicographically first one in ``order``, since "take" is
-    tried before "skip" and the bound only prunes branches that cannot beat
-    a smaller set already found.  A shorter result means there is none.
+    size: the lexicographically first one, since "take" is tried before
+    "skip" and the bound only prunes branches that cannot beat a smaller set
+    already found.  A shorter result means there is none.
     """
-    order = list(order)
-    bit = [0] * len(conflicts)
-    for k, v in enumerate(order):
-        bit[v] = 1 << k
-    # distinct indices have distinct bits, so the sum is their union
-    adj = [sum(map(bit.__getitem__, conflicts[v])) for v in order]
     best: List[int] = []
     nodes = 0
 
@@ -179,8 +178,8 @@ def max_independent_set(
             if expand(cands & ~adj[k], chosen + [k]):
                 return True
 
-    expand((1 << len(order)) - 1, [])
-    return [order[k] for k in best], nodes
+    expand((1 << len(adj)) - 1, [])
+    return best, nodes
 
 
 def max_far_packing(inst: PackingInstance) -> PackingSolution:
@@ -204,7 +203,7 @@ def max_far_packing(inst: PackingInstance) -> PackingSolution:
 def _far_packing(g: Graph, paths: Sequence[PathWitness], r: Number) -> PackingSolution:
     """Exact maximum ``r``-far subfamily of ``paths`` (the chordless family)."""
     conflicts = far_conflicts(g, [p.sequence for p in paths], r)
-    chosen, nodes = max_independent_set(conflicts, range(len(paths)))
+    chosen, nodes = max_independent_set(conflicts)
     chosen_paths = tuple(paths[i] for i in sorted(chosen))
     mind = _min_pairwise_distance(g, [p.vertex_set for p in chosen_paths])
     return PackingSolution(chosen_paths, mind, optimal=True, nodes_explored=nodes)
@@ -347,13 +346,8 @@ def gallai_packing(g: Graph, a, with_witness: bool = False):
             actual=len(g),
         )
     paths = _enumerate_a_paths(g, a)
-    conflicts: List[set] = [set() for _ in paths]
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            if paths[i].vertex_set & paths[j].vertex_set:
-                conflicts[i].add(j)
-                conflicts[j].add(i)
-    chosen, _ = max_independent_set(conflicts, range(len(paths)))
+    conflicts = _pairwise_conflicts([p.vertex_set for p in paths], lambda s, t: not s.isdisjoint(t))
+    chosen, _ = max_independent_set(conflicts)
     result = GallaiResult(
         len(chosen), tuple(paths[i] for i in sorted(chosen)), "exhaustive"
     )

@@ -174,8 +174,7 @@ def _members_inside(members: Sequence[frozenset], side: frozenset,
 
 def _max_far_count(g: Graph, members: Sequence[frozenset], r: Number) -> int:
     """Maximum number of members pairwise at distance at least r in g."""
-    chosen, _ = max_independent_set(far_conflicts(g, members, r), range(len(members)))
-    return len(chosen)
+    return len(max_independent_set(far_conflicts(g, members, r))[0])
 
 
 def _check_family(g: Graph, l: VertexSet, fam) -> List[frozenset]:

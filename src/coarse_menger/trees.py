@@ -28,6 +28,7 @@ from .graph import (
     Number,
     VertexSet,
     _greedy_cover,
+    _member_masks,
     _set_cover,
     as_vertex_set,
     certify_centered,
@@ -35,7 +36,7 @@ from .graph import (
     neighborhood,
     set_distance,
 )
-from .packing import max_independent_set
+from .packing import _pairwise_conflicts, max_independent_set
 from .paths import FatMinorModel
 
 #: exact model-union enumeration bound
@@ -489,12 +490,8 @@ def easy_tree_hitting(
 
     # direct packing attempt: members pairwise farther than 2r
     unions = [fam.union(m) for m in fam.members]
-    conflicts: List[set] = [set() for _ in unions]
-    for i, j in itertools.combinations(range(len(unions)), 2):
-        if not set_distance(g, unions[i], unions[j]) > 2 * r:
-            conflicts[i].add(j)
-            conflicts[j].add(i)
-    packing, _ = max_independent_set(conflicts, range(len(unions)), enough=k)
+    conflicts = _pairwise_conflicts(unions, lambda s, t: not set_distance(g, s, t) > 2 * r)
+    packing, _ = max_independent_set(conflicts, enough=k)
     if len(packing) >= k:
         return EasyTreeResult("packing",
                               packing=tuple(fam.members[i] for i in packing))
@@ -849,10 +846,7 @@ def two_disjoint_connected_transversals(
 
     bit = g.vertex_bits()
     closed_nbhd = g.closed_neighborhood_masks()
-    roots_at = {
-        v: sum(1 << i for i, r in enumerate(root_sets) if v in r)
-        for v in g.vertices
-    }
+    roots_at = _member_masks(g, root_sets)
     full = (1 << len(root_sets)) - 1
     grown_cache: Dict[tuple, int] = {}
 
@@ -888,7 +882,7 @@ def two_disjoint_connected_transversals(
         vb = bit[v]
         if kind == "intro":
             nbrs = closed_nbhd[v] & active  # v itself is not active yet
-            at = roots_at[v]
+            at = roots_at.get(v, 0)
             for state in layers[-1]:
                 blocks, sdr1, sdr2, closed = state
                 if state not in nxt:
@@ -1124,12 +1118,9 @@ def rooted_fat_minor_ep(
     if len(g) <= MODEL_ENUM_CAP:
         supports = _minimal_supports(g, root_sets)
         if supports:
-            conflicts: List[set] = [set() for _ in supports]
-            for i, j in itertools.combinations(range(len(supports)), 2):
-                if not set_distance(g, supports[i], supports[j]) > 2 * rp:
-                    conflicts[i].add(j)
-                    conflicts[j].add(i)
-            chosen, _ = max_independent_set(conflicts, range(len(supports)), enough=k)
+            conflicts = _pairwise_conflicts(
+                supports, lambda s, t: not set_distance(g, s, t) > 2 * rp)
+            chosen, _ = max_independent_set(conflicts, enough=k)
             if len(chosen) >= k:
                 models = tuple(
                     _extract_path_model(g, supports[i], pattern, roots)

@@ -6,7 +6,8 @@ For ``coarse_menger.packing`` they are the straightforward formulations: one
 and adjacency sets.  For the rooted-grid path they are the frozenset versions
 of the boundary DP and the blocker scan in ``coarse_menger.trees`` and of the
 exhaustive oracle in ``coarse_menger.acceptance``, with the same search orders.
-For the covering side they are the frozenset set covers (``min_set_cover``,
+For the covering side they are the per-(center, member) loop of
+``graph._hit_masks``, the frozenset set covers (``min_set_cover``,
 the exact and greedy search of ``certify_centered``, the greedy loop of
 ``min_ball_hitting`` and the trichotomy's hitting-center search), and for path
 enumeration the ``seen``-set depth-first search of ``enumerate_paths``.
@@ -28,6 +29,7 @@ from coarse_menger.graph import (
     CenteredSet,
     Graph,
     VertexSet,
+    _ball_mask,
     as_vertex_set,
     distance,
     leq,
@@ -478,6 +480,19 @@ def set_min_set_cover(universe: Sequence[int], sets: Dict[int, frozenset]):
 
     search(universe, [])
     return sorted(best), nodes
+
+
+def set_hit_masks(g: Graph, family: Sequence[frozenset], r) -> List[int]:
+    """Per vertex ``c`` in vertex order, the mask of the ``family`` members
+    (bit i: ``family[i]``) that the radius-``r`` ball around ``c`` meets, by
+    one test per (center, member)."""
+    bit = g.vertex_bits()
+    members = [sum(bit[v] for v in f) for f in family]
+    hits = []
+    for c in g.vertices:
+        ball = _ball_mask(g, c, r)
+        hits.append(sum(1 << i for i, m in enumerate(members) if ball & m))
+    return hits
 
 
 def set_ball_hitting_greedy(g: Graph, family: Sequence[frozenset], radius) -> List[int]:

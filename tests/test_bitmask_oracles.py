@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from coarse_menger.covering import CoverInstance, min_ball_hitting, min_set_cover
 from coarse_menger.errors import InputError, InternalInconsistencyError
-from coarse_menger.graph import Graph, VertexSet, _greedy_cover, certify_centered
+from coarse_menger.graph import Graph, VertexSet, _greedy_cover, _hit_masks, certify_centered
 from coarse_menger.packing import far_conflicts, max_independent_set, menger_packing
 from coarse_menger.paths import enumerate_chordless_paths, enumerate_paths
 from coarse_menger.tangles import _hitting_center_search
@@ -23,6 +23,7 @@ from set_oracles import (
     set_certify_centered,
     set_enumerate_paths,
     set_far_conflicts,
+    set_hit_masks,
     set_hitting_center_search,
     set_max_independent_set,
     set_min_set_cover,
@@ -63,12 +64,31 @@ def _members(g, rng):
     return members
 
 
+def _masks(conflicts):
+    """Adjacency sets as adjacency masks."""
+    return [sum(1 << j for j in row) for row in conflicts]
+
+
+def _mis_in_order(conflicts, order):
+    """``max_independent_set`` branching in ``order``: the relation (adjacency
+    sets), restricted to ``order``'s indices and relabelled by position in it,
+    with the chosen positions mapped back."""
+    pos = {v: k for k, v in enumerate(order)}
+    adj = [sum(1 << pos[u] for u in conflicts[v] if u in pos) for v in order]
+    chosen, nodes = max_independent_set(adj)
+    return [order[k] for k in chosen], nodes
+
+
 @settings(max_examples=150, deadline=None)
 @given(weighted_hosts(), st.sampled_from(RADII))
 def test_far_conflicts_match_set_distance_loop(host, r):
     g, rng = host
     members = _members(g, rng)
-    assert far_conflicts(g, members, r) == set_far_conflicts(g, members, r)
+    conflicts = set_far_conflicts(g, members, r)
+    rows = far_conflicts(g, members, r)
+    assert rows == _masks(conflicts)
+    # a row's len is its degree, as for the adjacency set
+    assert list(map(len, rows)) == list(map(len, conflicts))
 
 
 @settings(max_examples=100, deadline=None)
@@ -76,11 +96,13 @@ def test_far_conflicts_match_set_distance_loop(host, r):
 def test_mis_on_far_conflicts_matches_oracle(host, r):
     g, rng = host
     members = _members(g, rng)
-    conflicts = far_conflicts(g, members, r)
+    conflicts = set_far_conflicts(g, members, r)
     order = list(range(len(members)))
-    assert max_independent_set(conflicts, order) == set_max_independent_set(conflicts, order)
+    expected = set_max_independent_set(conflicts, order)
+    assert max_independent_set(far_conflicts(g, members, r)) == expected
+    assert _mis_in_order(conflicts, order) == expected
     rng.shuffle(order)
-    assert max_independent_set(conflicts, order) == set_max_independent_set(conflicts, order)
+    assert _mis_in_order(conflicts, order) == set_max_independent_set(conflicts, order)
 
 
 @settings(max_examples=150, deadline=None)
@@ -99,7 +121,7 @@ def test_mis_matches_oracle_on_random_relations(n, p, seed):
     rng.shuffle(order)
     # a branching order over part of the indices ignores the others
     order = order[:rng.randint(0, n)]
-    assert max_independent_set(conflicts, order) == set_max_independent_set(conflicts, order)
+    assert _mis_in_order(conflicts, order) == set_max_independent_set(conflicts, order)
 
 
 @settings(max_examples=300, deadline=None)
@@ -117,7 +139,7 @@ def test_mis_enough_finds_the_first_k_set(n, k, p, seed):
                 conflicts[i].add(j)
                 conflicts[j].add(i)
     far = [set(range(n)) - conflicts[i] - {i} for i in range(n)]
-    chosen, _ = max_independent_set(conflicts, range(n), enough=k)
+    chosen, _ = max_independent_set(_masks(conflicts), enough=k)
     assert len(chosen) <= k
     assert (chosen if len(chosen) == k else None) == find_clique(far, k)
 
@@ -151,8 +173,8 @@ def test_far_conflicts_use_float_tolerance():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)], {(0, 1): 0.7, (1, 2): 0.2, (2, 3): 0.1})
     members = [frozenset([0]), frozenset([3])]
     assert set_far_conflicts(g, members, 1) == [set(), set()]
-    assert far_conflicts(g, members, 1) == [set(), set()]
-    assert far_conflicts(g, members, 1.5) == [{1}, {0}]
+    assert far_conflicts(g, members, 1) == [0, 0]
+    assert far_conflicts(g, members, 1.5) == [0b10, 0b01]
 
 
 @settings(max_examples=150, deadline=None)
@@ -290,6 +312,17 @@ def test_greedy_ball_hitting_matches_oracle(host, radius):
     sol = min_ball_hitting(CoverInstance(g, radius, explicit_family=family, mode="greedy"))
     picks = set_ball_hitting_greedy(g, family, radius)
     assert (sol.count, sol.centered.centers.members) == (len(picks), frozenset(picks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_hosts(), st.sampled_from(RADII))
+def test_hit_masks_match_the_per_member_loop(host, r):
+    # overlapping members, and repeats of the same member
+    g, rng = host
+    family = _members(g, rng)
+    family += rng.choices(family, k=rng.randint(0, 3))
+    rng.shuffle(family)
+    assert _hit_masks(g, family, r) == set_hit_masks(g, family, r)
 
 
 # -- Menger flow ----------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_greedy_never_beats_exact(g, seed):
 
 def test_max_independent_set_on_c5_conflicts():
     conflicts = [{1, 4}, {0, 2}, {1, 3}, {2, 4}, {3, 0}]
-    chosen, _ = max_independent_set(conflicts, range(5))
+    chosen, _ = max_independent_set([sum(1 << j for j in row) for row in conflicts])
     assert len(chosen) == 2
     for i, j in itertools.combinations(chosen, 2):
         assert j not in conflicts[i]

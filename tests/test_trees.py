@@ -201,6 +201,11 @@ def test_disjoint_transversals_boundary_cap():
         )
 
 
+def test_disjoint_transversals_reject_a_root_outside_the_host():
+    with pytest.raises(InputError):
+        two_disjoint_connected_transversals(path_graph(4), [frozenset([0]), frozenset([9])])
+
+
 def test_min_transversal_blocker_on_path():
     g = path_graph(5)
     roots = [frozenset([0]), frozenset([4])]
