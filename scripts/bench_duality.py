@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the duality sweep and its relation-building layers (L2: the
 far-conflict relation and the ball-hit masks; L3: the maximum independent
-set) on one or more source trees.
+set) on one or more source trees, and count the search and comparison work.
 
     python3 scripts/bench_duality.py before=../old/src after=src > BENCH_duality.json
 
@@ -10,12 +10,18 @@ Each ``label=src-dir`` runs in a fresh interpreter that imports
 (l = 0, r in {1, 2, 3}, beta in {0, 1}) over the duality host family:
 ``random_instances(11, 80)`` with 8-14 vertices, plus Fraction-weighted
 copies of the first 20.  Every pass builds its graphs afresh, so distance
-caches start cold.  The script wraps ``packing.far_conflicts``,
-``packing.max_independent_set`` and ``graph._hit_masks`` where the library
-calls them, so both trees run unmodified, and records the median over
-``--runs`` passes of the seconds of the pass and of each wrapped function.
-It also records the work per pass, which is the same on every tree: the sum
-of P^2 over far-conflict calls and of P*|V| over hit-mask calls (P members,
+caches start cold.
+
+The script wraps functions where the library calls them, so every tree runs
+unmodified.  It records the median over ``--runs`` passes of the seconds of
+the pass and of three layers: the far-conflict rows, the independent-set
+search and the ball-hit masks.  A layer is timed at the first of its
+functions (``LAYERS``) that the tree defines: the private helper that takes a
+shared transposition where there is one, else the public function.  One more
+pass counts, per pass: the independent-set and set-cover search nodes, the
+``graph.leq`` calls and the ``graph._member_masks`` calls.  It also records
+the work per pass, which is the same on every tree: the sum of P^2 over the r
+values and of P*|V| over the beta values of each host (P chordless paths,
 |V| host vertices), and a digest of the reports.
 """
 
@@ -40,7 +46,19 @@ WEIGHTED_HOSTS = 20
 WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 R_VALUES = (1, 2, 3)
 BETA_VALUES = (0, 1)
-TIMED = ("packing.far_conflicts", "packing.max_independent_set", "graph._hit_masks")
+#: layer -> the functions that build it, the innermost first
+LAYERS = {
+    "packing.far_conflicts": ("packing._conflicts_through", "packing.far_conflicts"),
+    "packing.max_independent_set": ("packing.max_independent_set",),
+    "graph._hit_masks": ("graph._hits_through", "graph._hit_masks"),
+}
+#: count -> (function, what one call adds)
+COUNTED = {
+    "max_independent_set_nodes": ("packing.max_independent_set", lambda result: result[1]),
+    "set_cover_nodes": ("graph._set_cover", lambda result: result[1]),
+    "leq_calls": ("graph.leq", lambda result: 1),
+    "member_masks_calls": ("graph._member_masks", lambda result: 1),
+}
 
 
 def _hosts(generators):
@@ -56,28 +74,55 @@ def _hosts(generators):
     return hosts
 
 
-def _wrap(name: str, seconds: dict, work: dict):
-    """Rebind ``name`` in every coarse_menger module that holds it, timing
-    each call and counting its work."""
+def _rebind(name: str, wrapper) -> bool:
+    """Rebind ``name`` to ``wrapper(fn)`` in every coarse_menger module that
+    holds the function ``fn``; False when the tree has no such function."""
     module, attr = name.split(".")
-    fn = getattr(sys.modules[f"coarse_menger.{module}"], attr)
-
-    @functools.wraps(fn)
-    def timed(*args, **kwargs):
-        if attr == "far_conflicts":
-            work["far_conflicts_p2"] += len(args[1]) ** 2
-        elif attr == "_hit_masks":
-            work["hit_masks_pv"] += len(args[1]) * len(args[0])
-        t0 = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            seconds[name] += time.perf_counter() - t0
-
+    fn = getattr(sys.modules[f"coarse_menger.{module}"], attr, None)
+    if fn is None:
+        return False
+    wrapped = functools.wraps(fn)(wrapper(fn))
     for mod in list(sys.modules.values()):
         if mod is not None and mod.__name__.startswith("coarse_menger") \
                 and vars(mod).get(attr) is fn:
-            setattr(mod, attr, timed)
+            setattr(mod, attr, wrapped)
+    return True
+
+
+def _timer(layer: str, seconds: dict):
+    def wrapper(fn):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[layer] += time.perf_counter() - t0
+        return timed
+    return wrapper
+
+
+def _counter(key: str, add, counts: dict):
+    def wrapper(fn):
+        def counted(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            counts[key] += add(result)
+            return result
+        return counted
+    return wrapper
+
+
+def _work_counter(work: dict):
+    """Per enumeration of a host's chordless paths, the work of the cells
+    that use them: P^2 per r, P*|V| per beta."""
+    def wrapper(fn):
+        def counted(g, *args, **kwargs):
+            result = fn(g, *args, **kwargs)
+            p = len(result.paths)
+            work["far_conflicts_p2"] += p * p * len(R_VALUES)
+            work["hit_masks_pv"] += p * len(g) * len(BETA_VALUES)
+            return result
+        return counted
+    return wrapper
 
 
 def measure(src: str, runs: int) -> dict:
@@ -85,26 +130,38 @@ def measure(src: str, runs: int) -> dict:
     from coarse_menger import covering, generators, graph
 
     hosts = _hosts(generators)
-    seconds = dict.fromkeys(TIMED, 0.0)
-    work = {"far_conflicts_p2": 0, "hit_masks_pv": 0}
-    for name in TIMED:
-        _wrap(name, seconds, work)
-    passes = {name: [] for name in ("pass",) + TIMED}
-    for _ in range(runs):
+
+    def one_pass():
         graphs = [(graph.Graph(vs, es, w), x, y) for vs, es, w, x, y in hosts]
-        seconds.update(dict.fromkeys(TIMED, 0.0))
-        work.update(far_conflicts_p2=0, hit_masks_pv=0)
         t0 = time.perf_counter()
         reports = [covering.duality_sweep(g, x, y, 0, R_VALUES, BETA_VALUES)
                    for g, x, y in graphs]
-        passes["pass"].append(time.perf_counter() - t0)
-        for name in TIMED:
-            passes[name].append(seconds[name])
+        return time.perf_counter() - t0, reports
+
+    seconds = dict.fromkeys(LAYERS, 0.0)
+    for layer, names in LAYERS.items():
+        next(name for name in names if _rebind(name, _timer(layer, seconds)))
+    passes = {name: [] for name in ("pass",) + tuple(LAYERS)}
+    for _ in range(runs):
+        seconds.update(dict.fromkeys(LAYERS, 0.0))
+        took, reports = one_pass()
+        passes["pass"].append(took)
+        for layer in LAYERS:
+            passes[layer].append(seconds[layer])
+
+    # the counters slow a pass down, so they count one more, untimed pass
+    counts = dict.fromkeys(COUNTED, 0)
+    work = {"far_conflicts_p2": 0, "hit_masks_pv": 0}
+    for key, (name, add) in COUNTED.items():
+        _rebind(name, _counter(key, add, counts))
+    _rebind("paths.enumerate_chordless_paths", _work_counter(work))
+    one_pass()
     digest = hashlib.sha256(json.dumps(
         [rep.to_json_dict() for rep in reports], sort_keys=True).encode()).hexdigest()
     return {
         "seconds": {name: round(statistics.median(s), 4) for name, s in passes.items()},
-        "work_per_pass": dict(work),
+        "counts_per_pass": counts,
+        "work_per_pass": work,
         "reports_sha256": digest[:16],
     }
 
@@ -124,8 +181,9 @@ def main() -> int:
         "topic": "duality relations",
         "layer": "L2-L3",
         "what": "median seconds of a duality_sweep pass over the duality host "
-                "family and of far_conflicts, max_independent_set and _hit_masks "
-                "within it, the work per pass, and a digest of the reports",
+                "family and of its far-conflict, independent-set and ball-hit "
+                "layers; search nodes, leq and _member_masks calls per pass; the "
+                "work per pass, and a digest of the reports",
         "hosts": f"random_instances({BASE_SEED}, {HOSTS}), 8-14 vertices, plus "
                  f"{WEIGHTED_HOSTS} Fraction-weighted copies; l=0, "
                  f"r in {list(R_VALUES)}, beta in {list(BETA_VALUES)}",

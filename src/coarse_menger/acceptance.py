@@ -23,12 +23,7 @@ from .covering import (
     min_separating_balls,
 )
 from .errors import CoarseMengerError, InternalInconsistencyError
-from .generators import (
-    grid,
-    menger_lower_bound_instance,
-    random_instances,
-    rooted_p3_grid,
-)
+from .generators import menger_lower_bound_instance, random_instances, rooted_p3_grid
 from .graph import Graph, certify_centered, distance
 from .packing import PackingInstance, gallai_packing, max_far_packing, menger_packing
 from .paths import enumerate_chordless_paths

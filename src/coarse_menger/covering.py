@@ -17,19 +17,26 @@ from .graph import (
     VertexSet,
     _ball,
     _ball_mask,
+    _exact_against,
     _greedy_cover,
     _hit_masks,
+    _hits_through,
+    _member_masks,
     _set_cover,
     as_vertex_set,
+    is_exact,
+    leq,
 )
 from .packing import (
     EXACT_PACKING_VERTEX_CAP,
     GallaiResult,
     PackingInstance,
+    _conflicts_through,
     _enumerate_a_paths,
-    _far_packing,
     gallai_packing,
     max_far_packing,
+    max_independent_set,
+    menger_packing,
 )
 from .paths import enumerate_chordless_paths
 
@@ -213,8 +220,24 @@ def duality_sweep(
     """Fill packing and cover tables; exact where caps permit, greedy with a
     per-cell flag otherwise.
 
-    Every exact cell works on one enumeration of the chordless (l,x,y)-paths.
-    When that enumeration is refused, each packing cell falls back to the
+    Every exact cell works on one enumeration of the chordless (l,x,y)-paths,
+    transposed once (:func:`graph._member_masks`), and finds only its count.
+    Two bounds cut the searches; neither changes a value:
+
+    - Packing cells run by ascending r.  Once paths through a common vertex
+      conflict (``not leq(r, 0)``), an r-far packing is vertex-disjoint, so
+      :func:`menger_packing` bounds it.  So does the value at the previous r
+      of the same kind, exact or float (``leq`` adds its tolerance to a float
+      r only): the conflict relation grows with r.
+      ``max_independent_set(..., enough=bound)`` stops at the first set of
+      that size, and returns the maximum when there is none.
+    - Weak duality: a radius-beta ball has diameter at most 2*beta, so for
+      r > 2*beta it meets at most one path of an r-far packing.  A greedy
+      cover of packing(r) balls is then optimal, and the branch-and-bound is
+      skipped.  This needs exact weights, r and beta: under the float
+      tolerance one ball can meet two paths that count as r-far.
+
+    When the enumeration is refused, each packing cell falls back to the
     greedy packing of :func:`max_far_packing`.  A cover cell then picks balls
     greedily until they separate x from y at l = 0, and has no value at
     l > 0.  Neither fallback enumerates paths.
@@ -226,21 +249,40 @@ def duality_sweep(
         paths = enumerate_chordless_paths(g, l, x.members, y.members, cap=None).paths
     except CapacityError:
         paths = None
-    for r in r_values:
-        # the instances validate l, r and beta even when the family is shared
-        inst = PackingInstance(g, x.members, y.members, l, r, "exact")
-        if paths is not None and len(g) <= EXACT_PACKING_VERTEX_CAP:
-            sol = _far_packing(g, paths, r)
-            report.packing_by_r[r] = DualityCell(sol.size, True)
+    # the instances validate l, r and beta even when the family is shared
+    packs = [PackingInstance(g, x.members, y.members, l, r, "exact") for r in r_values]
+    family = None if paths is None else [p.vertex_set for p in paths]
+    through = None if paths is None else _member_masks(g, family)
+    value = {}  # position in packs -> exact packing value
+    if paths is not None and len(g) <= EXACT_PACKING_VERTEX_CAP:
+        flow = menger_packing(g, x.members, y.members)
+        last = {}  # is_exact(r) -> the value at the previous r of that kind
+        for i in sorted(range(len(packs)), key=lambda i: packs[i].r):
+            r = packs[i].r
+            bounds = [flow] if not leq(r, 0) else []
+            bounds += [last[is_exact(r)]] if is_exact(r) in last else []
+            rows = _conflicts_through(g, family, through, r)
+            chosen, _ = max_independent_set(rows, enough=min(bounds, default=None))
+            value[i] = last[is_exact(r)] = len(chosen)
+    for i, inst in enumerate(packs):
+        if i in value:
+            report.packing_by_r[inst.r] = DualityCell(value[i], True)
         else:
             sol = max_far_packing(replace(inst, mode="greedy"))
-            report.packing_by_r[r] = DualityCell(sol.size, False, "capacity:greedy")
-    family = None if paths is None else tuple(p.vertex_set for p in paths)
+            report.packing_by_r[inst.r] = DualityCell(sol.size, False, "capacity:greedy")
     for beta in beta_values:
-        inst = CoverInstance(g, beta, l=l, x=x.members, y=y.members)
-        if family is not None:
-            sol = _ball_hitting(g, family, beta, inst.mode)
-            report.cover_by_radius[beta] = DualityCell(sol.count, True)
+        CoverInstance(g, beta, l=l, x=x.members, y=y.members)
+        if family:
+            hits = _hits_through(g, through, beta)
+            target = (1 << len(family)) - 1
+            floor = max((v for i, v in value.items()
+                         if is_exact(packs[i].r) and packs[i].r > 2 * beta), default=0)
+            chosen, _ = _greedy_cover(target, hits)
+            if len(chosen) > (floor if _exact_against(g, beta) else 0):
+                chosen, _ = _set_cover(target, hits)
+            report.cover_by_radius[beta] = DualityCell(len(chosen), True)
+        elif family is not None:
+            report.cover_by_radius[beta] = DualityCell(0, True)
         elif l == 0:
             # at l = 0 the balls hit every x-y path iff they separate x from y
             count = _greedy_separating_balls(g, x.members, y.members, beta)

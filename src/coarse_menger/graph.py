@@ -386,16 +386,27 @@ def _member_masks(g: Graph, members: Sequence) -> dict:
     return through
 
 
+def _exact_against(g: Graph, r: Number) -> bool:
+    """Whether ``r`` and the distances of ``g`` are exact, so that ``leq``
+    between them is plain ``<=`` (``inf`` too: it exceeds every exact ``r``)."""
+    return is_exact(r) and (g.weights is None or all(map(is_exact, g.weights.values())))
+
+
 def _hit_masks(g: Graph, family: Sequence[frozenset], r: Number) -> list:
     """Per vertex ``c`` in vertex order, the mask of the ``family`` members
     (bit i: ``family[i]``) that the radius-``r`` ball around ``c`` meets."""
-    through = _member_masks(g, family)
+    return _hits_through(g, _member_masks(g, family), r)
+
+
+def _hits_through(g: Graph, through: dict, r: Number) -> list:
+    """:func:`_hit_masks` from the family's :func:`_member_masks`."""
+    exact = _exact_against(g, r)
     hits = []
     for c in g.vertices:
         dc = g.dist_from(c)
         hit = 0
         for v, holders in through.items():
-            if leq(dc[v], r):
+            if dc[v] <= r if exact else leq(dc[v], r):
                 hit |= holders
         hits.append(hit)
     return hits

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
-from .graph import Graph, Number, _member_masks, as_vertex_set, leq, set_distance
+from .graph import Graph, Number, _exact_against, _member_masks, as_vertex_set, leq, set_distance
 from .paths import (
     PathWitness,
     enumerate_chordless_paths,
@@ -100,17 +100,23 @@ def far_conflicts(g: Graph, members: Sequence, r: Number) -> List[Adjacency]:
     ``leq`` decides each vertex pair on the row of its vertex in
     ``members[i]``, so int, Fraction and float weights compare as in
     :func:`set_distance` (``leq`` is monotone in its second argument: no pair
-    is closer than ``r`` iff the set distance is not).
+    is closer than ``r`` iff the set distance is not).  On an exact host with
+    an exact ``r`` that is plain ``<``.
     """
     if not all(members):
         raise InputError("far conflicts over an empty set")
-    through = _member_masks(g, members)
+    return _conflicts_through(g, members, _member_masks(g, members), r)
+
+
+def _conflicts_through(g: Graph, members: Sequence, through: dict, r: Number) -> List[Adjacency]:
+    """:func:`far_conflicts` from the members' :func:`graph._member_masks`."""
+    exact = _exact_against(g, r)
     near = {}  # vertex -> mask of the members with a vertex at distance < r
     for v in through:
         dv = g.dist_from(v)
         reach = 0
         for u, holders in through.items():
-            if not leq(r, dv[u]):
+            if dv[u] < r if exact else not leq(r, dv[u]):
                 reach |= holders
         near[v] = reach
     rows: List[Adjacency] = []
@@ -133,7 +139,9 @@ def max_independent_set(adj: Sequence[int], enough: Optional[int] = None):
     With ``enough``, the search stops at the first independent set of that
     size: the lexicographically first one, since "take" is tried before
     "skip" and the bound only prunes branches that cannot beat a smaller set
-    already found.  A shorter result means there is none.
+    already found.  A shorter result means there is none: it is then a
+    maximum independent set, so ``enough`` may be any upper bound on the
+    maximum.
     """
     best: List[int] = []
     nodes = 0

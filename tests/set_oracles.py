@@ -13,15 +13,26 @@ the exact and greedy search of ``certify_centered``, the greedy loop of
 enumeration the ``seen``-set depth-first search of ``enumerate_paths``.
 For ``menger_packing`` the oracle is networkx maximum flow on the vertex-split
 digraph, and for ``max_independent_set(..., enough=k)`` the k-clique search
-over the complementary "far" relation that ``trees`` used before.
+over the complementary "far" relation that ``trees`` used before.  For
+``duality_sweep`` it is the sweep that solves every cell on its own, without
+the bounds one cell gives the next.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
+from coarse_menger.covering import (
+    CoverInstance,
+    DualityCell,
+    DualityReport,
+    _ball_hitting,
+    _greedy_separating_balls,
+    graph_fingerprint,
+)
 from coarse_menger.errors import CapacityError, InputError, InternalInconsistencyError
 from coarse_menger.graph import (
     EXACT_CENTER_CAP,
@@ -35,11 +46,18 @@ from coarse_menger.graph import (
     leq,
     set_distance,
 )
+from coarse_menger.packing import (
+    EXACT_PACKING_VERTEX_CAP,
+    PackingInstance,
+    _far_packing,
+    max_far_packing,
+)
 from coarse_menger.paths import (
     ENUM_VERTEX_LIMIT,
     PathEnumeration,
     PathWitness,
     canonical_sequence,
+    enumerate_chordless_paths,
 )
 
 
@@ -654,3 +672,41 @@ def set_enumerate_paths(g: Graph, l, x, y, cap: Optional[int] = None) -> PathEnu
         ordered = ordered[:cap]
     paths = tuple(PathWitness(s, distance(g, s[0], s[-1])) for s in ordered)
     return PathEnumeration(paths, truncated)
+
+
+def plain_duality_sweep(
+    g: Graph, x, y, l, r_values: Sequence, beta_values: Sequence
+) -> DualityReport:
+    """``covering.duality_sweep`` without shared bounds: every packing cell a
+    full maximum independent set search, every cover cell a full set-cover
+    search with its certificate, each on its own transposition of the
+    chordless family."""
+    x = as_vertex_set(g, x)
+    y = as_vertex_set(g, y)
+    report = DualityReport(graph_fingerprint(g, sorted(x.members), sorted(y.members), l))
+    try:
+        paths = enumerate_chordless_paths(g, l, x.members, y.members, cap=None).paths
+    except CapacityError:
+        paths = None
+    for r in r_values:
+        # the instances validate l, r and beta even when the family is shared
+        inst = PackingInstance(g, x.members, y.members, l, r, "exact")
+        if paths is not None and len(g) <= EXACT_PACKING_VERTEX_CAP:
+            sol = _far_packing(g, paths, r)
+            report.packing_by_r[r] = DualityCell(sol.size, True)
+        else:
+            sol = max_far_packing(replace(inst, mode="greedy"))
+            report.packing_by_r[r] = DualityCell(sol.size, False, "capacity:greedy")
+    family = None if paths is None else tuple(p.vertex_set for p in paths)
+    for beta in beta_values:
+        inst = CoverInstance(g, beta, l=l, x=x.members, y=y.members)
+        if family is not None:
+            sol = _ball_hitting(g, family, beta, inst.mode)
+            report.cover_by_radius[beta] = DualityCell(sol.count, True)
+        elif l == 0:
+            # at l = 0 the balls hit every x-y path iff they separate x from y
+            count = _greedy_separating_balls(g, x.members, y.members, beta)
+            report.cover_by_radius[beta] = DualityCell(count, False, "capacity:greedy")
+        else:
+            report.cover_by_radius[beta] = DualityCell(None, False, "capacity:refused")
+    return report

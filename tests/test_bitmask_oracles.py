@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarse_menger.covering import CoverInstance, min_ball_hitting, min_set_cover
+from coarse_menger.covering import CoverInstance, duality_sweep, min_ball_hitting, min_set_cover
 from coarse_menger.errors import InputError, InternalInconsistencyError
 from coarse_menger.graph import Graph, VertexSet, _greedy_cover, _hit_masks, certify_centered
 from coarse_menger.packing import far_conflicts, max_independent_set, menger_packing
@@ -19,6 +19,7 @@ from conftest import random_connected
 from set_oracles import (
     find_clique,
     nx_menger_packing,
+    plain_duality_sweep,
     set_ball_hitting_greedy,
     set_certify_centered,
     set_enumerate_paths,
@@ -142,6 +143,9 @@ def test_mis_enough_finds_the_first_k_set(n, k, p, seed):
     chosen, _ = max_independent_set(_masks(conflicts), enough=k)
     assert len(chosen) <= k
     assert (chosen if len(chosen) == k else None) == find_clique(far, k)
+    # short of ``enough``, the result is a maximum independent set
+    if len(chosen) < k:
+        assert len(chosen) == len(max_independent_set(_masks(conflicts))[0])
 
 
 def _induced(g, seq) -> bool:
@@ -344,3 +348,54 @@ def test_menger_packing_matches_networkx_flow(n, p, connected, seed):
     x = frozenset(rng.sample(range(n), rng.randint(0, n)))
     y = frozenset(rng.sample(range(n), rng.randint(0, n)))
     assert menger_packing(g, x, y) == nx_menger_packing(g, x, y)
+
+
+# -- duality sweep --------------------------------------------------------------
+
+#: with 1e-10 <= TOL, paths through a common vertex are 1e-10-far
+SWEEP_R = RADII + (1e-10, 1.0, 4)
+SWEEP_BETA = (0, 0.25, Fraction(1, 2), 1, 1.5)
+
+
+def _same_sweep(g, x, y, l, r_values, beta_values):
+    report = duality_sweep(g, x, y, l, r_values, beta_values)
+    assert report.to_json_dict() == plain_duality_sweep(
+        g, x, y, l, r_values, beta_values).to_json_dict()
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_hosts(), st.sampled_from((0, 1, 2)),
+       st.lists(st.sampled_from(SWEEP_R), max_size=5),
+       st.lists(st.sampled_from(SWEEP_BETA), max_size=4))
+def test_duality_sweep_matches_the_plain_sweep(host, l, r_values, beta_values):
+    # unsorted thresholds, repeats, and keys equal across types (1 and 1.0)
+    g, rng = host
+    x, y = _endpoints(g, rng)
+    _same_sweep(g, x, y, l, r_values, beta_values)
+
+
+def test_duality_sweep_has_no_flow_cap_at_a_float_r_within_tolerance():
+    # two paths through x = {0}: one disjoint path, two 1e-10-far ones
+    g = Graph(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
+    report = _same_sweep(g, {0}, {3}, 0, [1, 1e-10], [])
+    assert menger_packing(g, {0}, {3}) == 1
+    assert report.packing_by_r[1e-10].value == 2
+
+
+def test_duality_sweep_has_no_cover_floor_at_r_equal_to_two_beta():
+    # packing(2) = 3, but one radius-1 ball meets two of those paths: the
+    # cover takes 2 balls, and the greedy cover 3
+    g = Graph(range(8), [(0, 1), (0, 2), (0, 5), (0, 7), (1, 2), (1, 4), (2, 3),
+                         (3, 5), (3, 6), (3, 7)])
+    report = _same_sweep(g, {4, 6, 7}, {0, 4, 6}, 0, [2], [1])
+    assert (report.packing_by_r[2].value, report.cover_by_radius[1].value) == (3, 2)
+
+
+def test_duality_sweep_bounds_r_only_by_a_smaller_r_of_its_kind():
+    # the paths {0, 2} and {1, 3} are d = 1 - 2e-10 apart: closer than the
+    # exact r = 1, but 1e-9-far from the larger float r
+    d = Fraction(4999999999, 5000000000)
+    g = Graph(range(4), [(0, 1), (0, 2), (1, 3)], {(0, 1): d, (0, 2): 1, (1, 3): 1})
+    report = _same_sweep(g, {0, 1}, {2, 3}, 0, [1.0000000005, 1], [])
+    assert [c.value for c in report.packing_by_r.values()] == [2, 1]
