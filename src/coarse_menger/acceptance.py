@@ -312,7 +312,8 @@ def _set_distance_gt(g: Graph, a: frozenset, b: frozenset, bound) -> bool:
 class _RootedSupports:
     """Mask model of ``g`` with three root sets, for the rooted-grid oracle:
     bit i is the i-th smallest vertex, neighbour masks come from
-    ``g.neighbors``.  Coded apart from the library's own mask helpers."""
+    ``g.neighbors``.  Coded apart from the library's own mask helpers.  It
+    holds no cache: every query is computed afresh."""
 
     def __init__(self, g: Graph, roots: Sequence[frozenset]):
         if len(roots) != 3:
@@ -325,7 +326,6 @@ class _RootedSupports:
         }
         self.rsets = [sum(self.bit[v] for v in r if v in self.bit) for r in roots]
         self.everything = (1 << len(self.verts)) - 1
-        self._survives: Dict[int, bool] = {}
 
     def mask(self, vs) -> int:
         return sum(self.bit[v] for v in vs)
@@ -344,25 +344,32 @@ class _RootedSupports:
 
     def components(self, removed: int):
         """Components of ``g - removed`` as masks, lowest vertex first."""
+        nbr = self.nbr
         left = self.everything & ~removed
         while left:
             comp = frontier = left & -left
+            left ^= comp
             while frontier:
                 low = frontier & -frontier
-                frontier ^= low
-                new = self.nbr[low] & left & ~comp
+                new = nbr[low] & left
+                left ^= new
                 comp |= new
-                frontier |= new
+                frontier = frontier ^ low | new
             yield comp
-            left &= ~comp
+
+    def witness(self, removed: int) -> int:
+        """The first component of ``g - removed`` that supports the roots,
+        or 0."""
+        for comp in self.components(removed):
+            if self.has_sdr(comp):
+                return comp
+        return 0
 
     def survives(self, removed: int) -> bool:
-        """Does some component of ``g - removed`` support the roots?"""
-        hit = self._survives.get(removed)
-        if hit is None:
-            hit = any(self.has_sdr(c) for c in self.components(removed))
-            self._survives[removed] = hit
-        return hit
+        """Does some component of ``g - removed`` support the roots?  A plain
+        walk over the components on every call; the exhaustive search keeps
+        its own memo."""
+        return self.witness(removed) != 0
 
 
 def exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
@@ -373,68 +380,106 @@ def exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
     into a simple path between the first and third root sets plus at most one
     attachment path to the second; both parts are enumerated by depth-first
     search.  The partner-side check ("does some leftover component still
-    support the roots?") is monotone under growth, which prunes hard; it is
-    a function of the removed vertex mask alone, so it is memoised on it.
+    support the roots?") is monotone under growth, which prunes hard.
+
+    A search state is a trunk (its end vertex, its vertex mask) or an
+    attachment (its last vertex, the union mask), and what the search finds
+    below a state depends on that pair alone.  The search stops at its first
+    find, so a state met again found nothing the first time; skipping it
+    leaves every find reachable and the first one unchanged.  Each state also
+    carries a witness, a supporting component K of ``g - union``.  When the
+    added vertex b lies outside K, K is still a component of
+    ``g - (union | b)`` and still supports the roots, so only b in K (or no
+    witness yet, at a trunk start) needs a walk over the components.  One
+    memo int per surviving union holds its witness and, above it, the
+    explored attachment ends and the explored trunk ends.  A failing union
+    is not kept: met again, it costs one more walk, while keeping it would
+    double the memo (on the 5x5 rooted grid, 53k surviving and 50k failing
+    unions, for 24k walks saved).
     """
     sup = _RootedSupports(g, roots)
     bit = sup.bit
     adj = {v: sorted(g.neighbors(v)) for v in g.vertices}
+    attach_shift, trunk_shift = len(sup.verts), 2 * len(sup.verts)
+    memo: Dict[int, int] = {}
     found: List[int] = []
 
-    def attach(path: List[int], pmask: int):
-        def q_dfs(last: int, union: int):
-            if not sup.survives(union):
-                return
+    def enter(b: int, union: int, parent: int, shift: int) -> int:
+        """The witness of the state (b's vertex, union) when it is new and
+        survives, marking it explored; else 0.  ``parent`` is the witness of
+        ``union`` without b."""
+        entry = memo.get(union)
+        if entry is None:
+            entry = parent if parent and not parent & b else sup.witness(union)
+            if not entry:
+                return 0
+        elif entry & b << shift:
+            return 0
+        memo[union] = entry | b << shift
+        return entry & sup.everything
+
+    def attach(pmask: int, witness: int):
+        def q_dfs(last: int, union: int, witness: int):
             if sup.has_sdr(union):
                 found.append(union)
                 return
             for n in adj[last]:
-                if not union & bit[n]:
-                    q_dfs(n, union | bit[n])
-                    if found:
-                        return
+                b = bit[n]
+                if not union & b:
+                    below = enter(b, union | b, witness, attach_shift)
+                    if below:
+                        q_dfs(n, union | b, below)
+                        if found:
+                            return
 
-        for p in sorted(path):
+        for p in sup.verts:
+            if not pmask & bit[p]:
+                continue
             for n in adj[p]:
-                if not pmask & bit[n]:
-                    q_dfs(n, pmask | bit[n])
-                    if found:
-                        return
+                b = bit[n]
+                if not pmask & b:
+                    below = enter(b, pmask | b, witness, attach_shift)
+                    if below:
+                        q_dfs(n, pmask | b, below)
+                        if found:
+                            return
 
-    def trunk_dfs(path: List[int], pmask: int):
+    def trunk_dfs(v: int, pmask: int, witness: int):
         # every set this branch can accept contains pmask and must survive;
         # survives is antitone in the removed mask (removing more only splits
-        # components, and Hall's condition is monotone in the pool), so a
-        # trunk that fails it ends the branch and the first find is unchanged
-        if found or not sup.survives(pmask):
-            return
-        v = path[-1]
+        # components, and Hall's condition is monotone in the pool), so
+        # enter() ends a branch whose trunk fails it, and the first find is
+        # unchanged
         if sup.rsets[2] & bit[v]:
             if sup.has_sdr(pmask):
                 found.append(pmask)
                 return
-            attach(path, pmask)
+            attach(pmask, witness)
             if found:
                 return
         for n in adj[v]:
-            if not pmask & bit[n]:
-                path.append(n)
-                trunk_dfs(path, pmask | bit[n])
-                path.pop()
+            b = bit[n]
+            if not pmask & b:
+                below = enter(b, pmask | b, witness, trunk_shift)
+                if below:
+                    trunk_dfs(n, pmask | b, below)
             if found:
                 return
 
     for start in sorted(roots[0]):
-        trunk_dfs([start], bit[start])
+        b = bit[start]
+        witness = enter(b, b, 0, trunk_shift)
+        if witness:
+            trunk_dfs(start, b, witness)
         if found:
             break
     if not found:
         return None
     s1 = found[0]
-    for comp in sup.components(s1):
-        if sup.has_sdr(comp):
-            return sup.members(s1), sup.members(comp)
-    raise InternalInconsistencyError("search result lost its partner side")
+    partner = sup.witness(s1)
+    if not partner:
+        raise InternalInconsistencyError("search result lost its partner side")
+    return sup.members(s1), sup.members(partner)
 
 
 def check_rooted_p3(seed: int) -> CriterionResult:
@@ -547,9 +592,8 @@ def check_pullback(seed: int) -> CriterionResult:
         tgt, q = one_subdivision(g)
         ia = frozenset(q.map[v] for v in spec.x)
         ib = frozenset(q.map[v] for v in spec.y)
+        _, centers = min_separating_balls(tgt, ia, ib, 0, len(tgt))
         for l in (0, 2):
-            l1 = q.m * l + 3 * q.a
-            _, centers = min_separating_balls(tgt, ia, ib, 0, len(tgt))
             try:
                 z = pullback_hitting_set(
                     g, tgt, q, centers, k=1, r=1, l=l,

@@ -128,11 +128,13 @@ def _enumerate(
     found = set()
     bit = g.vertex_bits()
     ends = y.members
+    # distances are >= 0, so at l = 0 every end passes without a test
+    any_end = l == 0
 
     def extend(seq: list, body: int, dist_start: dict):
         # ``body`` is the mask of seq[:-1]
         tail = seq[-1]
-        if tail in ends and leq(l, dist_start[tail]):
+        if tail in ends and (any_end or leq(l, dist_start[tail])):
             found.add(canonical_sequence(seq))
         grown = body | bit[tail]
         for n in g.neighbors(tail):

@@ -5,7 +5,8 @@ For ``coarse_menger.packing`` they are the straightforward formulations: one
 ``set_distance`` per pair of members, and a branch-and-bound over Python lists
 and adjacency sets.  For the rooted-grid path they are the frozenset versions
 of the boundary DP and the blocker scan in ``coarse_menger.trees`` and of the
-exhaustive oracle in ``coarse_menger.acceptance``, with the same search orders.
+exhaustive oracle in ``coarse_menger.acceptance``, with the same search orders;
+that oracle also keeps its earlier mask search, which revisits states.
 For the covering side they are the per-(center, member) loop of
 ``graph._hit_masks``, the frozenset set covers (``min_set_cover``,
 the exact and greedy search of ``certify_centered``, the greedy loop of
@@ -25,6 +26,7 @@ import math
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
+from coarse_menger.acceptance import _RootedSupports
 from coarse_menger.covering import (
     CoverInstance,
     DualityCell,
@@ -438,6 +440,87 @@ def set_exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
     for comp in rest.components():
         if has_sdr(frozenset(comp)):
             return s1, frozenset(comp)
+    raise InternalInconsistencyError("search result lost its partner side")
+
+
+def memo_exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
+    """The mask search of ``acceptance.exhaustive_two_disjoint_supports``
+    before it explored each state once: it revisits every state it meets
+    again, and memoises only the partner-side check, on the removed mask.
+
+    Every minimal such set is a tree with at most three leaves, so it splits
+    into a simple path between the first and third root sets plus at most one
+    attachment path to the second; both parts are enumerated by depth-first
+    search.  The partner-side check ("does some leftover component still
+    support the roots?") is monotone under growth, which prunes hard; it is
+    a function of the removed vertex mask alone, so it is memoised on it.
+    """
+    sup = _RootedSupports(g, roots)
+    bit = sup.bit
+    adj = {v: sorted(g.neighbors(v)) for v in g.vertices}
+    found: List[int] = []
+    memo: Dict[int, bool] = {}
+
+    def survives(removed: int) -> bool:
+        hit = memo.get(removed)
+        if hit is None:
+            hit = any(sup.has_sdr(c) for c in sup.components(removed))
+            memo[removed] = hit
+        return hit
+
+    def attach(path: List[int], pmask: int):
+        def q_dfs(last: int, union: int):
+            if not survives(union):
+                return
+            if sup.has_sdr(union):
+                found.append(union)
+                return
+            for n in adj[last]:
+                if not union & bit[n]:
+                    q_dfs(n, union | bit[n])
+                    if found:
+                        return
+
+        for p in sorted(path):
+            for n in adj[p]:
+                if not pmask & bit[n]:
+                    q_dfs(n, pmask | bit[n])
+                    if found:
+                        return
+
+    def trunk_dfs(path: List[int], pmask: int):
+        # every set this branch can accept contains pmask and must survive;
+        # survives is antitone in the removed mask (removing more only splits
+        # components, and Hall's condition is monotone in the pool), so a
+        # trunk that fails it ends the branch and the first find is unchanged
+        if found or not survives(pmask):
+            return
+        v = path[-1]
+        if sup.rsets[2] & bit[v]:
+            if sup.has_sdr(pmask):
+                found.append(pmask)
+                return
+            attach(path, pmask)
+            if found:
+                return
+        for n in adj[v]:
+            if not pmask & bit[n]:
+                path.append(n)
+                trunk_dfs(path, pmask | bit[n])
+                path.pop()
+            if found:
+                return
+
+    for start in sorted(roots[0]):
+        trunk_dfs([start], bit[start])
+        if found:
+            break
+    if not found:
+        return None
+    s1 = found[0]
+    for comp in sup.components(s1):
+        if sup.has_sdr(comp):
+            return sup.members(s1), sup.members(comp)
     raise InternalInconsistencyError("search result lost its partner side")
 
 

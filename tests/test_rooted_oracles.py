@@ -2,7 +2,10 @@
 (``set_oracles``): the exhaustive acceptance oracle, the boundary DP and the
 blocker scan, on grids up to 4x5 and on connected random graphs of at most
 12 vertices, each with three random root sets; the dominance-pruned DP on
-hosts with two planted disjoint supports; and the 6x6 rooted grid."""
+hosts with two planted disjoint supports; and the 6x6 rooted grid.  The
+exhaustive oracle, which explores each search state once, is also checked
+against its earlier mask search, which revisits them, on both host families
+and a pinned path, and finds no pair on the 5x5 rooted grid."""
 
 import itertools
 import random
@@ -19,6 +22,7 @@ from coarse_menger.trees import min_transversal_blocker, two_disjoint_connected_
 
 from conftest import random_connected
 from set_oracles import (
+    memo_exhaustive_two_disjoint_supports,
     set_exhaustive_two_disjoint_supports,
     set_min_transversal_blocker,
     set_two_disjoint_connected_transversals,
@@ -93,6 +97,36 @@ def test_exhaustive_oracle_returns_the_same_pair(host):
         set_exhaustive_two_disjoint_supports(g, roots)
 
 
+@settings(max_examples=150, deadline=None)
+@given(rooted_hosts())
+def test_exhaustive_oracle_agrees_with_the_revisiting_search(host):
+    g, roots = host
+    assert exhaustive_two_disjoint_supports(g, roots) == \
+        memo_exhaustive_two_disjoint_supports(g, roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_hosts())
+def test_exhaustive_oracle_first_find_on_planted_hosts(host):
+    # planted hosts always hold a pair, so the first find itself is compared
+    g, roots = host
+    got = exhaustive_two_disjoint_supports(g, roots)
+    assert got is not None
+    assert got == memo_exhaustive_two_disjoint_supports(g, roots)
+    _assert_valid_witness(g, roots, got)
+
+
+def test_exhaustive_oracle_keys_a_state_by_its_end_vertex():
+    # the trunk {1, 2} is met first ending at 2 (from the start 1), then
+    # ending at 1, a root of the third set, from the start 2; only the second
+    # attaches, and its attachment 0 is the first find
+    g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (3, 5), (4, 5)])
+    roots = [frozenset({1, 2, 5}), frozenset({0, 2, 3}), frozenset({1, 4})]
+    expect = (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+    assert memo_exhaustive_two_disjoint_supports(g, roots) == expect
+    assert exhaustive_two_disjoint_supports(g, roots) == expect
+
+
 def _assert_valid_witness(g, roots, witness):
     side1, side2 = witness
     assert not side1 & side2
@@ -153,6 +187,11 @@ def test_rooted_grid_answers_match(w):
     z = min_transversal_blocker(g, roots, 2 * w)
     assert len(z) == w
     assert z == set_min_transversal_blocker(g, roots, 2 * w)
+
+
+def test_exhaustive_oracle_finds_no_pair_on_the_5x5_rooted_grid():
+    spec = rooted_p3_grid(5)
+    assert exhaustive_two_disjoint_supports(spec.graph, list(spec.roots)) is None
 
 
 def test_rooted_grid_6_has_no_pair_and_the_first_row_blocks():
