@@ -395,7 +395,9 @@ def exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
     explored attachment ends and the explored trunk ends.  A failing union
     is not kept: met again, it costs one more walk, while keeping it would
     double the memo (on the 5x5 rooted grid, 53k surviving and 50k failing
-    unions, for 24k walks saved).
+    unions, for 24k walks saved).  The recursive searches are dropped as
+    the call returns, which breaks their self-references, so the memo is
+    freed at once and leaves no reference cycle for the garbage collector.
     """
     sup = _RootedSupports(g, roots)
     bit = sup.bit
@@ -432,17 +434,20 @@ def exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
                         if found:
                             return
 
-        for p in sup.verts:
-            if not pmask & bit[p]:
-                continue
-            for n in adj[p]:
-                b = bit[n]
-                if not pmask & b:
-                    below = enter(b, pmask | b, witness, attach_shift)
-                    if below:
-                        q_dfs(n, pmask | b, below)
-                        if found:
-                            return
+        try:
+            for p in sup.verts:
+                if not pmask & bit[p]:
+                    continue
+                for n in adj[p]:
+                    b = bit[n]
+                    if not pmask & b:
+                        below = enter(b, pmask | b, witness, attach_shift)
+                        if below:
+                            q_dfs(n, pmask | b, below)
+                            if found:
+                                return
+        finally:
+            q_dfs = None  # break its self-reference, which holds the memo
 
     def trunk_dfs(v: int, pmask: int, witness: int):
         # every set this branch can accept contains pmask and must survive;
@@ -466,13 +471,16 @@ def exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
             if found:
                 return
 
-    for start in sorted(roots[0]):
-        b = bit[start]
-        witness = enter(b, b, 0, trunk_shift)
-        if witness:
-            trunk_dfs(start, b, witness)
-        if found:
-            break
+    try:
+        for start in sorted(roots[0]):
+            b = bit[start]
+            witness = enter(b, b, 0, trunk_shift)
+            if witness:
+                trunk_dfs(start, b, witness)
+            if found:
+                break
+    finally:
+        trunk_dfs = None  # break its self-reference, which holds the memo
     if not found:
         return None
     s1 = found[0]

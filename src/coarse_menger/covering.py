@@ -6,6 +6,7 @@ exact solving branches on the family member with fewest covering candidates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -241,7 +242,15 @@ def duality_sweep(
     greedy packing of :func:`max_far_packing`.  A cover cell then picks balls
     greedily until they separate x from y at l = 0, and has no value at
     l > 0.  Neither fallback enumerates paths.
+
+    The tables are keyed by threshold, so two ``r_values``, or two
+    ``beta_values``, that compare equal (``1`` and ``1.0`` included) are an
+    :class:`InputError`: they would share one cell.
     """
+    for name, values in (("r_values", r_values), ("beta_values", beta_values)):
+        for a, b in itertools.combinations(values, 2):
+            if a == b:
+                raise InputError(f"{name} lists equal thresholds {a} and {b}")
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
     report = DualityReport(graph_fingerprint(g, sorted(x.members), sorted(y.members), l))

@@ -769,13 +769,32 @@ def _drop_dominated(layer: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
     """``layer`` without the states whose ``sdr1`` and ``sdr2`` masks are
     both subsets of another state's with equal ``blocks`` and ``closed``.
 
-    Each group is scanned by falling total mask size, so a state can only be
-    dominated by one scanned before it; the kept ones form an antichain."""
+    One pass records the first state of each ``(blocks, closed)`` key; only
+    the keys met again get a list, in insertion order.  Each such group is
+    scanned by falling total mask size (a stable sort), so a state can only
+    be dominated by one scanned before it; the kept ones form an antichain.
+    Which states are dropped depends on the groups and their order alone,
+    not on how a block is encoded."""
+    first: Dict[tuple, tuple] = {}
     groups: Dict[tuple, List[tuple]] = {}
     for state in layer:
-        groups.setdefault((state[0], state[3]), []).append(state)
+        key = (state[0], state[3])
+        head = first.setdefault(key, state)
+        if head is not state:
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [head, state]
+            else:
+                group.append(state)
     for group in groups.values():
-        if len(group) < 2:
+        if len(group) == 2:
+            # the sort and scan below, unrolled for the most common group
+            a, b = group
+            if (b[1].bit_count() + b[2].bit_count()
+                    > a[1].bit_count() + a[2].bit_count()):
+                a, b = b, a
+            if not b[1] & ~a[1] and not b[2] & ~a[2]:
+                del layer[b]
             continue
         group.sort(key=lambda s: -(s[1].bit_count() + s[2].bit_count()))
         kept: List[Tuple[int, int]] = []
@@ -803,11 +822,17 @@ def two_disjoint_connected_transversals(
     Works whenever the order has small boundary (row-major on grids).
 
     A state is ``(blocks, sdr1, sdr2, closed)`` on vertex masks
-    (:meth:`Graph.vertex_bits`): ``blocks`` is the sorted tuple of
-    ``(label, block mask)``; bit ``s`` of ``sdr1``/``sdr2`` is set once the
-    root sets with indices in the mask ``s`` have distinct representatives
-    among that label's vertices; bit ``label`` of ``closed`` is set once that
-    label's component is complete.
+    (:meth:`Graph.vertex_bits`).  ``blocks`` is the sorted tuple of block
+    entries, one int each: ``mask << 1 | (label == 2)``, so bit 0 holds the
+    label and the vertices sit one place up.  Bit ``s`` of ``sdr1``/``sdr2``
+    is set once the root sets with indices in the mask ``s`` have distinct
+    representatives among that label's vertices; bit ``label`` of ``closed``
+    is set once that label's component is complete.  An entry maps one to
+    one to its ``(label, mask)`` pair and blocks are disjoint, so the
+    encoding decides neither which states a layer holds, nor their insertion
+    order, nor their predecessors (:func:`_drop_dominated` groups states by
+    key and orders a group by mask sizes and insertion alone): the first
+    final state, and so the pair returned, is the one the pair encoding gives.
 
     After each phase, a state whose ``sdr1`` and ``sdr2`` are both subsets of
     another state's with the same ``(blocks, closed)`` is dropped
@@ -870,18 +895,15 @@ def two_disjoint_connected_transversals(
             grown_cache[key] = out
         return out
 
-    def used(state, label):
-        blocks, _, _, closed = state
-        return closed >> label & 1 or any(lab == label for lab, _ in blocks)
-
     # one dict per layer: state -> (predecessor state, vertex, label given)
     layers: List[Dict[tuple, Optional[tuple]]] = [{((), 1, 1, 0): None}]
     active = 0
     for kind, v in phases:
         nxt: Dict[tuple, tuple] = {}
         vb = bit[v]
+        ve = vb << 1  # v's bit within a block entry
         if kind == "intro":
-            nbrs = closed_nbhd[v] & active  # v itself is not active yet
+            nbrs = (closed_nbhd[v] & active) << 1  # v itself is not active yet
             at = roots_at.get(v, 0)
             for state in layers[-1]:
                 blocks, sdr1, sdr2, closed = state
@@ -890,43 +912,50 @@ def two_disjoint_connected_transversals(
                 for label in (1, 2):
                     if closed >> label & 1:
                         continue
-                    if label == 2 and not used(state, 1) and not used(state, 2):
-                        continue  # symmetry: first labeled vertex gets label 1
-                    merged = vb
+                    # symmetry: the first labeled vertex gets label 1 (a
+                    # label is in use once a block holds it or it closed)
+                    if label == 2 and not (blocks or closed):
+                        continue
+                    tag = label - 1
+                    merged = ve | tag
                     kept = []
-                    for lab, b in blocks:
-                        if lab == label and b & nbrs:
-                            merged |= b
+                    for e in blocks:
+                        if e & 1 == tag and e & nbrs:
+                            merged |= e
                         else:
-                            kept.append((lab, b))
-                    kept.append((label, merged))
-                    new_blocks = tuple(sorted(kept))
-                    if label == 1:
-                        new_state = (new_blocks, grown(sdr1, at), sdr2, closed)
+                            kept.append(e)
+                    kept.append(merged)
+                    kept.sort()
+                    if tag:
+                        new_state = (tuple(kept), sdr1, grown(sdr2, at), closed)
                     else:
-                        new_state = (new_blocks, sdr1, grown(sdr2, at), closed)
+                        new_state = (tuple(kept), grown(sdr1, at), sdr2, closed)
                     if new_state not in nxt:
                         nxt[new_state] = (state, v, label)
             active |= vb
         else:
             for state in layers[-1]:
                 blocks, sdr1, sdr2, closed = state
-                home = next((j for j, (_, b) in enumerate(blocks) if b & vb), None)
-                if home is None:
+                for home, e in enumerate(blocks):
+                    if e & ve:
+                        break
+                else:
+                    e = 0  # v is in no block
+                if not e:
                     out_state = state
                 else:
-                    lab, b = blocks[home]
                     rest = blocks[:home] + blocks[home + 1:]
-                    shrunk = b & ~vb
-                    if shrunk:
-                        out_state = (tuple(sorted(rest + ((lab, shrunk),))),
+                    shrunk = e ^ ve
+                    if shrunk >> 1:
+                        out_state = (tuple(sorted(rest + (shrunk,))),
                                      sdr1, sdr2, closed)
                     else:
-                        if any(l2 == lab for l2, _ in rest):
+                        tag = e & 1
+                        if any(f & 1 == tag for f in rest):
                             continue  # a second component would be stranded
-                        if not (sdr1 if lab == 1 else sdr2) >> full & 1:
+                        if not (sdr2 if tag else sdr1) >> full & 1:
                             continue  # closed component missing some root
-                        out_state = (rest, sdr1, sdr2, closed | 1 << lab)
+                        out_state = (rest, sdr1, sdr2, closed | 2 << tag)
                 if out_state not in nxt:
                     nxt[out_state] = (state, v, 0)
             active &= ~vb

@@ -6,7 +6,8 @@ For ``coarse_menger.packing`` they are the straightforward formulations: one
 and adjacency sets.  For the rooted-grid path they are the frozenset versions
 of the boundary DP and the blocker scan in ``coarse_menger.trees`` and of the
 exhaustive oracle in ``coarse_menger.acceptance``, with the same search orders;
-that oracle also keeps its earlier mask search, which revisits states.
+that oracle also keeps its earlier mask search, which revisits states, and
+the DP its earlier mask version, whose blocks are ``(label, mask)`` pairs.
 For the covering side they are the per-(center, member) loop of
 ``graph._hit_masks``, the frozenset set covers (``min_set_cover``,
 the exact and greedy search of ``certify_centered``, the greedy loop of
@@ -24,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from coarse_menger.acceptance import _RootedSupports
 from coarse_menger.covering import (
@@ -43,6 +44,7 @@ from coarse_menger.graph import (
     Graph,
     VertexSet,
     _ball_mask,
+    _member_masks,
     as_vertex_set,
     distance,
     leq,
@@ -302,6 +304,192 @@ def set_two_disjoint_connected_transversals(
         if label is not None:
             assignment[v] = label
         state = prev
+    side1 = frozenset(v for v, lab in assignment.items() if lab == 1)
+    side2 = frozenset(v for v, lab in assignment.items() if lab == 2)
+    return side1, side2
+
+
+# The boundary DP of ``trees.two_disjoint_connected_transversals`` as it was
+# when each block was a ``(label, mask)`` pair: the one to one re-encoding
+# must leave every layer, and so the result, exactly as this gives it.
+
+
+def _pair_drop_dominated(layer: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
+    """``layer`` without the states whose ``sdr1`` and ``sdr2`` masks are
+    both subsets of another state's with equal ``blocks`` and ``closed``.
+
+    Each group is scanned by falling total mask size, so a state can only be
+    dominated by one scanned before it; the kept ones form an antichain."""
+    groups: Dict[tuple, List[tuple]] = {}
+    for state in layer:
+        groups.setdefault((state[0], state[3]), []).append(state)
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        group.sort(key=lambda s: -(s[1].bit_count() + s[2].bit_count()))
+        kept: List[Tuple[int, int]] = []
+        for state in group:
+            _, sdr1, sdr2, _ = state
+            if any(not sdr1 & ~k1 and not sdr2 & ~k2 for k1, k2 in kept):
+                del layer[state]
+            else:
+                kept.append((sdr1, sdr2))
+    return layer
+
+
+def pair_two_disjoint_connected_transversals(
+    g: Graph,
+    root_sets: Sequence[frozenset],
+    order: Optional[Sequence[int]] = None,
+    boundary_cap: int = 8,
+):
+    """Two vertex-disjoint connected sets, each holding distinct
+    representatives of every root set — or None.
+
+    Sweeps the vertices in ``order`` tracking only the boundary (vertices
+    with unprocessed neighbors): label assignment, connectivity blocks per
+    label, and which root subsets already have distinct representatives.
+    Works whenever the order has small boundary (row-major on grids).
+
+    A state is ``(blocks, sdr1, sdr2, closed)`` on vertex masks
+    (:meth:`Graph.vertex_bits`): ``blocks`` is the sorted tuple of
+    ``(label, block mask)``; bit ``s`` of ``sdr1``/``sdr2`` is set once the
+    root sets with indices in the mask ``s`` have distinct representatives
+    among that label's vertices; bit ``label`` of ``closed`` is set once that
+    label's component is complete.
+
+    After each phase, a state whose ``sdr1`` and ``sdr2`` are both subsets of
+    another state's with the same ``(blocks, closed)`` is dropped
+    (:func:`_pair_drop_dominated`).  That is exact: the transitions on ``blocks``
+    and ``closed`` never read the ``sdr`` masks, ``grown`` is monotone in
+    them, and the only test on them (the full set, when a component closes)
+    is monotone too, so whatever the dropped state reaches, the state that
+    dominates it reaches with larger masks.
+    """
+    if order is None:
+        order = sorted(g.vertices)
+    order = list(order)
+    if sorted(order) != sorted(g.vertices):
+        raise InputError("order must list every vertex once")
+    forget_at = _forget_times(g, order)
+    boundary = 0
+    alive = 0
+    for i, v in enumerate(order):
+        alive += 1
+        boundary = max(boundary, alive)
+        alive -= sum(1 for u in order[: i + 1] if forget_at[u] == i)
+    if boundary > boundary_cap:
+        raise CapacityError(
+            "sweep boundary too wide for the disjoint-transversal search",
+            cap=boundary_cap,
+            actual=boundary,
+        )
+
+    # flatten the sweep into sequential phases so every transition has an
+    # unambiguous predecessor layer for witness reconstruction
+    phases: List[tuple] = []
+    for step, v in enumerate(order):
+        phases.append(("intro", v))
+        for u in sorted(u for u in order[: step + 1] if forget_at[u] == step):
+            phases.append(("forget", u))
+
+    bit = g.vertex_bits()
+    closed_nbhd = g.closed_neighborhood_masks()
+    roots_at = _member_masks(g, root_sets)
+    full = (1 << len(root_sets)) - 1
+    grown_cache: Dict[tuple, int] = {}
+
+    def grown(sdr: int, at: int) -> int:
+        """``sdr`` plus every subset in it extended by one root index in
+        ``at`` (the root sets holding the new vertex)."""
+        key = (at, sdr)
+        out = grown_cache.get(key)
+        if out is None:
+            out = sdr
+            subsets = sdr
+            while subsets:
+                low = subsets & -subsets
+                subsets ^= low
+                s = low.bit_length() - 1
+                free = at & ~s
+                while free:
+                    root = free & -free
+                    free ^= root
+                    out |= 1 << (s | root)
+            grown_cache[key] = out
+        return out
+
+    def used(state, label):
+        blocks, _, _, closed = state
+        return closed >> label & 1 or any(lab == label for lab, _ in blocks)
+
+    # one dict per layer: state -> (predecessor state, vertex, label given)
+    layers: List[Dict[tuple, Optional[tuple]]] = [{((), 1, 1, 0): None}]
+    active = 0
+    for kind, v in phases:
+        nxt: Dict[tuple, tuple] = {}
+        vb = bit[v]
+        if kind == "intro":
+            nbrs = closed_nbhd[v] & active  # v itself is not active yet
+            at = roots_at.get(v, 0)
+            for state in layers[-1]:
+                blocks, sdr1, sdr2, closed = state
+                if state not in nxt:
+                    nxt[state] = (state, v, 0)
+                for label in (1, 2):
+                    if closed >> label & 1:
+                        continue
+                    if label == 2 and not used(state, 1) and not used(state, 2):
+                        continue  # symmetry: first labeled vertex gets label 1
+                    merged = vb
+                    kept = []
+                    for lab, b in blocks:
+                        if lab == label and b & nbrs:
+                            merged |= b
+                        else:
+                            kept.append((lab, b))
+                    kept.append((label, merged))
+                    new_blocks = tuple(sorted(kept))
+                    if label == 1:
+                        new_state = (new_blocks, grown(sdr1, at), sdr2, closed)
+                    else:
+                        new_state = (new_blocks, sdr1, grown(sdr2, at), closed)
+                    if new_state not in nxt:
+                        nxt[new_state] = (state, v, label)
+            active |= vb
+        else:
+            for state in layers[-1]:
+                blocks, sdr1, sdr2, closed = state
+                home = next((j for j, (_, b) in enumerate(blocks) if b & vb), None)
+                if home is None:
+                    out_state = state
+                else:
+                    lab, b = blocks[home]
+                    rest = blocks[:home] + blocks[home + 1:]
+                    shrunk = b & ~vb
+                    if shrunk:
+                        out_state = (tuple(sorted(rest + ((lab, shrunk),))),
+                                     sdr1, sdr2, closed)
+                    else:
+                        if any(l2 == lab for l2, _ in rest):
+                            continue  # a second component would be stranded
+                        if not (sdr1 if lab == 1 else sdr2) >> full & 1:
+                            continue  # closed component missing some root
+                        out_state = (rest, sdr1, sdr2, closed | 1 << lab)
+                if out_state not in nxt:
+                    nxt[out_state] = (state, v, 0)
+            active &= ~vb
+        layers.append(_pair_drop_dominated(nxt))
+
+    final = next((s for s in layers[-1] if s[3] == 0b110), None)
+    if final is None:
+        return None
+    assignment: Dict[int, int] = {}
+    state = final
+    for layer in reversed(layers[1:]):
+        state, v, label = layer[state]
+        if label:
+            assignment[v] = label
     side1 = frozenset(v for v, lab in assignment.items() if lab == 1)
     side2 = frozenset(v for v, lab in assignment.items() if lab == 2)
     return side1, side2

@@ -369,9 +369,14 @@ def _same_sweep(g, x, y, l, r_values, beta_values):
        st.lists(st.sampled_from(SWEEP_R), max_size=5),
        st.lists(st.sampled_from(SWEEP_BETA), max_size=4))
 def test_duality_sweep_matches_the_plain_sweep(host, l, r_values, beta_values):
-    # unsorted thresholds, repeats, and keys equal across types (1 and 1.0)
+    # unsorted thresholds; repeats, and keys equal across types (1 and 1.0),
+    # would share a cell and are refused
     g, rng = host
     x, y = _endpoints(g, rng)
+    if any(len(set(values)) < len(values) for values in (r_values, beta_values)):
+        with pytest.raises(InputError):
+            duality_sweep(g, x, y, l, r_values, beta_values)
+        return
     _same_sweep(g, x, y, l, r_values, beta_values)
 
 

@@ -81,6 +81,11 @@ def test_run_duality_bad_threshold_list(capsys):
                "--r", "1,,x")[0] == EXIT_CONFIG
 
 
+def test_run_duality_repeated_threshold(capsys):
+    assert run(capsys, "run-duality", "--grid", "2x2",
+               "--r", "1,1")[0] == EXIT_CONFIG
+
+
 def test_run_duality_decimal_threshold_is_exact(capsys):
     code, out, _ = run(capsys, "run-duality", "--grid", "2x3",
                        "--r", "0.5,1", "--beta", "0")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,19 @@ def test_duality_sweep_weak_duality_clean():
     assert rep.packing_by_r[1].exact
     csv = rep.to_csv()
     assert csv.startswith("kind,threshold,value,exact,flag")
+
+
+@pytest.mark.parametrize("r_values,beta_values", [
+    ([1, 1.0], [0]),
+    ([2, 1, 2], [0]),
+    ([1], [0, Fraction(0)]),
+])
+def test_duality_sweep_refuses_equal_thresholds(r_values, beta_values):
+    # cells are keyed by threshold: 1 == 1.0 would merge into one cell
+    g = grid(2, 3)
+    with pytest.raises(InputError):
+        duality_sweep(g, grid_column(2, 3, 0), grid_column(2, 3, 2), 0,
+                      r_values, beta_values)
 
 
 def test_fingerprint_depends_on_graph():

@@ -5,8 +5,11 @@ blocker scan, on grids up to 4x5 and on connected random graphs of at most
 hosts with two planted disjoint supports; and the 6x6 rooted grid.  The
 exhaustive oracle, which explores each search state once, is also checked
 against its earlier mask search, which revisits them, on both host families
-and a pinned path, and finds no pair on the 5x5 rooted grid."""
+and a pinned path, and finds no pair on the 5x5 rooted grid.  The DP, whose
+blocks are flat int entries, is checked against its earlier ``(label,
+mask)`` encoding on both host families, for the very pair it returns."""
 
+import gc
 import itertools
 import random
 
@@ -23,6 +26,7 @@ from coarse_menger.trees import min_transversal_blocker, two_disjoint_connected_
 from conftest import random_connected
 from set_oracles import (
     memo_exhaustive_two_disjoint_supports,
+    pair_two_disjoint_connected_transversals,
     set_exhaustive_two_disjoint_supports,
     set_min_transversal_blocker,
     set_two_disjoint_connected_transversals,
@@ -127,6 +131,20 @@ def test_exhaustive_oracle_keys_a_state_by_its_end_vertex():
     assert exhaustive_two_disjoint_supports(g, roots) == expect
 
 
+def test_exhaustive_oracle_leaves_no_reference_cycle():
+    # its recursive searches refer to themselves and hold the memo; with the
+    # collector off, a cycle left behind would keep that memo alive
+    spec = rooted_p3_grid(4)
+    g, roots = spec.graph, list(spec.roots)
+    gc.collect()
+    gc.disable()
+    try:
+        assert exhaustive_two_disjoint_supports(g, roots) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _assert_valid_witness(g, roots, witness):
     side1, side2 = witness
     assert not side1 & side2
@@ -156,6 +174,25 @@ def test_pruned_dp_finds_a_valid_pair_on_planted_hosts(host):
     witness = two_disjoint_connected_transversals(g, roots)
     assert witness is not None
     _assert_valid_witness(g, roots, witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rooted_hosts())
+def test_boundary_dp_returns_the_pair_encoding_result(host):
+    # the same pair, None or capacity refusal as the (label, mask) encoding
+    g, roots = host
+    assert _outcome(two_disjoint_connected_transversals, g, roots) == \
+        _outcome(pair_two_disjoint_connected_transversals, g, roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_hosts())
+def test_boundary_dp_first_find_on_planted_hosts(host):
+    # planted hosts always hold a pair, so the first final state is compared
+    g, roots = host
+    got = two_disjoint_connected_transversals(g, roots)
+    assert got is not None
+    assert got == pair_two_disjoint_connected_transversals(g, roots)
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 3), (2, 5), (3, 4), (4, 5)])
