@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .covering import _ball_hitting
 from .errors import (
     CapacityError,
     InputError,
@@ -22,6 +22,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import (
+    INF,
     CenteredRefusal,
     CenteredSet,
     Graph,
@@ -36,7 +37,7 @@ from .graph import (
     neighborhood,
     set_distance,
 )
-from .packing import _pairwise_conflicts, max_independent_set
+from .packing import _pairwise_conflicts, far_conflicts, max_independent_set
 from .paths import FatMinorModel
 
 #: exact model-union enumeration bound
@@ -142,13 +143,6 @@ class TreeDecomposition:
     def max_bag_size(self) -> int:
         return max(len(b) for b in self.bags.values())
 
-    @property
-    def adhesion(self) -> int:
-        best = 0
-        for u, v in self.tree.edges:
-            best = max(best, len(self.bags[u] & self.bags[v]))
-        return best
-
     def validate(self, host: Graph) -> List[str]:
         """All violated decomposition axioms for ``host`` (empty = valid)."""
         problems = []
@@ -164,9 +158,6 @@ class TreeDecomposition:
             if trace and not self.tree.is_connected_set(trace):
                 problems.append(f"trace of vertex {v} is disconnected")
         return problems
-
-    def is_path_decomposition(self) -> bool:
-        return all(len(self.tree.neighbors(t)) <= 2 for t in self.tree.vertices)
 
     def to_json_dict(self) -> dict:
         return {
@@ -373,25 +364,6 @@ class ExchangeableFamily:
 
     def union(self, m: Member) -> frozenset:
         return frozenset().union(*m)
-
-    def verify_exchange(self, samples: int = 100, seed: int = 0) -> bool:
-        """Sampled recombination check: pick component j from a random member
-        per label; whenever the picks are pairwise disjoint, the recombined
-        tuple must be a member."""
-        if not self.members:
-            return True
-        member_set = set(self.members)
-        rng = random.Random(seed)
-        c = self.component_count
-        for _ in range(samples):
-            picks = tuple(
-                rng.choice(self.members)[j] for j in range(c)
-            )
-            if any(a & b for a, b in itertools.combinations(picks, 2)):
-                continue
-            if picks not in member_set:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -607,30 +579,80 @@ def _distinct_reps(root_sets: Sequence[frozenset], pool: frozenset):
     return extend(0, frozenset())
 
 
-def _is_support(g: Graph, u: frozenset, root_sets: Sequence[frozenset]) -> bool:
-    """True iff ``u`` is connected and holds distinct representatives of all
-    root sets — exactly the sets that carry a rooted 0-fat path-pattern
-    model (see :func:`_extract_path_model`)."""
-    if not u or not g.is_connected_set(u):
-        return False
-    return _distinct_reps(root_sets, u) is not None
+class _SupportMasks:
+    """Support tests on vertex masks (:meth:`Graph.vertex_bits`): a support
+    is a connected vertex set holding distinct representatives of every root
+    set, decided by Hall's condition.  These are exactly the sets that carry
+    a rooted 0-fat path-pattern model (see :func:`_extract_path_model`)."""
+
+    def __init__(self, g: Graph, root_sets: Sequence[frozenset]):
+        self.bit = g.vertex_bits()
+        closed = g.closed_neighborhood_masks()
+        self.reach = {self.bit[v]: closed[v] for v in g.vertices}
+        roots = [sum(self.bit[v] for v in r if v in self.bit) for r in root_sets]
+        # Hall: every nonempty subset of the root sets covers as many vertices
+        self.hall = []
+        for size in range(1, len(roots) + 1):
+            for subset in itertools.combinations(roots, size):
+                union = 0
+                for mask in subset:
+                    union |= mask
+                self.hall.append((union, size))
+        self.everything = sum(self.bit.values())
+
+    def has_reps(self, pool: int) -> bool:
+        return all((union & pool).bit_count() >= size for union, size in self.hall)
+
+    def component(self, left: int) -> int:
+        """The component of the vertices in ``left`` holding its lowest one."""
+        comp = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = self.reach[low] & left & ~comp
+            comp |= new
+            frontier |= new
+        return comp
+
+    def is_support(self, mask: int) -> bool:
+        return bool(mask) and self.has_reps(mask) and self.component(mask) == mask
+
+    def supporting_component(self, left: int) -> int:
+        """A component of the vertices in ``left`` with distinct
+        representatives (the one with the lowest vertex), or 0."""
+        if not left or not self.has_reps(left):
+            return 0
+        while left:
+            comp = self.component(left)
+            if self.has_reps(comp):
+                return comp
+            left &= ~comp
+        return 0
+
+    def minimal_support(self, comp: int) -> int:
+        # a vertex that cannot go stays put once the support shrinks further,
+        # since a supporting component of the smaller rest would lie in one
+        # of the larger rest; so one pass leaves a minimal support
+        for b in _bits(comp):
+            if comp & b:
+                comp = self.supporting_component(comp & ~b) or comp
+        return comp
 
 
-def _minimal_supports(g: Graph, root_sets: Sequence[frozenset]) -> List[frozenset]:
-    if len(g) > MODEL_ENUM_CAP:
-        raise CapacityError(
-            "exact model-union enumeration capped",
-            cap=MODEL_ENUM_CAP,
-            actual=len(g),
-        )
-    verts = sorted(g.vertices)
+def _bits(mask: int) -> List[int]:
+    """The set bits of ``mask``, lowest first."""
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _minimal_supports(model: _SupportMasks) -> List[frozenset]:
+    """Every support with no support one vertex smaller, scanning all
+    2^n vertex subsets in binary order."""
     out = []
-    for bits in range(1, 1 << len(verts)):
-        u = frozenset(verts[i] for i in range(len(verts)) if bits >> i & 1)
-        if not _is_support(g, u, root_sets):
-            continue
-        if all(not _is_support(g, u - {v}, root_sets) for v in u):
-            out.append(u)
+    for mask in range(1, model.everything + 1):
+        if model.is_support(mask) and not any(
+            model.is_support(mask & ~b) for b in _bits(mask)
+        ):
+            out.append(frozenset(v for v, b in model.bit.items() if mask & b))
     return out
 
 
@@ -993,70 +1015,28 @@ def min_transversal_blocker(
     is a lower bound; its cover either blocks, and the bound is the minimum,
     or leaves a component from which more supports are cut.
     """
-    bit = g.vertex_bits()
-    closed = g.closed_neighborhood_masks()
-    reach = {bit[v]: closed[v] for v in g.vertices}
-    roots = [sum(bit[v] for v in r if v in bit) for r in root_sets]
-    # Hall: every nonempty subset of the root sets covers as many vertices
-    hall = []
-    for size in range(1, len(roots) + 1):
-        for subset in itertools.combinations(roots, size):
-            union = 0
-            for mask in subset:
-                union |= mask
-            hall.append((union, size))
-    everything = sum(bit.values())
-
-    def has_reps(pool: int) -> bool:
-        return all((union & pool).bit_count() >= size for union, size in hall)
-
-    def supporting_component(left: int) -> int:
-        """A component of the vertices in ``left`` with distinct
-        representatives (the one with the lowest vertex), or 0."""
-        if not left or not has_reps(left):
-            return 0
-        while left:
-            comp = frontier = left & -left
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                new = reach[low] & left & ~comp
-                comp |= new
-                frontier |= new
-            if has_reps(comp):
-                return comp
-            left &= ~comp
-        return 0
+    model = _SupportMasks(g, root_sets)
 
     def survives(removed: int) -> bool:
-        return bool(supporting_component(everything & ~removed))
+        return bool(model.supporting_component(model.everything & ~removed))
 
-    def minimal_support(comp: int) -> int:
-        # a vertex that cannot go stays put once the support shrinks further,
-        # since a supporting component of the smaller rest would lie in one
-        # of the larger rest; so one pass leaves a minimal support
-        for b in [1 << i for i in range(comp.bit_length()) if comp >> i & 1]:
-            if comp & b:
-                comp = supporting_component(comp & ~b) or comp
-        return comp
-
-    hits = [0] * len(bit)  # per vertex bit position, the supports it is in
+    hits = [0] * len(g)  # per vertex bit position, the supports it is in
     supports: List[int] = []
     lb = 0  # a lower bound on the blocker size
     z: List[int] = []  # bit positions; hits every support, blocks only if |z| = lb
     while True:
-        left = everything & ~sum(1 << i for i in z)
-        comp = supporting_component(left)
+        left = model.everything & ~sum(1 << i for i in z)
+        comp = model.supporting_component(left)
         if not comp:
             break
         # a minimal support missed by z, plus one avoiding each of its
         # vertices in turn: each is missed by z, and they differ
-        first = minimal_support(comp)
+        first = model.minimal_support(comp)
         cuts = [first]
-        for b in [1 << i for i in range(first.bit_length()) if first >> i & 1]:
-            comp = supporting_component(left & ~b)
+        for b in _bits(first):
+            comp = model.supporting_component(left & ~b)
             if comp:
-                support = minimal_support(comp)
+                support = model.minimal_support(comp)
                 if support not in cuts:
                     cuts.append(support)
         for support in cuts:
@@ -1081,7 +1061,7 @@ def min_transversal_blocker(
     # no blocker is smaller than |z|; a candidate missing a found support
     # leaves it whole, so it cannot block
     for combo in itertools.combinations(sorted(g.vertices), len(z)):
-        mask = sum(bit[v] for v in combo)
+        mask = sum(model.bit[v] for v in combo)
         if all(s & mask for s in supports) and not survives(mask):
             return frozenset(combo)
     raise InternalInconsistencyError("no blocker at the proven minimum size")
@@ -1114,8 +1094,13 @@ def rooted_fat_minor_ep(
     max(ceil((r-1)/2), l/2) — hitting every rooted model.
 
     Exact scope: path patterns on at most three vertices at fatness zero.
-    Hosts beyond the enumeration cap are handled for k = 2 and r <= 2 by a
-    boundary sweep over the vertex order (exact for grid-like hosts).
+    Up to ``MODEL_ENUM_CAP`` vertices the minimal supports are enumerated;
+    an r-far packing of them is searched on :func:`packing.far_conflicts`,
+    and the hitting side is the fewest radius-ρ balls
+    (:func:`covering._ball_hitting`).  Larger hosts are handled only for
+    k = 2 and r at most the shortest edge weight (r <= 1 on unit hosts),
+    where two disjoint supports are r-far, by a boundary sweep over the
+    vertex order (exact for grid-like hosts) and the minimum blocker.
     """
     if k < 1 or r <= 0:
         raise InputError("need k >= 1 and r > 0")
@@ -1139,55 +1124,35 @@ def rooted_fat_minor_ep(
     if problems:
         raise InputError(f"invalid tree-decomposition: {problems}")
 
-    rp = max(math.ceil((r - 1) / 2), 0)  # packing threshold shift, l = 0
-    rho = rp  # cover radius, l = 0
-    beta = td.max_bag_size
-    budget = beta * k
+    rho = max(math.ceil((r - 1) / 2), 0)  # cover radius, l = 0
+    budget = td.max_bag_size * k
 
     if len(g) <= MODEL_ENUM_CAP:
-        supports = _minimal_supports(g, root_sets)
-        if supports:
-            conflicts = _pairwise_conflicts(
-                supports, lambda s, t: not set_distance(g, s, t) > 2 * rp)
-            chosen, _ = max_independent_set(conflicts, enough=k)
-            if len(chosen) >= k:
-                models = tuple(
-                    _extract_path_model(g, supports[i], pattern, roots)
-                    for i in chosen
-                )
-                _check_model_packing(g, models, r)
-                return RootedMinorResult("packing", models=models)
-        from .covering import min_set_cover
-
-        if not supports:
-            empty = VertexSet(frozenset(), g)
-            return RootedMinorResult(
-                "hitting",
-                centered=CenteredSet(empty, empty, rho),
-                center_budget=budget,
-                radius_budget=rho,
+        supports = _minimal_supports(_SupportMasks(g, root_sets))
+        chosen, _ = max_independent_set(far_conflicts(g, supports, r), enough=k)
+        if len(chosen) >= k:
+            models = tuple(
+                _extract_path_model(g, supports[i], pattern, roots)
+                for i in chosen
             )
-        sets = {
-            v: frozenset(i for i, u in enumerate(supports) if v in u)
-            for v in g.vertices
-        }
-        z, _ = min_set_cover(range(len(supports)), sets)
-        z = frozenset(z)
-        if len(z) > budget:
+            _check_model_packing(g, models, r)
+            return RootedMinorResult("packing", models=models)
+        cover = _ball_hitting(g, supports, rho, "exact")
+        if cover.count > budget:
             raise InternalInconsistencyError("hitting budget exceeded")
-        zc = VertexSet(z, g)
         return RootedMinorResult(
             "hitting",
-            centered=CenteredSet(zc, zc, rho),
+            centered=cover.centered,
             center_budget=budget,
             radius_budget=rho,
         )
 
-    # large host: boundary sweep, disjointness threshold only
-    if k != 2 or rp != 0:
+    # large host: boundary sweep, where disjoint supports are r-far
+    shortest = min((g.edge_weight(u, v) for u, v in g.edges), default=INF)
+    if k != 2 or not leq(r, shortest):
         raise CapacityError(
-            "large hosts are supported only for k=2 at disjointness "
-            "threshold (r <= 2)",
+            "large hosts are supported only for k=2 and r at most the "
+            "shortest edge weight (r <= 1 on unit hosts)",
             cap=MODEL_ENUM_CAP,
             actual=len(g),
         )

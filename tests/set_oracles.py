@@ -4,10 +4,11 @@ cross-check oracles.
 For ``coarse_menger.packing`` they are the straightforward formulations: one
 ``set_distance`` per pair of members, and a branch-and-bound over Python lists
 and adjacency sets.  For the rooted-grid path they are the frozenset versions
-of the boundary DP and the blocker scan in ``coarse_menger.trees`` and of the
-exhaustive oracle in ``coarse_menger.acceptance``, with the same search orders;
-that oracle also keeps its earlier mask search, which revisits states, and
-the DP its earlier mask version, whose blocks are ``(label, mask)`` pairs.
+of the boundary DP, the blocker scan and the minimal-support scan in
+``coarse_menger.trees`` and of the exhaustive oracle in
+``coarse_menger.acceptance``, with the same search orders; that oracle also
+keeps its earlier mask search, which revisits states, and the DP its earlier
+mask version, whose blocks are ``(label, mask)`` pairs.
 For the covering side they are the per-(center, member) loop of
 ``graph._hit_masks``, the frozenset set covers (``min_set_cover``,
 the exact and greedy search of ``certify_centered``, the greedy loop of
@@ -63,6 +64,7 @@ from coarse_menger.paths import (
     canonical_sequence,
     enumerate_chordless_paths,
 )
+from coarse_menger.trees import MODEL_ENUM_CAP
 
 
 def set_far_conflicts(g, members: Sequence[frozenset], r) -> List[set]:
@@ -166,6 +168,33 @@ def _distinct_reps(root_sets: Sequence[frozenset], pool: frozenset):
         return None
 
     return extend(0, frozenset())
+
+
+def _is_support(g: Graph, u: frozenset, root_sets: Sequence[frozenset]) -> bool:
+    """True iff ``u`` is connected and holds distinct representatives of all
+    root sets — exactly the sets that carry a rooted 0-fat path-pattern
+    model."""
+    if not u or not g.is_connected_set(u):
+        return False
+    return _distinct_reps(root_sets, u) is not None
+
+
+def set_minimal_supports(g: Graph, root_sets: Sequence[frozenset]) -> List[frozenset]:
+    if len(g) > MODEL_ENUM_CAP:
+        raise CapacityError(
+            "exact model-union enumeration capped",
+            cap=MODEL_ENUM_CAP,
+            actual=len(g),
+        )
+    verts = sorted(g.vertices)
+    out = []
+    for bits in range(1, 1 << len(verts)):
+        u = frozenset(verts[i] for i in range(len(verts)) if bits >> i & 1)
+        if not _is_support(g, u, root_sets):
+            continue
+        if all(not _is_support(g, u - {v}, root_sets) for v in u):
+            out.append(u)
+    return out
 
 
 def _forget_times(g: Graph, order: Sequence[int]) -> Dict[int, int]:

@@ -7,11 +7,15 @@ exhaustive oracle, which explores each search state once, is also checked
 against its earlier mask search, which revisits them, on both host families
 and a pinned path, and finds no pair on the 5x5 rooted grid.  The DP, whose
 blocks are flat int entries, is checked against its earlier ``(label,
-mask)`` encoding on both host families, for the very pair it returns."""
+mask)`` encoding on both host families, for the very pair it returns.  The
+minimal-support scan of the rooted dichotomy is checked against its
+frozenset version, and the dichotomy's certificates on small unit and
+Fraction-weighted hosts against the set oracles."""
 
 import gc
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +24,15 @@ from hypothesis import strategies as st
 from coarse_menger.acceptance import _RootedSupports, exhaustive_two_disjoint_supports
 from coarse_menger.errors import CapacityError
 from coarse_menger.generators import grid, grid_column, grid_row, rooted_p3_grid
-from coarse_menger.graph import Graph
-from coarse_menger.trees import min_transversal_blocker, two_disjoint_connected_transversals
+from coarse_menger.graph import Graph, leq, set_distance
+from coarse_menger.trees import (
+    _minimal_supports,
+    _SupportMasks,
+    min_degree_decomposition,
+    min_transversal_blocker,
+    rooted_fat_minor_ep,
+    two_disjoint_connected_transversals,
+)
 
 from conftest import random_connected
 from set_oracles import (
@@ -29,6 +40,7 @@ from set_oracles import (
     pair_two_disjoint_connected_transversals,
     set_exhaustive_two_disjoint_supports,
     set_min_transversal_blocker,
+    set_minimal_supports,
     set_two_disjoint_connected_transversals,
 )
 
@@ -240,3 +252,69 @@ def test_rooted_grid_6_has_no_pair_and_the_first_row_blocks():
     sup = _RootedSupports(g, roots)
     assert sup.survives(0)
     assert not sup.survives(sup.mask(z))
+
+
+# ---------------------------------------------------------------------------
+# the rooted dichotomy on small hosts
+
+PATH_PATTERNS = {
+    1: Graph([1], []),
+    2: Graph([1, 2], [(1, 2)]),
+    3: Graph([1, 2, 3], [(1, 2), (2, 3)]),
+}
+
+
+def _random_rooted_host(rng, n: int, weighted: bool = False):
+    """A host of ``n`` vertices, connected or not, with 1-3 random root sets;
+    with ``weighted``, Fraction weights from 1/2 to 2."""
+    if rng.random() < 0.7:
+        g = random_connected(rng, n, p=rng.choice((0.1, 0.2, 0.35)))
+    else:
+        g = Graph(range(n), [e for e in itertools.combinations(range(n), 2)
+                             if rng.random() < 0.3])
+    if weighted:
+        g = Graph(g.vertices, g.edges, {e: Fraction(rng.randint(1, 4), 2) for e in g.edges})
+    roots = [frozenset(rng.sample(range(n), rng.randint(1, max(1, n // 2))))
+             for _ in range(rng.randint(1, 3))]
+    return g, roots
+
+
+NO_SUPPORT_HOSTS = [
+    (Graph(range(4), [(0, 1), (1, 2), (2, 3)]), [frozenset([0]), frozenset([0])]),
+    (Graph(range(4), [(0, 1), (2, 3)]), [frozenset([0]), frozenset([2])]),
+    (Graph(range(3), []), [frozenset([0, 1]), frozenset([1, 2])]),
+]
+
+
+def _seeded_host(seed: int):
+    rng = random.Random(seed)
+    return _random_rooted_host(rng, rng.randint(1, 12))
+
+
+@pytest.mark.parametrize("host", NO_SUPPORT_HOSTS + [_seeded_host(seed) for seed in range(30)])
+def test_minimal_support_scan_returns_the_same_list(host):
+    g, roots = host
+    assert _minimal_supports(_SupportMasks(g, roots)) == set_minimal_supports(g, roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.booleans(),
+       st.integers(min_value=1, max_value=3),
+       st.sampled_from((1, Fraction(3, 2), 2, 3)))
+def test_rooted_dichotomy_certificates_hold(seed, weighted, k, r):
+    rng = random.Random(seed)
+    g, roots = _random_rooted_host(rng, rng.randint(2, 9), weighted)
+    pattern = PATH_PATTERNS[len(roots)]
+    res = rooted_fat_minor_ep(g, min_degree_decomposition(g), pattern,
+                              dict(zip((1, 2, 3), roots)), k, r)
+    if res.branch == "packing":
+        assert len(res.models) == k
+        for a, b in itertools.combinations(res.models, 2):
+            assert leq(r, set_distance(g, a.union_vertices(), b.union_vertices()))
+        return
+    z = res.centered.z.members
+    assert res.centered.center_count <= res.center_budget
+    assert res.centered.radius == res.radius_budget
+    assert all(z & support for support in set_minimal_supports(g, roots))
+    if not weighted and r <= 1:
+        assert len(z) == len(set_min_transversal_blocker(g, roots, len(g)))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from coarse_menger.trees import (
 
 from conftest import path_graph, random_connected, small_connected_graphs
 
+P2 = Graph([1, 2], [(1, 2)])
 P3 = Graph([1, 2, 3], [(1, 2), (2, 3)])
 
 
@@ -251,6 +253,64 @@ def test_rooted_minor_scope_limits():
     with pytest.raises(CapacityError):
         rooted_fat_minor_ep(g, td, p4, {i: frozenset([0]) for i in p4.vertices},
                             k=1, r=1)
+
+
+def _halved(g: Graph) -> Graph:
+    return Graph(g.vertices, g.edges, {e: Fraction(1, 2) for e in g.edges})
+
+
+def test_rooted_p2_does_not_pack_supports_closer_than_r():
+    # {0,1} and {2,3} are disjoint supports, but only 1/2 apart
+    g = _halved(path_graph(4))
+    roots = {1: frozenset([0, 2]), 2: frozenset([1, 3])}
+    res = rooted_fat_minor_ep(g, min_degree_decomposition(g), P2, roots, k=2, r=1)
+    assert res.branch == "hitting"
+    assert res.centered.center_count <= res.center_budget
+    for support in ({0, 1}, {1, 2}, {2, 3}):
+        assert res.centered.z.members & support
+
+
+def _ladder(n: int) -> Graph:
+    rails = [(i, i + 1) for i in range(n - 1)] + [(i + n, i + n + 1) for i in range(n - 1)]
+    return Graph(range(2 * n), rails + [(i, i + n) for i in range(n)])
+
+
+LADDER_ROOTS = {1: frozenset([0, 7]), 2: frozenset([3, 10]), 3: frozenset([6, 13])}
+
+
+def test_rooted_p3_large_host_refuses_r_above_the_shortest_edge():
+    # disjoint supports of a 1/2-weighted host can be closer than r = 1
+    g = _halved(_ladder(7))
+    with pytest.raises(CapacityError):
+        rooted_fat_minor_ep(g, min_degree_decomposition(g), P3, LADDER_ROOTS, k=2, r=1)
+
+
+def test_rooted_p3_large_unit_host_packs_the_two_rails():
+    g = _ladder(7)
+    res = rooted_fat_minor_ep(g, min_degree_decomposition(g), P3, LADDER_ROOTS, k=2, r=1)
+    assert res.branch == "packing"
+    a, b = (m.union_vertices() for m in res.models)
+    assert set_distance(g, a, b) >= 1
+
+
+SPIDER = Graph(range(11), [(0, i) for i in range(1, 6)] + [(i, i + 5) for i in range(1, 6)])
+SPIDER_ROOTS = {1: frozenset(range(1, 6)), 2: frozenset(range(6, 11))}
+
+
+def test_rooted_p2_spider_packs_legs_two_apart_at_r_2():
+    td = min_degree_decomposition(SPIDER)
+    res = rooted_fat_minor_ep(SPIDER, td, P2, SPIDER_ROOTS, k=2, r=2)
+    assert res.branch == "packing"
+    a, b = (m.union_vertices() for m in res.models)
+    assert set_distance(SPIDER, a, b) == 2
+
+
+def test_rooted_p2_spider_is_hit_by_one_radius_1_ball_at_r_3():
+    td = min_degree_decomposition(SPIDER)
+    res = rooted_fat_minor_ep(SPIDER, td, P2, SPIDER_ROOTS, k=2, r=3)
+    assert res.branch == "hitting"
+    assert res.centered.centers.members == {0}
+    assert res.centered.radius == res.radius_budget == 1
 
 
 # ---------------------------------------------------------------------------
