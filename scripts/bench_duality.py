@@ -20,9 +20,11 @@ functions (``LAYERS``) that the tree defines: the private helper that takes a
 shared transposition where there is one, else the public function.  One more
 pass counts, per pass: the independent-set and set-cover search nodes, the
 ``graph.leq`` calls and the ``graph._member_masks`` calls.  It also records
-the work per pass, which is the same on every tree: the sum of P^2 over the r
-values and of P*|V| over the beta values of each host (P chordless paths,
-|V| host vertices), and a digest of the reports.
+the work per pass, read from the path family that each sweep transposes
+(``graph._member_masks``, one call per host): the sum of P^2 over the r values
+and of P*|V| over the beta values of each host (P paths in the family, |V|
+host vertices), and the sum of P itself (``paths_per_pass``).  Last comes a
+digest of the reports, which must be the same on every tree.
 """
 
 from __future__ import annotations
@@ -112,15 +114,15 @@ def _counter(key: str, add, counts: dict):
 
 
 def _work_counter(work: dict):
-    """Per enumeration of a host's chordless paths, the work of the cells
-    that use them: P^2 per r, P*|V| per beta."""
+    """Per transposition of a host's path family, the work of the cells that
+    use it: P^2 per r, P*|V| per beta, and P."""
     def wrapper(fn):
-        def counted(g, *args, **kwargs):
-            result = fn(g, *args, **kwargs)
-            p = len(result.paths)
+        def counted(g, members, *args, **kwargs):
+            p = len(members)
             work["far_conflicts_p2"] += p * p * len(R_VALUES)
             work["hit_masks_pv"] += p * len(g) * len(BETA_VALUES)
-            return result
+            work["paths"] += p
+            return fn(g, members, *args, **kwargs)
         return counted
     return wrapper
 
@@ -151,16 +153,17 @@ def measure(src: str, runs: int) -> dict:
 
     # the counters slow a pass down, so they count one more, untimed pass
     counts = dict.fromkeys(COUNTED, 0)
-    work = {"far_conflicts_p2": 0, "hit_masks_pv": 0}
+    work = {"far_conflicts_p2": 0, "hit_masks_pv": 0, "paths": 0}
     for key, (name, add) in COUNTED.items():
         _rebind(name, _counter(key, add, counts))
-    _rebind("paths.enumerate_chordless_paths", _work_counter(work))
+    _rebind("graph._member_masks", _work_counter(work))
     one_pass()
     digest = hashlib.sha256(json.dumps(
         [rep.to_json_dict() for rep in reports], sort_keys=True).encode()).hexdigest()
     return {
         "seconds": {name: round(statistics.median(s), 4) for name, s in passes.items()},
         "counts_per_pass": counts,
+        "paths_per_pass": work.pop("paths"),
         "work_per_pass": work,
         "reports_sha256": digest[:16],
     }
@@ -183,7 +186,8 @@ def main() -> int:
         "what": "median seconds of a duality_sweep pass over the duality host "
                 "family and of its far-conflict, independent-set and ball-hit "
                 "layers; search nodes, leq and _member_masks calls per pass; the "
-                "work per pass, and a digest of the reports",
+                "paths each sweep transposes and the work on them per pass, and "
+                "a digest of the reports",
         "hosts": f"random_instances({BASE_SEED}, {HOSTS}), 8-14 vertices, plus "
                  f"{WEIGHTED_HOSTS} Fraction-weighted copies; l=0, "
                  f"r in {list(R_VALUES)}, beta in {list(BETA_VALUES)}",

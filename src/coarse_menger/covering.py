@@ -39,7 +39,7 @@ from .packing import (
     max_independent_set,
     menger_packing,
 )
-from .paths import enumerate_chordless_paths
+from .paths import _chordless_sequences, enumerate_chordless_paths
 
 
 @dataclass(frozen=True)
@@ -215,14 +215,41 @@ def graph_fingerprint(g: Graph, *extra) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _minimal_family(g: Graph, x: frozenset, y: frozenset) -> list:
+    """The inclusion-minimal chordless x-y paths, as canonical sequences: the
+    paths with no interior vertex in ``x | y``, less the longer ones with an
+    end in ``x & y`` (they hold that end's one-vertex path).  Every x-y path
+    holds one as a vertex subset: shortcut it along its chords, then keep the
+    stretch from its last vertex in x to the next vertex in y."""
+    both = x & y
+    return [p for p in _chordless_sequences(g, 0, x, y, minimal=True)
+            if len(p) == 1 or not (p[0] in both or p[-1] in both)]
+
+
 def duality_sweep(
     g: Graph, x, y, l: Number, r_values: Sequence[Number], beta_values: Sequence[Number]
 ) -> DualityReport:
     """Fill packing and cover tables; exact where caps permit, greedy with a
     per-cell flag otherwise.
 
-    Every exact cell works on one enumeration of the chordless (l,x,y)-paths,
+    Every exact cell works on one family of paths, as vertex sequences,
     transposed once (:func:`graph._member_masks`), and finds only its count.
+
+    - At l = 0 the family is :func:`_minimal_family`: the inclusion-minimal
+      chordless x-y paths, which meet x only at their start and y only at
+      their end (Menger's X-Y paths).  Every x-y path holds one as a vertex
+      subset, so a set of balls hits them all iff it hits every path.  For a
+      packing cell with ``not leq(r, 0)``, replacing each path of an r-far
+      packing by a minimal path inside it only grows distances, and two paths
+      that hold the same minimal path are 0 apart, so not r-far: the maxima
+      agree.
+    - A cell with ``leq(r, 0)`` has no conflicts: every chordless path is
+      r-far from every other, and its value is their count.  The full family
+      is enumerated for that count only when such an r is given.
+    - At l > 0 the family is every chordless (l,x,y)-path: the minimal path
+      inside a path may have its ends closer than l, and then it is not in
+      the family, so the replacement above fails.
+
     Two bounds cut the searches; neither changes a value:
 
     - Packing cells run by ascending r.  Once paths through a common vertex
@@ -254,24 +281,32 @@ def duality_sweep(
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
     report = DualityReport(graph_fingerprint(g, sorted(x.members), sorted(y.members), l))
-    try:
-        paths = enumerate_chordless_paths(g, l, x.members, y.members, cap=None).paths
-    except CapacityError:
-        paths = None
     # the instances validate l, r and beta even when the family is shared
     packs = [PackingInstance(g, x.members, y.members, l, r, "exact") for r in r_values]
-    family = None if paths is None else [p.vertex_set for p in paths]
-    through = None if paths is None else _member_masks(g, family)
+    conflict_free = [leq(inst.r, 0) for inst in packs]
+    try:
+        if l == 0:
+            family = _minimal_family(g, x.members, y.members)
+            if any(conflict_free):
+                everything = len(_chordless_sequences(g, l, x.members, y.members))
+        else:
+            family = _chordless_sequences(g, l, x.members, y.members)
+            everything = len(family)
+    except CapacityError:
+        family = None
+    through = None if family is None else _member_masks(g, family)
     value = {}  # position in packs -> exact packing value
-    if paths is not None and len(g) <= EXACT_PACKING_VERTEX_CAP:
+    if family is not None and len(g) <= EXACT_PACKING_VERTEX_CAP:
         flow = menger_packing(g, x.members, y.members)
         last = {}  # is_exact(r) -> the value at the previous r of that kind
         for i in sorted(range(len(packs)), key=lambda i: packs[i].r):
             r = packs[i].r
-            bounds = [flow] if not leq(r, 0) else []
-            bounds += [last[is_exact(r)]] if is_exact(r) in last else []
+            if conflict_free[i]:
+                value[i] = last[is_exact(r)] = everything
+                continue
+            bounds = [flow] + ([last[is_exact(r)]] if is_exact(r) in last else [])
             rows = _conflicts_through(g, family, through, r)
-            chosen, _ = max_independent_set(rows, enough=min(bounds, default=None))
+            chosen, _ = max_independent_set(rows, enough=min(bounds))
             value[i] = last[is_exact(r)] = len(chosen)
     for i, inst in enumerate(packs):
         if i in value:

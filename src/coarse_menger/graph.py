@@ -51,6 +51,7 @@ class Graph:
 
     __slots__ = (
         "vertices", "edges", "weights", "_vset", "_adj", "_dist_cache", "_bits", "_closed",
+        "_scaled",
     )
 
     def __init__(
@@ -94,6 +95,7 @@ class Graph:
         self._dist_cache = {}
         self._bits = None
         self._closed = None
+        self._scaled = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -211,11 +213,19 @@ class Graph:
     # -- metrics -----------------------------------------------------------
 
     def dist_from(self, source: int) -> dict:
-        """Single-source shortest-path lengths (cached per graph)."""
+        """Single-source shortest-path lengths (cached per graph).
+
+        The source is at int ``0`` and an unreachable vertex at ``INF``.  When
+        every weight is a ``Fraction``, Dijkstra runs on ints: the weights
+        times the LCM of their denominators (:meth:`_scaled_adjacency`), each
+        length divided back into a ``Fraction``.  The values equal those of
+        summing the ``Fraction`` weights.
+        """
         self._require_vertex(source)
         cached = self._dist_cache.get(source)
         if cached is not None:
             return cached
+        scaled = self._scaled_adjacency()
         if self.weights is None:
             dist = {source: 0}
             frontier = [source]
@@ -229,6 +239,18 @@ class Graph:
                             dist[n] = d
                             nxt.append(n)
                 frontier = nxt
+        elif scaled:
+            scale, adj = scaled
+            dist = {}
+            heap = [(0, source)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if u in dist:
+                    continue
+                dist[u] = Fraction(d, scale) if d else 0
+                for n, w in adj[u]:
+                    if n not in dist:
+                        heapq.heappush(heap, (d + w, n))
         else:
             dist = {}
             heap = [(0, source)]
@@ -244,6 +266,24 @@ class Graph:
         full = {v: dist.get(v, INF) for v in self.vertices}
         self._dist_cache[source] = full
         return full
+
+    def _scaled_adjacency(self):
+        """``(scale, adjacency)`` when the graph is weighted and every weight
+        is a ``Fraction``, else False: ``scale`` is the LCM of the
+        denominators and ``adjacency[u]`` lists ``(n, weight(u, n) * scale)``
+        with int weights.  Computed once per graph."""
+        if self._scaled is None:
+            ws = self.weights
+            if ws is not None and all(isinstance(w, Fraction) for w in ws.values()):
+                scale = math.lcm(*(w.denominator for w in ws.values()))
+                ints = {e: w.numerator * (scale // w.denominator) for e, w in ws.items()}
+                self._scaled = (scale, {
+                    u: tuple((n, ints[_norm_edge(u, n)]) for n in ns)
+                    for u, ns in self._adj.items()
+                })
+            else:
+                self._scaled = False
+        return self._scaled
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
 from .graph import Graph, Number, _exact_against, _member_masks, as_vertex_set, leq, set_distance
-from .paths import (
-    PathWitness,
-    enumerate_chordless_paths,
-    is_a_path,
-    make_path,
-)
+from .paths import PathWitness, _enumerate, enumerate_chordless_paths, make_path
 
 EXACT_PACKING_VERTEX_CAP = 16
 GALLAI_EXHAUSTIVE_CAP = 14
@@ -327,15 +322,12 @@ def menger_packing(g: Graph, x, y) -> int:
 
 
 def _enumerate_a_paths(g: Graph, a) -> Tuple[PathWitness, ...]:
-    """Chordless A-paths without internal A-vertices: every A-path contains
-    one as a vertex subset, so packing maxima and hitting sets agree with the
-    full family."""
-    a = as_vertex_set(g, a)
-    enum = enumerate_chordless_paths(g, 0, a, a, cap=None)
-    return tuple(
-        p for p in enum.paths
-        if is_a_path(g, p, a) and not frozenset(p.sequence[1:-1]) & a.members
-    )
+    """Chordless A-paths without internal A-vertices (the minimal mode of the
+    path search at x = y = A, less its one-vertex paths): every A-path
+    contains one as a vertex subset, so packing maxima and hitting sets agree
+    with the full family."""
+    enum = _enumerate(g, 0, a, a, None, g.closed_neighborhood_masks(), minimal=True)
+    return tuple(p for p in enum.paths if p.end_a != p.end_b)
 
 
 @dataclass

@@ -109,11 +109,33 @@ def enumerate_paths(
 
 
 def _enumerate(
-    g: Graph, l: Number, x, y, cap: Optional[int], blocking: Mapping[int, int]
+    g: Graph, l: Number, x, y, cap: Optional[int], blocking: Mapping[int, int],
+    minimal: bool = False,
 ) -> PathEnumeration:
-    """Depth-first path enumeration shared by :func:`enumerate_paths` and
-    :func:`enumerate_chordless_paths`: a neighbour ``n`` of the tail extends
-    the path iff ``blocking[n]`` misses every path vertex but the tail."""
+    """:func:`_sequences` as path witnesses, the first ``cap`` of them."""
+    ordered = _sequences(g, l, x, y, cap, blocking, minimal)
+    truncated = cap is not None and len(ordered) > cap
+    if truncated:
+        ordered = ordered[:cap]
+    paths = tuple(PathWitness(s, distance(g, s[0], s[-1])) for s in ordered)
+    return PathEnumeration(paths, truncated)
+
+
+def _sequences(
+    g: Graph, l: Number, x, y, cap: Optional[int], blocking: Mapping[int, int],
+    minimal: bool = False,
+) -> List[Tuple[int, ...]]:
+    """Depth-first path search shared by :func:`enumerate_paths` and
+    :func:`enumerate_chordless_paths`, as canonical sequences in order: a
+    neighbour ``n`` of the tail extends the path iff ``blocking[n]`` misses
+    every path vertex but the tail.
+
+    With ``minimal``, only the paths with no interior vertex in ``x | y``:
+    the search never enters a vertex of ``x - y``, and a path ends at its
+    first vertex of ``y`` after its start.  At l = 0 every path of the full
+    search contains one of them as a vertex subset: its stretch from its
+    last vertex in ``x`` to the next vertex in ``y``.
+    """
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
     if cap is None and len(g) > ENUM_VERTEX_LIMIT:
@@ -123,22 +145,26 @@ def _enumerate(
             actual=len(g),
         )
     if not x.members or not y.members:
-        return PathEnumeration((), False)
+        return []
 
     found = set()
     bit = g.vertex_bits()
     ends = y.members
+    barred = x.members - ends if minimal else frozenset()
     # distances are >= 0, so at l = 0 every end passes without a test
     any_end = l == 0
 
     def extend(seq: list, body: int, dist_start: dict):
         # ``body`` is the mask of seq[:-1]
         tail = seq[-1]
-        if tail in ends and (any_end or leq(l, dist_start[tail])):
-            found.add(canonical_sequence(seq))
+        if tail in ends:
+            if any_end or leq(l, dist_start[tail]):
+                found.add(canonical_sequence(seq))
+            if minimal and body:
+                return
         grown = body | bit[tail]
         for n in g.neighbors(tail):
-            if blocking[n] & body:
+            if blocking[n] & body or n in barred:
                 continue
             seq.append(n)
             extend(seq, grown, dist_start)
@@ -146,13 +172,14 @@ def _enumerate(
 
     for start in sorted(x.members):
         extend([start], 0, g.dist_from(start))
+    return sorted(found)
 
-    ordered = sorted(found)
-    truncated = cap is not None and len(ordered) > cap
-    if truncated:
-        ordered = ordered[:cap]
-    paths = tuple(PathWitness(s, distance(g, s[0], s[-1])) for s in ordered)
-    return PathEnumeration(paths, truncated)
+
+def _chordless_sequences(g: Graph, l: Number, x, y, minimal: bool = False):
+    """The uncapped :func:`enumerate_chordless_paths` family (with
+    ``minimal``, its members with no interior vertex in ``x | y``) as
+    canonical vertex sequences, for callers that need only vertex sets."""
+    return _sequences(g, l, x, y, None, g.closed_neighborhood_masks(), minimal)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ the bounds one cell gives the next.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import replace
@@ -44,8 +45,10 @@ from coarse_menger.graph import (
     CenteredSet,
     Graph,
     VertexSet,
+    INF,
     _ball_mask,
     _member_masks,
+    _norm_edge,
     as_vertex_set,
     distance,
     leq,
@@ -65,6 +68,22 @@ from coarse_menger.paths import (
     enumerate_chordless_paths,
 )
 from coarse_menger.trees import MODEL_ENUM_CAP
+
+
+def fraction_dijkstra(g: Graph, source: int) -> dict:
+    """Shortest-path lengths from ``source`` on a weighted host, summing the
+    weights as given: the source at int 0, unreachable vertices at ``INF``."""
+    dist = {}
+    heap = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in dist:
+            continue
+        dist[u] = d
+        for n in g.neighbors(u):
+            if n not in dist:
+                heapq.heappush(heap, (d + g.weights[_norm_edge(u, n)], n))
+    return {v: dist.get(v, INF) for v in g.vertices}
 
 
 def set_far_conflicts(g, members: Sequence[frozenset], r) -> List[set]:

@@ -8,11 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarse_menger.covering import CoverInstance, duality_sweep, min_ball_hitting, min_set_cover
+from coarse_menger.covering import (
+    CoverInstance,
+    _minimal_family,
+    duality_sweep,
+    min_ball_hitting,
+    min_set_cover,
+)
 from coarse_menger.errors import InputError, InternalInconsistencyError
 from coarse_menger.graph import Graph, VertexSet, _greedy_cover, _hit_masks, certify_centered
 from coarse_menger.packing import far_conflicts, max_independent_set, menger_packing
-from coarse_menger.paths import enumerate_chordless_paths, enumerate_paths
+from coarse_menger.paths import _enumerate, enumerate_chordless_paths, enumerate_paths
 from coarse_menger.tangles import _hitting_center_search
 
 from conftest import random_connected
@@ -161,6 +167,31 @@ def test_chordless_enumeration_is_induced_filter(host, l):
     chordless = enumerate_chordless_paths(g, l, x, y).paths
     expected = tuple(p for p in set_enumerate_paths(g, l, x, y).paths if _induced(g, p.sequence))
     assert chordless == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_hosts(max_n=8), st.sampled_from((0, 0, 1, Fraction(3, 2), 2)), st.booleans())
+def test_minimal_mode_keeps_the_chordless_paths_with_a_clean_interior(host, l, a_paths):
+    # l = 0 is drawn twice as often: it is the sweep's case; x = y is how the
+    # Gallai side enumerates A-paths
+    g, rng = host
+    x, y = _endpoints(g, rng)
+    if a_paths:
+        y = x
+    full = enumerate_chordless_paths(g, l, x, y).paths
+    minimal = _enumerate(g, l, x, y, None, g.closed_neighborhood_masks(), minimal=True).paths
+    assert minimal == tuple(p for p in full if not set(p.sequence[1:-1]) & (x | y))
+    for p in minimal:
+        assert {p.end_a, p.end_b} & x and {p.end_a, p.end_b} & y and _induced(g, p.sequence)
+        assert (p.end_a in x and p.end_b in y) or (p.end_a in y and p.end_b in x)
+    if l == 0:
+        # the sweep's family: inclusion-minimal, and below every path
+        sweep = [frozenset(p) for p in _minimal_family(g, x, y)]
+        assert set(sweep) <= {p.vertex_set for p in minimal}
+        assert not any(s < t for s in sweep for t in sweep)
+        for p in full:
+            assert any(q.vertex_set <= p.vertex_set for q in minimal)
+            assert any(s <= p.vertex_set for s in sweep)
 
 
 def test_far_conflicts_reject_bad_members():
@@ -386,6 +417,39 @@ def test_duality_sweep_has_no_flow_cap_at_a_float_r_within_tolerance():
     report = _same_sweep(g, {0}, {3}, 0, [1, 1e-10], [])
     assert menger_packing(g, {0}, {3}) == 1
     assert report.packing_by_r[1e-10].value == 2
+
+
+def test_duality_sweep_counts_every_chordless_path_at_a_float_r_within_tolerance():
+    # x & y = {1}: the minimal family is the one-vertex path (1,), while the
+    # 1e-10 cell packs all four chordless paths (0,1), (0,1,2), (1,), (1,2)
+    g = Graph(range(3), [(0, 1), (1, 2)])
+    report = _same_sweep(g, {0, 1}, {1, 2}, 0, [1, 1e-10, 0.5], [0, 1])
+    assert [c.value for c in report.packing_by_r.values()] == [1, 4, 1]
+    assert [c.value for c in report.cover_by_radius.values()] == [1, 1]
+
+
+@pytest.mark.parametrize("g,x,y,l", [
+    # in both hosts the minimal paths alone need one ball of radius 1/2, and
+    # the full family two
+    (Graph(range(6), [(0, 1), (0, 2), (0, 4), (0, 5), (1, 3), (2, 3), (3, 4), (3, 5)]),
+     {3, 4}, {0, 2}, 2),
+    (Graph(range(6), [(0, 1), (0, 2), (1, 3), (2, 5), (3, 4), (3, 5), (4, 5)],
+           {(0, 1): Fraction(1, 2), (0, 2): Fraction(1), (1, 3): Fraction(1),
+            (2, 5): Fraction(1, 3), (3, 4): Fraction(1, 2), (3, 5): Fraction(3, 2),
+            (4, 5): Fraction(1)}), {4, 5}, {1, 2}, 1),
+])
+def test_duality_sweep_keeps_the_full_family_at_positive_l(g, x, y, l):
+    report = _same_sweep(g, x, y, l, [1e-10, 1, 2], [0, Fraction(1, 2), 1])
+    assert report.cover_by_radius[Fraction(1, 2)].value == 2
+
+
+def test_duality_sweep_at_positive_l_covers_paths_that_hold_a_short_minimal_one():
+    # 1-2 is the only minimal path, and its ends are 1 apart: at l = 2 the
+    # family is the path 0-1-2 alone
+    g = Graph(range(3), [(0, 1), (1, 2)])
+    report = _same_sweep(g, {0, 1}, {2}, 2, [1e-10, 1], [0, 1])
+    assert [c.value for c in report.packing_by_r.values()] == [1, 1]
+    assert [c.value for c in report.cover_by_radius.values()] == [1, 1]
 
 
 def test_duality_sweep_has_no_cover_floor_at_r_equal_to_two_beta():

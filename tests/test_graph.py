@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from coarse_menger.graph import (
     to_json,
 )
 
-from conftest import cycle_graph, path_graph, small_connected_graphs
+from conftest import cycle_graph, path_graph, random_connected, small_connected_graphs
+from set_oracles import fraction_dijkstra
 
 
 def test_rejects_self_loop():
@@ -54,6 +56,38 @@ def test_weighted_distance_uses_fractions_exactly():
     g = Graph([0, 1, 2], [(0, 1), (1, 2)],
               {(0, 1): Fraction(1, 2), (1, 2): Fraction(1, 3)})
     assert distance(g, 0, 2) == Fraction(5, 6)
+
+
+FRACTION_WEIGHTS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 7))
+
+
+def _same_distances(g):
+    for s in g.vertices:
+        got, expected = g.dist_from(s), fraction_dijkstra(g, s)
+        assert got == expected
+        assert [type(d) for d in got.values()] == [type(d) for d in expected.values()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6),
+       st.booleans())
+def test_fraction_distances_match_fraction_dijkstra(n, seed, split):
+    # ints scaled by the LCM of the denominators, divided back into Fractions
+    rng = random.Random(seed)
+    g = random_connected(rng, n)
+    edges = [e for e in g.edges if not split or rng.random() < 0.6]
+    _same_distances(Graph(g.vertices, edges, {e: rng.choice(FRACTION_WEIGHTS) for e in edges}))
+
+
+def test_fraction_distances_keep_their_type_on_unit_fractions_and_split_hosts():
+    # Fraction(1) weights give Fraction distances, not ints; the source is int
+    # 0 and vertices of another component are at INF
+    g = Graph(range(5), [(0, 1), (1, 2), (3, 4)], {(0, 1): Fraction(1), (1, 2): Fraction(1),
+                                                 (3, 4): Fraction(2, 3)})
+    _same_distances(g)
+    assert g.dist_from(0) == {0: 0, 1: 1, 2: 2, 3: math.inf, 4: math.inf}
+    assert [type(d) for d in g.dist_from(0).values()] == [int, Fraction, Fraction, float, float]
+    _same_distances(Graph([0, 1], [], {}))
 
 
 def test_set_distance_empty_set_is_an_error():
