@@ -17,7 +17,9 @@ unmodified.  It records the median over ``--runs`` passes of the seconds of
 the pass and of three layers: the far-conflict rows, the independent-set
 search and the ball-hit masks.  A layer is timed at the first of its
 functions (``LAYERS``) that the tree defines: the private helper that takes a
-shared transposition where there is one, else the public function.  One more
+shared transposition where there is one, else the public function.  A name
+that its module imports from another (``covering._within``) is wrapped in
+that module only.  One more
 pass counts, per pass: the independent-set and set-cover search nodes, the
 ``graph.leq`` calls and the ``graph._member_masks`` calls.  It also records
 the work per pass, read from the path family that each sweep transposes
@@ -52,7 +54,7 @@ BETA_VALUES = (0, 1)
 LAYERS = {
     "packing.far_conflicts": ("packing._conflicts_through", "packing.far_conflicts"),
     "packing.max_independent_set": ("packing.max_independent_set",),
-    "graph._hit_masks": ("graph._hits_through", "graph._hit_masks"),
+    "graph._hit_masks": ("covering._within", "graph._hits_through", "graph._hit_masks"),
 }
 #: count -> (function, what one call adds)
 COUNTED = {
@@ -61,6 +63,8 @@ COUNTED = {
     "leq_calls": ("graph.leq", lambda result: 1),
     "member_masks_calls": ("graph._member_masks", lambda result: 1),
 }
+#: the function that transposes a sweep's path family, once per host
+FAMILY = "graph._member_masks"
 
 
 def _hosts(generators):
@@ -78,12 +82,19 @@ def _hosts(generators):
 
 def _rebind(name: str, wrapper) -> bool:
     """Rebind ``name`` to ``wrapper(fn)`` in every coarse_menger module that
-    holds the function ``fn``; False when the tree has no such function."""
+    holds the function ``fn``, or only in the named module when it imports
+    ``fn`` from another (so ``covering._within`` times the sweep's ball-hit
+    masks and not the far-conflict reach, which calls ``graph._within`` from
+    ``packing``); False when the tree has no such function."""
     module, attr = name.split(".")
-    fn = getattr(sys.modules[f"coarse_menger.{module}"], attr, None)
+    home = sys.modules[f"coarse_menger.{module}"]
+    fn = getattr(home, attr, None)
     if fn is None:
         return False
     wrapped = functools.wraps(fn)(wrapper(fn))
+    if fn.__module__ != home.__name__:
+        setattr(home, attr, wrapped)
+        return True
     for mod in list(sys.modules.values()):
         if mod is not None and mod.__name__.startswith("coarse_menger") \
                 and vars(mod).get(attr) is fn:
@@ -156,7 +167,7 @@ def measure(src: str, runs: int) -> dict:
     work = {"far_conflicts_p2": 0, "hit_masks_pv": 0, "paths": 0}
     for key, (name, add) in COUNTED.items():
         _rebind(name, _counter(key, add, counts))
-    _rebind("graph._member_masks", _work_counter(work))
+    _rebind(FAMILY, _work_counter(work))
     one_pass()
     digest = hashlib.sha256(json.dumps(
         [rep.to_json_dict() for rep in reports], sort_keys=True).encode()).hexdigest()

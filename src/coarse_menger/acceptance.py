@@ -27,7 +27,7 @@ from .generators import menger_lower_bound_instance, random_instances, rooted_p3
 from .graph import Graph, certify_centered, distance
 from .packing import PackingInstance, gallai_packing, max_far_packing, menger_packing
 from .paths import enumerate_chordless_paths
-from .tangles import easy_tangle_trichotomy, verify_tangle
+from .tangles import _max_far_count, easy_tangle_trichotomy, verify_tangle
 from .transfer import (
     QuasiIsometry,
     constant_witness,
@@ -699,14 +699,7 @@ def check_tangle_trichotomy(seed: int) -> CriterionResult:
         theta = rng.choice((1, 2))
         r, r_prime = 2, 1
         # thin the family until the far-packing premise holds
-        from .packing import _pairwise_conflicts, max_independent_set
-        from .graph import set_distance, leq as _leq
-
-        def far_count(mem):
-            conf = _pairwise_conflicts(mem, lambda s, t: not _leq(r, set_distance(g, s, t)))
-            return len(max_independent_set(conf)[0])
-
-        while members and far_count(members) >= k:
+        while members and _max_far_count(g, members, r) >= k:
             members.pop()
         if not members:
             continue

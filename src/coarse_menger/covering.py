@@ -16,17 +16,16 @@ from .graph import (
     Graph,
     Number,
     VertexSet,
-    _ball,
-    _ball_mask,
     _exact_against,
     _greedy_cover,
     _hit_masks,
-    _hits_through,
     _member_masks,
     _set_cover,
+    _within,
     as_vertex_set,
     is_exact,
     leq,
+    neighborhood,
 )
 from .packing import (
     EXACT_PACKING_VERTEX_CAP,
@@ -143,12 +142,7 @@ def _ball_hitting(
         chosen, nodes = _set_cover(target, hits)
         optimal = True
     centers = [g.vertices[i] for i in chosen]
-
-    bit = g.vertex_bits()
-    balls = 0
-    for c in centers:
-        balls |= _ball_mask(g, c, radius)
-    z = frozenset(v for v in frozenset().union(*family) if balls & bit[v])
+    z = neighborhood(g, centers, radius).members & frozenset().union(*family)
     centered = CenteredSet(
         VertexSet(z, g), VertexSet(frozenset(centers), g), radius
     )
@@ -317,7 +311,7 @@ def duality_sweep(
     for beta in beta_values:
         CoverInstance(g, beta, l=l, x=x.members, y=y.members)
         if family:
-            hits = _hits_through(g, through, beta)
+            hits = _within(g, through, beta)
             target = (1 << len(family)) - 1
             floor = max((v for i, v in value.items()
                          if is_exact(packs[i].r) and packs[i].r > 2 * beta), default=0)
@@ -386,17 +380,12 @@ def min_separating_balls(g: Graph, x, y, radius: Number, size_cap: int):
     (count, chosen centers); raises CapacityError when size_cap balls do not
     suffice.
     """
-    from itertools import combinations
-
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
-    balls = {c: _ball(g, c, radius) for c in g.vertices}
-
-    verts = sorted(g.vertices)
+    balls = {c: neighborhood(g, [c], radius).members for c in g.vertices}
     for size in range(size_cap + 1):
-        for centers in combinations(verts, size):
-            union = frozenset().union(*(balls[c] for c in centers)) \
-                if centers else frozenset()
+        for centers in itertools.combinations(g.vertices, size):
+            union = frozenset().union(*(balls[c] for c in centers))
             if _separated(g, x.members, y.members, union):
                 return size, frozenset(centers)
     raise CapacityError(
@@ -433,6 +422,6 @@ def _greedy_separating_balls(g: Graph, x: frozenset, y: frozenset, radius: Numbe
     for v in sorted(x):
         # ``union`` only grows: a vertex cut off stays cut off
         if not _separated(g, frozenset([v]), y, union):
-            union |= _ball(g, v, radius)
+            union |= neighborhood(g, [v], radius).members
             count += 1
     return count

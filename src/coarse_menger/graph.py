@@ -51,7 +51,7 @@ class Graph:
 
     __slots__ = (
         "vertices", "edges", "weights", "_vset", "_adj", "_dist_cache", "_bits", "_closed",
-        "_scaled",
+        "_scaled", "_exact",
     )
 
     def __init__(
@@ -72,6 +72,7 @@ class Graph:
                 raise InputError(f"edge ({u},{v}) uses an undeclared vertex")
             es.add(_norm_edge(u, v))
         self.edges = tuple(sorted(es))
+        self._exact = True  # every distance is an int, a Fraction or INF
         if weights is not None:
             w = {}
             for e, val in weights.items():
@@ -81,6 +82,7 @@ class Graph:
                 if not val > 0:
                     raise InputError(f"non-positive weight {val} on edge {e}")
                 w[e] = val
+                self._exact = self._exact and is_exact(val)
             missing = es - set(w)
             if missing:
                 raise InputError(f"edges without weight: {sorted(missing)[:3]}")
@@ -385,32 +387,16 @@ def set_distance(g: Graph, s, t) -> Number:
 
 
 def neighborhood(g: Graph, s, r: Number) -> VertexSet:
-    """``{v : dist(v, s) <= r}``; equals ``s`` when ``r == 0``."""
+    """``{v : dist(v, s) <= r}`` (:func:`_within` around the members of
+    ``s``); equals ``s`` when ``r == 0`` and is empty when ``s`` is."""
     s = as_vertex_set(g, s)
     if r < 0:
         raise InputError("negative radius")
-    out = set(s.members)
-    for u in s:
-        du = g.dist_from(u)
-        for v, d in du.items():
-            if v not in out and leq(d, r):
-                out.add(v)
-    return VertexSet(frozenset(out), g)
-
-
-def _ball(g: Graph, center: int, r: Number) -> frozenset:
-    du = g.dist_from(center)
-    return frozenset(v for v, d in du.items() if leq(d, r))
-
-
-def _ball_mask(g: Graph, center: int, r: Number) -> int:
-    """:func:`_ball` as a mask over :meth:`Graph.vertex_bits`."""
     bit = g.vertex_bits()
-    mask = 0
-    for v, d in g.dist_from(center).items():
-        if leq(d, r):
-            mask |= bit[v]
-    return mask
+    ball = 0
+    for mask in _within(g, bit, r, centers=s.members):
+        ball |= mask
+    return VertexSet(frozenset(v for v in g.vertices if ball & bit[v]), g)
 
 
 def _member_masks(g: Graph, members: Sequence) -> dict:
@@ -429,27 +415,39 @@ def _member_masks(g: Graph, members: Sequence) -> dict:
 def _exact_against(g: Graph, r: Number) -> bool:
     """Whether ``r`` and the distances of ``g`` are exact, so that ``leq``
     between them is plain ``<=`` (``inf`` too: it exceeds every exact ``r``)."""
-    return is_exact(r) and (g.weights is None or all(map(is_exact, g.weights.values())))
+    return g._exact and is_exact(r)
+
+
+def _within(g: Graph, through: dict, r: Number, strict: bool = False,
+            centers: Optional[Iterable[int]] = None) -> list:
+    """The library's one test of a distance against a radius.
+
+    Per center ``c`` (every vertex in vertex order by default), the OR of
+    ``through[v]`` over the vertices ``v`` with ``leq(dist(c, v), r)``, or
+    with ``not leq(r, dist(c, v))`` (closer than ``r``) when ``strict``.
+    With ``through = g.vertex_bits()`` that is the ball mask of each center;
+    with a family's :func:`_member_masks`, the mask of the members the ball
+    meets.  On an exact host with an exact ``r`` the test is plain ``<=`` or
+    ``<``, decided once per call.
+    """
+    exact = _exact_against(g, r)
+    masks = []
+    for c in g.vertices if centers is None else centers:
+        dc = g.dist_from(c)
+        mask = 0
+        for v, holders in through.items():
+            d = dc[v]
+            if ((d < r if strict else d <= r) if exact
+                    else (not leq(r, d) if strict else leq(d, r))):
+                mask |= holders
+        masks.append(mask)
+    return masks
 
 
 def _hit_masks(g: Graph, family: Sequence[frozenset], r: Number) -> list:
     """Per vertex ``c`` in vertex order, the mask of the ``family`` members
     (bit i: ``family[i]``) that the radius-``r`` ball around ``c`` meets."""
-    return _hits_through(g, _member_masks(g, family), r)
-
-
-def _hits_through(g: Graph, through: dict, r: Number) -> list:
-    """:func:`_hit_masks` from the family's :func:`_member_masks`."""
-    exact = _exact_against(g, r)
-    hits = []
-    for c in g.vertices:
-        dc = g.dist_from(c)
-        hit = 0
-        for v, holders in through.items():
-            if dc[v] <= r if exact else leq(dc[v], r):
-                hit |= holders
-        hits.append(hit)
-    return hits
+    return _within(g, _member_masks(g, family), r)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +541,7 @@ def certify_centered(g: Graph, z, k: int, r: Number, mode: str = "exact"):
 
     bit = g.vertex_bits()
     target = sum(bit[v] for v in z.members)
-    masks = [_ball_mask(g, c, r) & target for c in g.vertices]
+    masks = _within(g, {v: bit[v] for v in z.members}, r)
 
     if mode == "greedy":
         chosen, uncovered = _greedy_cover(target, masks, k)

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
-from .graph import Graph, Number, _exact_against, _member_masks, as_vertex_set, leq, set_distance
+from .graph import Graph, Number, _member_masks, _within, as_vertex_set, leq, set_distance
 from .paths import PathWitness, _enumerate, enumerate_chordless_paths, make_path
 
 EXACT_PACKING_VERTEX_CAP = 16
@@ -105,15 +105,8 @@ def far_conflicts(g: Graph, members: Sequence, r: Number) -> List[Adjacency]:
 
 def _conflicts_through(g: Graph, members: Sequence, through: dict, r: Number) -> List[Adjacency]:
     """:func:`far_conflicts` from the members' :func:`graph._member_masks`."""
-    exact = _exact_against(g, r)
-    near = {}  # vertex -> mask of the members with a vertex at distance < r
-    for v in through:
-        dv = g.dist_from(v)
-        reach = 0
-        for u, holders in through.items():
-            if dv[u] < r if exact else not leq(r, dv[u]):
-                reach |= holders
-        near[v] = reach
+    # vertex -> mask of the members with a vertex at distance < r
+    near = dict(zip(through, _within(g, through, r, strict=True, centers=through)))
     rows: List[Adjacency] = []
     for i, member in enumerate(members):
         row = 0
@@ -219,16 +212,17 @@ def _greedy_far_packing(inst: PackingInstance) -> PackingSolution:
     x = as_vertex_set(g, inst.x)
     y = as_vertex_set(g, inst.y)
     allowed = set(g.vertices)
+    bit = g.vertex_bits()
     chosen_paths: List[PathWitness] = []
     while True:
         p = _shortest_lxy_path(g, allowed, x.members, y.members, inst.l)
         if p is None:
             break
         chosen_paths.append(p)
-        for v in list(allowed):
-            d = set_distance(g, frozenset([v]), p.vertex_set)
-            if not leq(inst.r, d):
-                allowed.discard(v)
+        near = 0
+        for mask in _within(g, bit, inst.r, strict=True, centers=p.sequence):
+            near |= mask
+        allowed = {v for v in allowed if not near & bit[v]}
     mind = _min_pairwise_distance(g, [p.vertex_set for p in chosen_paths])
     return PackingSolution(tuple(chosen_paths), mind, optimal=False)
 

@@ -24,7 +24,6 @@ from .graph import (
     Graph,
     Number,
     VertexSet,
-    _ball,
     _hit_masks,
     _set_cover,
     as_vertex_set,
@@ -200,14 +199,12 @@ def build_gfrtz_tangle(
     z = as_vertex_set(g, z)
     sub = g.induced(l.members)
     members = _check_family(g, l, fam)
-    far = _far_members(g, members, neighborhood(g, z, r_prime).members
-                       if z.members else frozenset())
+    far = _far_members(g, members, neighborhood(g, z, r_prime).members)
 
     chosen = []
     for s in enumerate_separations(sub, theta):
         for cand in (s, s.flip()):
-            shadow = neighborhood(g, cand.separator, r_prime).members \
-                if cand.separator else frozenset()
+            shadow = neighborhood(g, cand.separator, r_prime).members
             in_a = _members_inside(far, cand.a, shadow)
             in_b = _members_inside(far, cand.b, shadow)
             if not in_a and in_b:
@@ -294,16 +291,14 @@ def easy_tangle_trichotomy(
             f"{k} members pairwise {r}-far exist; the dichotomy premise fails"
         )
 
-    fat_z = neighborhood(g, z, r_prime).members if z.members else frozenset()
+    fat_z = neighborhood(g, z, r_prime).members
     far = _far_members(g, members, fat_z)
 
     # outcome 1: few extra balls hit every far member
     centers = _hitting_center_search(g, far, 3 * theta - 3, r_prime) \
         if far else frozenset()
     if centers is not None:
-        extra = frozenset().union(
-            *(_ball(g, c, r_prime) for c in centers)
-        ) & l.members if centers else frozenset()
+        extra = neighborhood(g, centers, r_prime).members & l.members
         z_star = fat_z | extra
         all_centers = frozenset(z_cert.centers.members) | centers
         cert = CenteredSet(
@@ -321,8 +316,7 @@ def easy_tangle_trichotomy(
     # outcome 2: a separation with both fattened sides short of k-1 far members
     sub = g.induced(l.members)
     for s in enumerate_separations(sub, theta):
-        shadow = neighborhood(g, s.separator, r_prime).members \
-            if s.separator else frozenset()
+        shadow = neighborhood(g, s.separator, r_prime).members
         in_a = _members_inside(far, s.a, shadow)
         in_b = _members_inside(far, s.b, shadow)
         if _max_far_count(g, in_a, r) < k - 1 and _max_far_count(g, in_b, r) < k - 1:
@@ -454,7 +448,7 @@ def tangle_decompose(
         )
 
     def fatten(s: frozenset, radius: Number) -> frozenset:
-        return neighborhood(g, VertexSet(s, g), radius).members if s else frozenset()
+        return neighborhood(g, VertexSet(s, g), radius).members
 
     def recurse(lv: frozenset, mem: List[frozenset], kk: int,
                 ths: Sequence[int], zv: frozenset):
@@ -474,9 +468,7 @@ def tangle_decompose(
         # few extra balls hit every far member
         centers = _hitting_center_search(g, far, 3 * theta1 - 3, r_prime)
         if centers is not None:
-            extra = frozenset().union(
-                *(_ball(g, c, r_prime) for c in centers)
-            ) & lv if centers else frozenset()
+            extra = neighborhood(g, centers, r_prime).members & lv
             return fat_z | extra, []
 
         sub = g.induced(lv)

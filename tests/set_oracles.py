@@ -9,6 +9,8 @@ of the boundary DP, the blocker scan and the minimal-support scan in
 ``coarse_menger.acceptance``, with the same search orders; that oracle also
 keeps its earlier mask search, which revisits states, and the DP its earlier
 mask version, whose blocks are ``(label, mask)`` pairs.
+For the radius test ``graph._within`` they are the per-(center, vertex)
+``leq`` loops ``hits_through`` and ``near_through``.
 For the covering side they are the per-(center, member) loop of
 ``graph._hit_masks``, the frozenset set covers (``min_set_cover``,
 the exact and greedy search of ``certify_centered``, the greedy loop of
@@ -46,7 +48,6 @@ from coarse_menger.graph import (
     Graph,
     VertexSet,
     INF,
-    _ball_mask,
     _member_masks,
     _norm_edge,
     as_vertex_set,
@@ -767,6 +768,47 @@ def memo_exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
 def _ball(g: Graph, center: int, r) -> frozenset:
     du = g.dist_from(center)
     return frozenset(v for v, d in du.items() if leq(d, r))
+
+
+def _ball_mask(g: Graph, center: int, r) -> int:
+    """:func:`_ball` as a mask over ``Graph.vertex_bits``, one ``leq`` per
+    vertex."""
+    bit = g.vertex_bits()
+    mask = 0
+    for v, d in g.dist_from(center).items():
+        if leq(d, r):
+            mask |= bit[v]
+    return mask
+
+
+def hits_through(g: Graph, through: dict, r, centers=None) -> List[int]:
+    """Per center (every vertex in vertex order by default), the OR of
+    ``through[v]`` over the vertices ``v`` within ``r`` of it, one ``leq`` per
+    (center, vertex): the reference for ``graph._within``."""
+    hits = []
+    for c in g.vertices if centers is None else centers:
+        dc = g.dist_from(c)
+        hit = 0
+        for v, holders in through.items():
+            if leq(dc[v], r):
+                hit |= holders
+        hits.append(hit)
+    return hits
+
+
+def near_through(g: Graph, through: dict, r, centers=None) -> List[int]:
+    """:func:`hits_through` for the vertices closer than ``r`` (``not leq(r,
+    d)``): the reach of each center in the far-conflict relation, the
+    reference for ``graph._within(..., strict=True)``."""
+    near = []
+    for c in g.vertices if centers is None else centers:
+        dc = g.dist_from(c)
+        reach = 0
+        for u, holders in through.items():
+            if not leq(r, dc[u]):
+                reach |= holders
+        near.append(reach)
+    return near
 
 
 def set_min_set_cover(universe: Sequence[int], sets: Dict[int, frozenset]):

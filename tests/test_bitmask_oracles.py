@@ -16,7 +16,17 @@ from coarse_menger.covering import (
     min_set_cover,
 )
 from coarse_menger.errors import InputError, InternalInconsistencyError
-from coarse_menger.graph import Graph, VertexSet, _greedy_cover, _hit_masks, certify_centered
+from coarse_menger.graph import (
+    INF,
+    TOL,
+    Graph,
+    VertexSet,
+    _greedy_cover,
+    _hit_masks,
+    _member_masks,
+    _within,
+    certify_centered,
+)
 from coarse_menger.packing import far_conflicts, max_independent_set, menger_packing
 from coarse_menger.paths import _enumerate, enumerate_chordless_paths, enumerate_paths
 from coarse_menger.tangles import _hitting_center_search
@@ -24,6 +34,8 @@ from coarse_menger.tangles import _hitting_center_search
 from conftest import random_connected
 from set_oracles import (
     find_clique,
+    hits_through,
+    near_through,
     nx_menger_packing,
     plain_duality_sweep,
     set_ball_hitting_greedy,
@@ -358,6 +370,41 @@ def test_hit_masks_match_the_per_member_loop(host, r):
     family += rng.choices(family, k=rng.randint(0, 3))
     rng.shuffle(family)
     assert _hit_masks(g, family, r) == set_hit_masks(g, family, r)
+
+
+#: edge weights of the radius-test hosts; "mixed" puts int, Fraction and
+#: float weights on one host
+WITHIN_WEIGHTS = dict(WEIGHT_KINDS, int=(1, 2, 3), mixed=(1, Fraction(1, 2), 0.3, 0.7))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(WITHIN_WEIGHTS)),
+       st.booleans(), st.booleans())
+def test_within_matches_the_per_pair_reference(seed, kind, connected, strict):
+    # disconnected hosts put INF in the rows; the radii are 0, exact and float
+    # values on every kind of host, every distance, and distances moved by
+    # half the float tolerance either way, down to an exact r
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    if connected:
+        g = random_connected(rng, n, p=0.2)
+    else:
+        g = Graph(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
+                             if rng.random() < 0.2])
+    if WITHIN_WEIGHTS[kind] is not None:
+        g = Graph(g.vertices, g.edges, {e: rng.choice(WITHIN_WEIGHTS[kind]) for e in g.edges})
+    dists = sorted({d for c in g.vertices for d in g.dist_from(c).values() if d != INF}, key=float)
+    d = rng.choice(dists)
+    r = rng.choice((0, 1, Fraction(3, 2), 2, 0.3, 1.0, 2.5, d, float(d),
+                    d + TOL / 2, float(d) - TOL / 2, max(Fraction(d) - Fraction(TOL) / 2, 0)))
+    through = rng.choice((
+        g.vertex_bits(),
+        _member_masks(g, _members(g, rng)),
+        {v: rng.getrandbits(4) for v in rng.sample(g.vertices, rng.randint(0, n))},
+    ))
+    centers = rng.choice((None, rng.sample(g.vertices, rng.randint(0, n))))
+    reference = near_through if strict else hits_through
+    assert _within(g, through, r, strict, centers) == reference(g, through, r, centers)
 
 
 # -- Menger flow ----------------------------------------------------------------

@@ -17,9 +17,10 @@ from coarse_menger.covering import (
 )
 from coarse_menger.errors import CapacityError, InputError, InternalInconsistencyError
 from coarse_menger.generators import grid, grid_column
-from coarse_menger.graph import Graph, _ball
+from coarse_menger.graph import Graph
 
 from conftest import cycle_graph, path_graph, small_connected_graphs
+from set_oracles import _ball
 
 
 def test_instance_requires_exactly_one_family_source():
@@ -136,6 +137,11 @@ def test_separating_balls_scales_past_enumeration_cap():
         g, grid_column(3, 9, 0), grid_column(3, 9, 8), 1, size_cap=3
     )
     assert size == 1
+
+
+def test_separating_balls_refuse_a_negative_radius():
+    with pytest.raises(InputError):
+        min_separating_balls(grid(3, 3), {0}, {8}, -1, 3)
 
 
 def test_separating_balls_capacity():
