@@ -2,17 +2,22 @@
 """Time the rooted-grid acceptance oracle (layer L5:
 ``acceptance.exhaustive_two_disjoint_supports``) on one or more source trees.
 
-    python3 scripts/bench_rooted_oracle.py before=../old/src after=src > BENCH_rooted_oracle.json
+    python3 scripts/bench_rooted_oracle.py before=../old/src after=src@3,4,5,6 > BENCH_rooted_oracle.json
 
 Each ``label=src-dir`` runs in a fresh interpreter that imports
-``coarse_menger`` from ``src-dir``.  For w = 3..5 (``--widths``) it times the
-oracle on ``rooted_p3_grid(w)`` as the median of ``--runs`` runs and records
-its result (None when no two disjoint supports exist) and the peak RSS of the
-process so far, with garbage collected after each run.  One more, untimed run
-counts the search work: the calls of the attachment search (``q_dfs``) and of
-the trunk search (``trunk_dfs``), the component walks
-(``_RootedSupports.components``), and the entries of the search's memo, read
-from its locals as the oracle returns.
+``coarse_menger`` from ``src-dir``, on w = 3..5 (``--widths``) or on the
+widths after ``@`` in its argument, for a tree that finishes larger grids.
+For each w it times the oracle on ``rooted_p3_grid(w)`` as the median of
+``--runs`` runs and records its result (None when no two disjoint supports
+exist), the order in which it searched the root sets
+(``acceptance.root_search_order``: the positions in ``spec.roots`` of the
+trunk start, the attachment and the trunk end; the input order in a tree
+without it) and the peak RSS of the process so far, with garbage collected
+after each run.  One more, untimed run counts the search work: the calls of
+the attachment search (``q_dfs``) and of the trunk search (``trunk_dfs``),
+the component walks (each ``_RootedSupports.witness`` call, and each
+``_RootedSupports.components`` call made outside one), and the entries of
+the search's memo, read from its locals as the oracle returns.
 """
 
 from __future__ import annotations
@@ -29,6 +34,18 @@ import sys
 import time
 
 
+#: what the script wraps or reads in ``coarse_menger``: dotted attributes,
+#: and the nested searches and the memo local of the oracle
+WRAPPED = (
+    "acceptance.exhaustive_two_disjoint_supports",
+    "acceptance._RootedSupports.witness",
+    "acceptance._RootedSupports.components",
+    "acceptance.root_search_order",
+)
+SEARCHES = {"q_dfs": "attach_calls", "trunk_dfs": "trunk_calls"}
+MEMO = "memo"
+
+
 def _count_work(acceptance, g, roots):
     """Attachment and trunk calls, component walks and memo entries of one
     oracle run."""
@@ -36,33 +53,43 @@ def _count_work(acceptance, g, roots):
     sup_class = acceptance._RootedSupports
     counts = {"attach_calls": 0, "trunk_calls": 0, "component_walks": 0,
               "memo_entries": 0}
-    by_name = {"q_dfs": "attach_calls", "trunk_dfs": "trunk_calls"}
     source = oracle.__code__.co_filename
 
     def hook(frame, event, arg):
         code = frame.f_code
         if code.co_filename != source:
             return
-        if event == "call" and code.co_name in by_name:
-            counts[by_name[code.co_name]] += 1
+        if event == "call" and code.co_name in SEARCHES:
+            counts[SEARCHES[code.co_name]] += 1
         elif event == "return" and code is oracle.__code__:
             local = frame.f_locals
-            memo = local["memo"] if "memo" in local else local["sup"]._survives
+            memo = local[MEMO] if MEMO in local else local["sup"]._survives
             counts["memo_entries"] = len(memo)
 
-    walk = sup_class.components
+    # a tree whose witness walks through components() counts that walk once
+    witness, walk = sup_class.witness, sup_class.components
+    inside = []
 
-    def counted_walk(self, removed):
+    def counted_witness(self, removed):
         counts["component_walks"] += 1
-        return walk(self, removed)
+        inside.append(True)
+        try:
+            return witness(self, removed)
+        finally:
+            inside.pop()
 
-    sup_class.components = counted_walk
+    def counted_walk(self, removed, *seeds):
+        if not inside:
+            counts["component_walks"] += 1
+        return walk(self, removed, *seeds)
+
+    sup_class.witness, sup_class.components = counted_witness, counted_walk
     sys.setprofile(hook)
     try:
         oracle(g, roots)
     finally:
         sys.setprofile(None)
-        sup_class.components = walk
+        sup_class.witness, sup_class.components = witness, walk
     return counts
 
 
@@ -84,10 +111,12 @@ def measure(src: str, widths, runs: int) -> list:
             # cycle; collect it, so that the peak RSS is one call's peak
             gc.collect()
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        order = getattr(acceptance, "root_search_order", lambda g, roots: (0, 1, 2))
         rows.append({
             "w": w,
             "oracle_s": round(statistics.median(seconds), 4),
             "result": None if pair is None else [sorted(side) for side in pair],
+            "order": list(order(g, roots)),
             "peak_rss_mb": round(peak_mb, 1),
             **_count_work(acceptance, g, roots),
         })
@@ -97,7 +126,7 @@ def measure(src: str, widths, runs: int) -> list:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("trees", nargs="*", metavar="label=src-dir")
+    parser.add_argument("trees", nargs="*", metavar="label=src-dir[@widths]")
     parser.add_argument("--widths", default="3,4,5")
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--one", help=argparse.SUPPRESS)
@@ -112,8 +141,9 @@ def main() -> int:
         "topic": "rooted-grid acceptance oracle",
         "layer": "L5",
         "what": "median seconds of exhaustive_two_disjoint_supports on "
-                "rooted_p3_grid(w), its result, the search calls, component "
-                "walks and memo entries of one run, and the peak RSS",
+                "rooted_p3_grid(w), its result, its root order (trunk start, "
+                "attachment, trunk end), the search calls, component walks "
+                "and memo entries of one run, and the peak RSS",
         "runs": args.runs,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",
@@ -121,9 +151,10 @@ def main() -> int:
     }
     for spec in args.trees:
         label, _, src = spec.partition("=")
+        src, _, widths = src.partition("@")
         done = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--one", os.path.abspath(src),
-             "--widths", args.widths, "--runs", str(args.runs)],
+             "--widths", widths or args.widths, "--runs", str(args.runs)],
             check=True, stdout=subprocess.PIPE, text=True,
         )
         out["trees"][label] = json.loads(done.stdout)

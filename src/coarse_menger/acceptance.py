@@ -22,7 +22,7 @@ from .covering import (
     min_ball_hitting,
     min_separating_balls,
 )
-from .errors import CoarseMengerError, InternalInconsistencyError
+from .errors import CoarseMengerError, InputError, InternalInconsistencyError
 from .generators import menger_lower_bound_instance, random_instances, rooted_p3_grid
 from .graph import Graph, certify_centered, distance
 from .packing import PackingInstance, gallai_packing, max_far_packing, menger_packing
@@ -324,7 +324,13 @@ class _RootedSupports:
             self.bit[v]: sum(self.bit[n] for n in g.neighbors(v))
             for v in self.verts
         }
-        self.rsets = [sum(self.bit[v] for v in r if v in self.bit) for r in roots]
+        try:
+            self.rsets = [self.mask(r) for r in roots]
+        except KeyError as exc:
+            raise InputError(f"root vertex {exc.args[0]!r} is not in the graph") from None
+        # every supporting component holds a vertex of each root set, so the
+        # component walk starts only at those of the smallest one
+        self.seeds = min(self.rsets, key=int.bit_count)
         self.everything = (1 << len(self.verts)) - 1
 
     def mask(self, vs) -> int:
@@ -342,12 +348,15 @@ class _RootedSupports:
         return (a | b).bit_count() >= 2 and (a | c).bit_count() >= 2 \
             and (b | c).bit_count() >= 2 and (a | b | c).bit_count() >= 3
 
-    def components(self, removed: int):
-        """Components of ``g - removed`` as masks, lowest vertex first."""
+    def components(self, removed: int, seeds: Optional[int] = None):
+        """Components of ``g - removed`` as masks, lowest vertex first; with
+        ``seeds``, only those holding a vertex of it, lowest such vertex
+        first."""
         nbr = self.nbr
         left = self.everything & ~removed
-        while left:
-            comp = frontier = left & -left
+        seeds = left if seeds is None else seeds & left
+        while seeds:
+            comp = frontier = seeds & -seeds
             left ^= comp
             while frontier:
                 low = frontier & -frontier
@@ -355,12 +364,13 @@ class _RootedSupports:
                 left ^= new
                 comp |= new
                 frontier = frontier ^ low | new
+            seeds &= left
             yield comp
 
     def witness(self, removed: int) -> int:
-        """The first component of ``g - removed`` that supports the roots,
-        or 0."""
-        for comp in self.components(removed):
+        """A component of ``g - removed`` that supports the roots, or 0; only
+        those holding a vertex of ``seeds`` are walked."""
+        for comp in self.components(removed, self.seeds):
             if self.has_sdr(comp):
                 return comp
         return 0
@@ -371,16 +381,61 @@ class _RootedSupports:
         its own memo."""
         return self.witness(removed) != 0
 
+    def hops(self, source: int) -> List[int]:
+        """Hop distance from the vertex mask ``source`` to each root set, by a
+        breadth-first flood; ``len(verts)`` where no path reaches it."""
+        far = len(self.verts)
+        out = [far] * 3
+        seen = frontier = source
+        depth = 0
+        while frontier:
+            for i, r in enumerate(self.rsets):
+                if out[i] == far and r & frontier:
+                    out[i] = depth
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= self.nbr[low]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+            depth += 1
+        return out
+
+
+def root_search_order(g: Graph, roots: Sequence[frozenset]) -> Tuple[int, int, int]:
+    """The order in which ``exhaustive_two_disjoint_supports`` searches the
+    root sets: the positions in ``roots`` of its trunk start, its attachment
+    and its trunk end (the rule is in the oracle's docstring)."""
+    sup = _RootedSupports(g, roots)
+    sizes = [r.bit_count() for r in sup.rsets]
+    hops = [sup.hops(r) for r in sup.rsets]
+    start = min(range(3), key=lambda i: (sizes[i], sum(hops[i]), i))
+    end = min((i for i in range(3) if i != start),
+              key=lambda i: (hops[start][i], sizes[i], i))
+    return start, 3 - start - end, end
+
 
 def exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
     """Complete search for two vertex-disjoint connected sets, each holding
     distinct representatives of three root sets.
 
     Every minimal such set is a tree with at most three leaves, so it splits
-    into a simple path between the first and third root sets plus at most one
-    attachment path to the second; both parts are enumerated by depth-first
-    search.  The partner-side check ("does some leftover component still
-    support the roots?") is monotone under growth, which prunes hard.
+    into a simple path between two of the root sets (the trunk) plus at most
+    one attachment path to the third; both parts are enumerated by
+    depth-first search.  The partner-side check ("does some leftover
+    component still support the roots?") is monotone under growth, which
+    prunes hard.
+
+    Any two of a minimal set's representatives can end its trunk, and the
+    support test is symmetric in the root sets, so the search is complete in
+    every order of them; ``root_search_order`` picks one.  The trunk starts
+    at the root set with the fewest vertices (ties: the least total hop
+    distance to the other two, then the first in ``roots``), since every
+    start is a separate search; it ends at the remaining set nearest to the
+    start (ties: the smaller, then the first), which keeps the trunks short;
+    the last set takes the attachment.  On ``rooted_p3_grid`` that runs the
+    trunk from the first row to the first column, not across the grid.
 
     A search state is a trunk (its end vertex, its vertex mask) or an
     attachment (its last vertex, the union mask), and what the search finds
@@ -398,7 +453,10 @@ def exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
     unions, for 24k walks saved).  The recursive searches are dropped as
     the call returns, which breaks their self-references, so the memo is
     freed at once and leaves no reference cycle for the garbage collector.
+    The partner side returned with a find is the first supporting component
+    of the rest, lowest vertex first.
     """
+    roots = [roots[i] for i in root_search_order(g, roots)]
     sup = _RootedSupports(g, roots)
     bit = sup.bit
     adj = {v: sorted(g.neighbors(v)) for v in g.vertices}
@@ -484,7 +542,7 @@ def exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
     if not found:
         return None
     s1 = found[0]
-    partner = sup.witness(s1)
+    partner = next((c for c in sup.components(s1) if sup.has_sdr(c)), 0)
     if not partner:
         raise InternalInconsistencyError("search result lost its partner side")
     return sup.members(s1), sup.members(partner)

@@ -131,8 +131,12 @@ def _load_instances(args) -> List[Dict]:
                 g = graph_from_json_dict(d["graph"])
                 x = frozenset(d["x"])
                 y = frozenset(d["y"])
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"instance {i}: missing field {exc}")
+            except KeyError as exc:
+                raise InputError(f"instance {i}: missing field {exc}") from None
+            except TypeError as exc:
+                raise InputError(f"instance {i}: malformed field: {exc}") from None
+            except InputError as exc:
+                raise InputError(f"instance {i}: {exc}") from None
             out.append({"graph": g, "x": x, "y": y,
                         "label": d.get("label", f"file-{i}")})
     else:

@@ -60,29 +60,43 @@ class Graph:
         edges: Iterable[tuple],
         weights: Optional[Mapping[tuple, Number]] = None,
     ):
-        vs = sorted(set(int(v) for v in vertices))
+        try:
+            vs = sorted(set(int(v) for v in vertices))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad vertex id: {exc}") from None
         self.vertices = tuple(vs)
         self._vset = frozenset(vs)
         es = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            if u not in self._vset or v not in self._vset:
-                raise InputError(f"edge ({u},{v}) uses an undeclared vertex")
-            es.add(_norm_edge(u, v))
+        try:
+            for u, v in edges:
+                u, v = int(u), int(v)
+                if u == v:
+                    raise InputError(f"self-loop at vertex {u}")
+                if u not in self._vset or v not in self._vset:
+                    raise InputError(f"edge ({u},{v}) uses an undeclared vertex")
+                es.add(_norm_edge(u, v))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad edge: {exc}") from None
         self.edges = tuple(sorted(es))
         self._exact = True  # every distance is an int, a Fraction or INF
         if weights is not None:
             w = {}
-            for e, val in weights.items():
-                e = _norm_edge(*e)
-                if e not in es:
-                    raise InputError(f"weight given for non-edge {e}")
-                if not val > 0:
-                    raise InputError(f"non-positive weight {val} on edge {e}")
-                w[e] = val
-                self._exact = self._exact and is_exact(val)
+            try:
+                for e, val in weights.items():
+                    e = _norm_edge(*e)
+                    if e not in es:
+                        raise InputError(f"weight given for non-edge {e}")
+                    if not val > 0:
+                        raise InputError(f"non-positive weight {val} on edge {e}")
+                    if not is_exact(val):
+                        # bool passes ``> 0`` and ``math.isfinite``; an int
+                        # or a Fraction is always finite
+                        if isinstance(val, bool) or not math.isfinite(val):
+                            raise InputError(f"weight {val!r} on edge {e} is not a finite number")
+                        self._exact = False
+                    w[e] = val
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"bad edge weight: {exc}") from None
             missing = es - set(w)
             if missing:
                 raise InputError(f"edges without weight: {sorted(missing)[:3]}")
@@ -319,7 +333,11 @@ def as_vertex_set(g: Graph, s) -> VertexSet:
         if s.host is not g and s.host != g:
             raise InputError("vertex set belongs to a different graph")
         return s
-    return VertexSet(frozenset(int(v) for v in s), g)
+    try:
+        members = frozenset(int(v) for v in s)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad vertex id: {exc}") from None
+    return VertexSet(members, g)
 
 
 @dataclass(frozen=True)
@@ -563,9 +581,10 @@ def _weight_from_text(tok: str) -> Number:
         return int(tok)
     except ValueError:
         pass
-    if "/" in tok:
-        return Fraction(tok)
-    return float(tok)
+    try:
+        return Fraction(tok) if "/" in tok else float(tok)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"not a number: {tok!r}") from None
 
 
 def from_edge_list(text: str) -> Graph:
@@ -635,13 +654,16 @@ def from_json_dict(doc: dict) -> Graph:
     weights = None
     if "weights" in doc:
         raw = doc["weights"]
-        if len(raw) != len(edges):
-            raise InputError("weights array does not parallel edges array")
+        if not isinstance(raw, list) or len(raw) != len(edges):
+            raise InputError("weights must be an array parallel to the edges array")
         weights = {}
-        for e, w in zip(edges, raw):
-            if isinstance(w, str):
-                w = _weight_from_text(w)
-            weights[_norm_edge(*e)] = w
+        try:
+            for e, w in zip(edges, raw):
+                if isinstance(w, str):
+                    w = _weight_from_text(w)
+                weights[_norm_edge(*e)] = w
+        except TypeError as exc:
+            raise InputError(f"bad edge: {exc}") from None
     return Graph(vertices, edges, weights)
 
 

@@ -121,6 +121,34 @@ def test_run_duality_file_instances(tmp_path, capsys):
     assert parsed["instances"][0]["label"] == "tiny"
 
 
+@pytest.mark.parametrize("instance,message", [
+    ({"graph": {"vertices": [0, 1], "edges": [[0, 1, 2]]}, "x": [0], "y": [1]},
+     "instance 0: bad edge"),
+    ({"graph": {"vertices": [0, 1], "edges": [[0, 1]], "weights": {"0-1": 2}},
+      "x": [0], "y": [1]},
+     "instance 0: weights must be an array"),
+    ({"graph": {"vertices": [0, 1], "edges": [[0, 1]], "weights": [True]},
+      "x": [0], "y": [1]},
+     "instance 0: weight True"),
+    ({"graph": {"vertices": [0, 1], "edges": [[0, 1]], "weights": [None]},
+      "x": [0], "y": [1]},
+     "instance 0: bad edge weight"),
+    ({"graph": {"vertices": [0, 1], "edges": [[0, 1]]}, "x": 0, "y": [1]},
+     "instance 0: malformed field"),
+    ({"graph": {"vertices": [0, 1], "edges": [[0, 1]]}, "x": ["a"], "y": [1]},
+     "bad vertex id"),
+    ({"graph": {"vertices": [0, 1], "edges": [[0, 1]]}, "x": [0]},
+     "instance 0: missing field 'y'"),
+])
+def test_run_duality_malformed_file_names_the_fault(tmp_path, capsys, instance, message):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps([instance]))
+    code, _, err = run(capsys, "run-duality", "--file", str(path), "--r", "1", "--beta", "0")
+    assert code == EXIT_CONFIG
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_run_duality_output_files(tmp_path, capsys):
     out_path = tmp_path / "report"
     code, _, _ = run(capsys, "run-duality", "--grid", "2x3",

@@ -16,6 +16,7 @@ from coarse_menger.graph import (
     distance,
     from_edge_list,
     from_json,
+    from_json_dict,
     neighborhood,
     set_distance,
     to_edge_list,
@@ -163,6 +164,43 @@ def test_json_round_trip():
     g2 = from_json(to_json(g))
     assert g2 == g
     assert distance(g2, 0, 1) == Fraction(1, 3)
+
+
+MALFORMED_GRAPH_DOCUMENTS = {
+    "three-vertex edge": {"vertices": [0, 1, 2], "edges": [[0, 1, 2]]},
+    "one-vertex edge": {"vertices": [0, 1], "edges": [[0]]},
+    "vertices as a string": {"vertices": "ab", "edges": []},
+    "non-integer vertex": {"vertices": ["a"], "edges": []},
+    "null vertex": {"vertices": [None], "edges": []},
+    "weights as an object": {"vertices": [0, 1], "edges": [[0, 1]], "weights": {"0-1": 2}},
+    "null weights": {"vertices": [0, 1], "edges": [[0, 1]], "weights": None},
+    "weight not a number": {"vertices": [0, 1], "edges": [[0, 1]], "weights": ["abc"]},
+    "weight divides by zero": {"vertices": [0, 1], "edges": [[0, 1]], "weights": ["1/0"]},
+    "boolean weight": {"vertices": [0, 1], "edges": [[0, 1]], "weights": [True]},
+    "infinite weight": {"vertices": [0, 1], "edges": [[0, 1]], "weights": ["inf"]},
+    "infinite float weight": {"vertices": [0, 1], "edges": [[0, 1]], "weights": [math.inf]},
+    "null weight": {"vertices": [0, 1], "edges": [[0, 1]], "weights": [None]},
+    "three-vertex weighted edge": {"vertices": [0, 1, 2], "edges": [[0, 1, 2]], "weights": [1]},
+    "nested weighted edge": {"vertices": [0, 1], "edges": [[[0], 1]], "weights": [1]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRAPH_DOCUMENTS))
+def test_malformed_graph_documents_are_input_errors(name):
+    with pytest.raises(InputError):
+        from_json_dict(MALFORMED_GRAPH_DOCUMENTS[name])
+
+
+@pytest.mark.parametrize("text", ["0 1 1/0", "0 1 abc", "0 1 inf", "0 1 -inf"])
+def test_malformed_edge_list_weights_are_input_errors(text):
+    with pytest.raises(InputError):
+        from_edge_list(text)
+
+
+def test_float_and_fraction_weights_are_still_accepted():
+    g = from_json_dict({"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]],
+                        "weights": [0.5, "3/2"]})
+    assert g.weights == {(0, 1): 0.5, (1, 2): Fraction(3, 2)}
 
 
 @settings(max_examples=60, deadline=None)

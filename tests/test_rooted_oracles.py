@@ -16,13 +16,19 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarse_menger.acceptance import _RootedSupports, exhaustive_two_disjoint_supports
-from coarse_menger.errors import CapacityError
+from coarse_menger import acceptance
+from coarse_menger.acceptance import (
+    _RootedSupports,
+    exhaustive_two_disjoint_supports,
+    root_search_order,
+)
+from coarse_menger.errors import CapacityError, InputError
 from coarse_menger.generators import grid, grid_column, grid_row, rooted_p3_grid
 from coarse_menger.graph import Graph, leq, set_distance
 from coarse_menger.trees import (
@@ -105,12 +111,18 @@ def _has_distinct_reps(roots, side) -> bool:
     return any(len(set(t)) == len(t) for t in itertools.product(*pools))
 
 
+def _in_search_order(g, roots):
+    """The root sets in the order the oracle searches them, for the
+    references, which search them in the order given."""
+    return [roots[i] for i in root_search_order(g, roots)]
+
+
 @settings(max_examples=120, deadline=None)
 @given(rooted_hosts())
 def test_exhaustive_oracle_returns_the_same_pair(host):
     g, roots = host
     assert exhaustive_two_disjoint_supports(g, roots) == \
-        set_exhaustive_two_disjoint_supports(g, roots)
+        set_exhaustive_two_disjoint_supports(g, _in_search_order(g, roots))
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,7 +130,7 @@ def test_exhaustive_oracle_returns_the_same_pair(host):
 def test_exhaustive_oracle_agrees_with_the_revisiting_search(host):
     g, roots = host
     assert exhaustive_two_disjoint_supports(g, roots) == \
-        memo_exhaustive_two_disjoint_supports(g, roots)
+        memo_exhaustive_two_disjoint_supports(g, _in_search_order(g, roots))
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,16 +140,70 @@ def test_exhaustive_oracle_first_find_on_planted_hosts(host):
     g, roots = host
     got = exhaustive_two_disjoint_supports(g, roots)
     assert got is not None
-    assert got == memo_exhaustive_two_disjoint_supports(g, roots)
+    assert got == memo_exhaustive_two_disjoint_supports(g, _in_search_order(g, roots))
     _assert_valid_witness(g, roots, got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(rooted_hosts(), planted_hosts()))
+def test_exhaustive_oracle_verdict_is_free_of_the_root_order(host):
+    # the search is complete in every order of the root sets, which is what
+    # lets the oracle choose its own: each of the six orders is forced on it,
+    # and each order of the input is given to it
+    g, roots = host
+    verdicts = set()
+    for order in itertools.permutations(range(3)):
+        with mock.patch.object(acceptance, "root_search_order", lambda g, roots: order):
+            forced = exhaustive_two_disjoint_supports(g, roots)
+        given_order = exhaustive_two_disjoint_supports(g, [roots[i] for i in order])
+        for got in (forced, given_order):
+            verdicts.add(got is not None)
+            if got is not None:
+                _assert_valid_witness(g, roots, got)
+    assert len(verdicts) == 1
+
+
+@pytest.mark.parametrize("w", [3, 4, 5, 6])
+def test_exhaustive_oracle_starts_its_trunk_in_the_first_row(w):
+    # all three root sets have w vertices; the first row meets both columns,
+    # so it is the start, and its nearest set, the first column, the end
+    spec = rooted_p3_grid(w)
+    assert spec.roots[1] == grid_row(w, w, 0)
+    assert root_search_order(spec.graph, spec.roots) == (1, 2, 0)
+
+
+def test_root_search_order_puts_the_smallest_set_first():
+    # (start, attachment, end) positions on the path 0-1-...-6
+    g = grid(1, 7)
+
+    def order(*sets):
+        return root_search_order(g, [frozenset(r) for r in sets])
+
+    # size first: {0, 1} is nearest to both others but has two vertices
+    assert order({0, 1}, {6}, {3}) == (2, 1, 0)
+    # equal sizes: the least total distance starts, the nearest set ends
+    assert order({0}, {5}, {6}) == (1, 0, 2)
+    # equal sizes and totals: the first in the input starts
+    assert order({0}, {6}, {2, 3, 4}) == (0, 1, 2)
+    # two sets at equal distance from the start: the smaller one ends
+    assert order({3}, {0, 1}, {5}) == (0, 1, 2)
+
+
+def test_exhaustive_oracle_refuses_a_root_outside_the_graph():
+    g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(InputError, match="9"):
+        exhaustive_two_disjoint_supports(g, [frozenset({9}), frozenset({1}), frozenset({2})])
 
 
 def test_exhaustive_oracle_keys_a_state_by_its_end_vertex():
     # the trunk {1, 2} is met first ending at 2 (from the start 1), then
     # ending at 1, a root of the third set, from the start 2; only the second
-    # attaches, and its attachment 0 is the first find
-    g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (3, 5), (4, 5)])
-    roots = [frozenset({1, 2, 5}), frozenset({0, 2, 3}), frozenset({1, 4})]
+    # attaches, and its attachment 0 is the first find.  The isolated vertex
+    # 6 is no part of any search; it makes the first set the smallest and the
+    # third smaller than the second, so the oracle keeps this order
+    g = Graph(range(7), [(0, 1), (1, 2), (2, 3), (3, 5), (4, 5)])
+    roots = [frozenset({1, 2, 5}), frozenset({0, 2, 3, 6}), frozenset({1, 4, 6})]
+    assert root_search_order(g, roots) == (0, 1, 2)
     expect = (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
     assert memo_exhaustive_two_disjoint_supports(g, roots) == expect
     assert exhaustive_two_disjoint_supports(g, roots) == expect
