@@ -317,7 +317,7 @@ class _RootedSupports:
 
     def __init__(self, g: Graph, roots: Sequence[frozenset]):
         if len(roots) != 3:
-            raise ValueError("oracle is specific to three root sets")
+            raise InputError(f"oracle is specific to three root sets, got {len(roots)}")
         self.verts = sorted(g.vertices)
         self.bit = {v: 1 << i for i, v in enumerate(self.verts)}
         self.nbr = {

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CapacityError, InputError
@@ -61,15 +62,15 @@ class Graph:
         weights: Optional[Mapping[tuple, Number]] = None,
     ):
         try:
-            vs = sorted(set(int(v) for v in vertices))
-        except (TypeError, ValueError) as exc:
+            vs = sorted(set(map(index, vertices)))
+        except TypeError as exc:
             raise InputError(f"bad vertex id: {exc}") from None
         self.vertices = tuple(vs)
         self._vset = frozenset(vs)
         es = set()
         try:
             for u, v in edges:
-                u, v = int(u), int(v)
+                u, v = index(u), index(v)
                 if u == v:
                     raise InputError(f"self-loop at vertex {u}")
                 if u not in self._vset or v not in self._vset:
@@ -334,8 +335,8 @@ def as_vertex_set(g: Graph, s) -> VertexSet:
             raise InputError("vertex set belongs to a different graph")
         return s
     try:
-        members = frozenset(int(v) for v in s)
-    except (TypeError, ValueError) as exc:
+        members = frozenset(map(index, s))
+    except TypeError as exc:
         raise InputError(f"bad vertex id: {exc}") from None
     return VertexSet(members, g)
 

@@ -863,6 +863,21 @@ def two_disjoint_connected_transversals(
     them, and the only test on them (the full set, when a component closes)
     is monotone too, so whatever the dropped state reaches, the state that
     dominates it reaches with larger masks.
+
+    After each intro phase, a state is also dropped if one of its labels can
+    no longer collect every root set: a root index is *spent* once no later
+    vertex of ``order`` lies in that root set, and each label must hold some
+    subset ``s`` in its ``sdr`` mask that contains every spent index.  A
+    closed label holds the full set and so always passes; an unused label
+    holds only the empty set and fails once any index is spent.  If a layer
+    becomes empty, the search returns None at once.  This is exact too.  The
+    test is necessary for finishing, since ``grown`` adds only indices of
+    later vertices and a label closes only with the full set, so no final
+    state is lost.  It stays failed going forward: the vertex introduced next
+    adds only indices that were not spent before it.  And it is monotone in
+    the ``sdr`` masks, so a dropped state never dominates a kept one.  The
+    kept states thus keep their insertion order and first predecessors, and
+    the pair returned is the same.
     """
     if order is None:
         order = sorted(g.vertices)
@@ -895,6 +910,15 @@ def two_disjoint_connected_transversals(
     closed_nbhd = g.closed_neighborhood_masks()
     roots_at = _member_masks(g, root_sets)
     full = (1 << len(root_sets)) - 1
+    # per vertex, the ``sdr`` bits of the root subsets that contain every
+    # index spent once it is introduced (no entry while none is spent)
+    finishing: Dict[int, int] = {}
+    remaining = 0
+    for v in reversed(order):
+        spent = full & ~remaining
+        if spent:
+            finishing[v] = sum(1 << s for s in range(full + 1) if s & spent == spent)
+        remaining |= roots_at.get(v, 0)
     grown_cache: Dict[tuple, int] = {}
 
     def grown(sdr: int, at: int) -> int:
@@ -955,6 +979,10 @@ def two_disjoint_connected_transversals(
                     if new_state not in nxt:
                         nxt[new_state] = (state, v, label)
             active |= vb
+            can_finish = finishing.get(v)
+            if can_finish:
+                nxt = {state: step for state, step in nxt.items()
+                       if state[1] & can_finish and state[2] & can_finish}
         else:
             for state in layers[-1]:
                 blocks, sdr1, sdr2, closed = state
@@ -982,6 +1010,8 @@ def two_disjoint_connected_transversals(
                     nxt[out_state] = (state, v, 0)
             active &= ~vb
         layers.append(_drop_dominated(nxt))
+        if not layers[-1]:
+            return None
 
     final = next((s for s in layers[-1] if s[3] == 0b110), None)
     if final is None:

@@ -139,6 +139,8 @@ def test_run_duality_file_instances(tmp_path, capsys):
      "bad vertex id"),
     ({"graph": {"vertices": [0, 1], "edges": [[0, 1]]}, "x": [0]},
      "instance 0: missing field 'y'"),
+    ({"graph": {"vertices": [0, 1.5], "edges": [[0, 1.5]]}, "x": [0], "y": [1]},
+     "instance 0: bad vertex id"),
 ])
 def test_run_duality_malformed_file_names_the_fault(tmp_path, capsys, instance, message):
     path = tmp_path / "inst.json"

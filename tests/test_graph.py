@@ -182,6 +182,10 @@ MALFORMED_GRAPH_DOCUMENTS = {
     "null weight": {"vertices": [0, 1], "edges": [[0, 1]], "weights": [None]},
     "three-vertex weighted edge": {"vertices": [0, 1, 2], "edges": [[0, 1, 2]], "weights": [1]},
     "nested weighted edge": {"vertices": [0, 1], "edges": [[[0], 1]], "weights": [1]},
+    "fractional vertex": {"vertices": [0, 1.5], "edges": [[0, 1.5]]},
+    "integral float vertex": {"vertices": [0, 1.0], "edges": []},
+    "digit-string vertex": {"vertices": [0, "1"], "edges": []},
+    "edge as a digit string": {"vertices": [0, 1], "edges": ["01"]},
 }
 
 
@@ -189,6 +193,13 @@ MALFORMED_GRAPH_DOCUMENTS = {
 def test_malformed_graph_documents_are_input_errors(name):
     with pytest.raises(InputError):
         from_json_dict(MALFORMED_GRAPH_DOCUMENTS[name])
+
+
+@pytest.mark.parametrize("members", [[0, 1.5], [1.0], ["1"]])
+def test_vertex_sets_refuse_non_integer_ids(members):
+    # 1.5 is not truncated to 1, nor is "1" parsed: an id must be an int
+    with pytest.raises(InputError, match="bad vertex id"):
+        set_distance(path_graph(3), members, [0])
 
 
 @pytest.mark.parametrize("text", ["0 1 1/0", "0 1 abc", "0 1 inf", "0 1 -inf"])

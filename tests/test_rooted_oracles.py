@@ -7,7 +7,8 @@ exhaustive oracle, which explores each search state once, is also checked
 against its earlier mask search, which revisits them, on both host families
 and a pinned path, and finds no pair on the 5x5 rooted grid.  The DP, whose
 blocks are flat int entries, is checked against its earlier ``(label,
-mask)`` encoding on both host families, for the very pair it returns.  The
+mask)`` encoding on both host families, for the very pair it returns, in
+the default sweep order and in random ones.  The
 minimal-support scan of the rooted dichotomy is checked against its
 frozenset version, and the dichotomy's certificates on small unit and
 Fraction-weighted hosts against the set oracles."""
@@ -195,6 +196,14 @@ def test_exhaustive_oracle_refuses_a_root_outside_the_graph():
         exhaustive_two_disjoint_supports(g, [frozenset({9}), frozenset({1}), frozenset({2})])
 
 
+@pytest.mark.parametrize("count", [2, 4])
+@pytest.mark.parametrize("search", [exhaustive_two_disjoint_supports, root_search_order])
+def test_exhaustive_oracle_refuses_other_than_three_root_sets(search, count):
+    g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(InputError, match=f"three root sets, got {count}"):
+        search(g, [frozenset({i}) for i in range(count)])
+
+
 def test_exhaustive_oracle_keys_a_state_by_its_end_vertex():
     # the trunk {1, 2} is met first ending at 2 (from the start 1), then
     # ending at 1, a root of the third set, from the start 2; only the second
@@ -271,6 +280,23 @@ def test_boundary_dp_first_find_on_planted_hosts(host):
     got = two_disjoint_connected_transversals(g, roots)
     assert got is not None
     assert got == pair_two_disjoint_connected_transversals(g, roots)
+
+
+@st.composite
+def ordered_hosts(draw):
+    """A rooted or planted host with a random sweep order of its vertices."""
+    g, roots = draw(st.one_of(rooted_hosts(), planted_hosts()))
+    return g, roots, draw(st.permutations(g.vertices))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_hosts())
+def test_boundary_dp_returns_the_pair_encoding_result_in_any_order(host):
+    # in a random order the root sets run out at different phases, which is
+    # when the DP drops the states that can no longer finish
+    g, roots, order = host
+    assert _outcome(two_disjoint_connected_transversals, g, roots, order) == \
+        _outcome(pair_two_disjoint_connected_transversals, g, roots, order)
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 3), (2, 5), (3, 4), (4, 5)])
