@@ -237,11 +237,33 @@ class Graph:
         times the LCM of their denominators (:meth:`_scaled_adjacency`), each
         length divided back into a ``Fraction``.  The values equal those of
         summing the ``Fraction`` weights.
+
+        On a host with float weights the rows are made symmetric: d(u, v) is
+        read from the row of min(u, v), so it cannot depend on argument order
+        by an ulp.  The first row asked for there computes the rows of every
+        smaller vertex too.
         """
         self._require_vertex(source)
-        cached = self._dist_cache.get(source)
+        cache = self._dist_cache
+        cached = cache.get(source)
         if cached is not None:
             return cached
+        if self._exact:
+            cached = cache[source] = self._row(source)
+            return cached
+        below = []
+        for v in self.vertices:
+            if v not in cache:
+                row = self._row(v)
+                for u in below:
+                    row[u] = cache[u][v]
+                cache[v] = row
+            if v == source:
+                return cache[v]
+            below.append(v)
+
+    def _row(self, source: int) -> dict:
+        """Dijkstra (BFS when unweighted) from ``source``, uncached."""
         scaled = self._scaled_adjacency()
         if self.weights is None:
             dist = {source: 0}
@@ -280,9 +302,7 @@ class Graph:
                 for n in self._adj[u]:
                     if n not in dist:
                         heapq.heappush(heap, (d + self.weights[_norm_edge(u, n)], n))
-        full = {v: dist.get(v, INF) for v in self.vertices}
-        self._dist_cache[source] = full
-        return full
+        return {v: dist.get(v, INF) for v in self.vertices}
 
     def _scaled_adjacency(self):
         """``(scale, adjacency)`` when the graph is weighted and every weight
@@ -500,6 +520,13 @@ def _set_cover(target: int, masks: Sequence[int], budget: Optional[int] = None):
     branches on the uncovered element with the fewest covering candidates
     (lowest element on ties), trying candidates by most new coverage, then
     position, and prunes on ``ceil(uncovered / largest candidate)``.
+
+    A candidate tried at a node is banned in the subtrees of its later
+    siblings, so each cover is reached once, not once per order of its
+    members.  The ban is exact and returns the same positions: a cover
+    through a banned candidate lies in that candidate's own subtree, which
+    was searched first and under a limit no smaller, so the cover was found
+    there (and lowered the limit below its size) or ruled out.
     """
     elements = [1 << j for j in range(target.bit_length()) if target >> j & 1]
     covering = {b: [i for i, m in enumerate(masks) if m & b] for b in elements}
@@ -513,8 +540,9 @@ def _set_cover(target: int, masks: Sequence[int], budget: Optional[int] = None):
     chosen = []
     nodes = 0
 
-    def search(uncovered: int) -> bool:
-        # True stops the search: the first cover within a budget was found
+    def search(uncovered: int, banned: int) -> bool:
+        # True stops the search: the first cover within a budget was found;
+        # ``banned`` holds the positions this subtree may not take
         nonlocal best, limit, nodes
         nodes += 1
         if not uncovered:
@@ -526,13 +554,16 @@ def _set_cover(target: int, masks: Sequence[int], budget: Optional[int] = None):
             return False
         pivot = next(b for b in pivots if b & uncovered)
         for i in sorted(covering[pivot], key=lambda i: (-(masks[i] & uncovered).bit_count(), i)):
+            if banned >> i & 1:
+                continue
             chosen.append(i)
-            if search(uncovered & ~masks[i]):
+            if search(uncovered & ~masks[i], banned):
                 return True
             chosen.pop()
+            banned |= 1 << i
         return False
 
-    search(target)
+    search(target, 0)
     return best, nodes
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .errors import CapacityError, InputError, PreconditionError
@@ -52,8 +53,13 @@ def _num(x):
 
 
 def quasi_isometry_from_json_dict(doc: dict) -> QuasiIsometry:
-    return QuasiIsometry({int(s): int(t) for s, t in doc["map"]},
-                         _parse_num(doc["m"]), _parse_num(doc["a"]))
+    try:
+        return QuasiIsometry({index(s): index(t) for s, t in doc["map"]},
+                             _parse_num(doc["m"]), _parse_num(doc["a"]))
+    except KeyError as exc:
+        raise InputError(f"quasi-isometry document lacks {exc}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad quasi-isometry document: {exc}") from None
 
 
 def _parse_num(x):

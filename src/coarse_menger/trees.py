@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import index
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .covering import _ball_hitting
@@ -170,8 +171,16 @@ class TreeDecomposition:
 
 
 def decomposition_from_json_dict(doc: dict) -> TreeDecomposition:
-    t = Graph(doc["tree"]["vertices"], [tuple(e) for e in doc["tree"]["edges"]])
-    bags = {int(k): frozenset(v) for k, v in doc["bags"].items()}
+    """Inverse of :meth:`TreeDecomposition.to_json_dict`; bag keys are tree
+    nodes, as ints or their decimal strings."""
+    try:
+        t = Graph(doc["tree"]["vertices"], [tuple(e) for e in doc["tree"]["edges"]])
+        bags = {int(k) if isinstance(k, str) else index(k): frozenset(v)
+                for k, v in doc["bags"].items()}
+    except KeyError as exc:
+        raise InputError(f"decomposition document lacks {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"bad decomposition document: {exc}") from None
     return TreeDecomposition(t, bags)
 
 
@@ -601,7 +610,10 @@ class _SupportMasks:
         self.everything = sum(self.bit.values())
 
     def has_reps(self, pool: int) -> bool:
-        return all((union & pool).bit_count() >= size for union, size in self.hall)
+        for union, size in self.hall:
+            if (union & pool).bit_count() < size:
+                return False
+        return True
 
     def component(self, left: int) -> int:
         """The component of the vertices in ``left`` holding its lowest one."""
@@ -630,9 +642,31 @@ class _SupportMasks:
         return 0
 
     def minimal_support(self, comp: int) -> int:
-        # a vertex that cannot go stays put once the support shrinks further,
-        # since a supporting component of the smaller rest would lie in one
-        # of the larger rest; so one pass leaves a minimal support
+        """An inclusion-minimal support inside the support ``comp``.
+
+        First a BFS spanning tree of ``comp`` (from its lowest vertex) loses
+        its leaves in reverse BFS order while Hall's condition holds: a tree
+        minus a leaf stays a connected tree, so no flood fill is needed, and
+        a vertex's children all come before it.  Then one deletion pass over
+        the small remainder: a vertex that cannot go stays put once the
+        support shrinks further, since a supporting component of the smaller
+        rest would lie in one of the larger rest.
+        """
+        seen = comp & -comp
+        order, parent, children = [seen], {}, {seen: 0}
+        for u in order:  # grows as it is read: BFS over masks
+            new = self.reach[u] & comp & ~seen
+            seen |= new
+            while new:
+                b = new & -new
+                new ^= b
+                parent[b], children[b] = u, 0
+                children[u] += 1
+                order.append(b)
+        for b in reversed(order[1:]):
+            if not children[b] and self.has_reps(comp & ~b):
+                comp &= ~b
+                children[parent[b]] -= 1
         for b in _bits(comp):
             if comp & b:
                 comp = self.supporting_component(comp & ~b) or comp
@@ -1043,7 +1077,10 @@ def min_transversal_blocker(
     every blocker hits every minimal support (connected, with distinct
     representatives), so a minimum hitting set of the supports found so far
     is a lower bound; its cover either blocks, and the bound is the minimum,
-    or leaves a component from which more supports are cut.
+    or leaves a component from which more supports are cut.  The supports
+    are cut by :meth:`_SupportMasks.minimal_support` from pruned BFS trees;
+    which minimal supports are found changes the work, not the answer, since
+    the final scan at the proven minimum picks the blocker.
     """
     model = _SupportMasks(g, root_sets)
 

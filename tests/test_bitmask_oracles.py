@@ -250,14 +250,18 @@ def _set_system(rng):
 @settings(max_examples=400, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_min_set_cover_matches_oracle(seed):
+    # the oracle lets a later sibling take a candidate an earlier one took;
+    # the solver bans it, so it returns the same cover in no more nodes
     universe, sets = _set_system(random.Random(seed))
     try:
-        expected = set_min_set_cover(universe, sets)
+        expected, oracle_nodes = set_min_set_cover(universe, sets)
     except InternalInconsistencyError:
         with pytest.raises(InternalInconsistencyError):
             min_set_cover(universe, sets)
         return
-    assert min_set_cover(universe, sets) == expected
+    chosen, nodes = min_set_cover(universe, sets)
+    assert chosen == expected
+    assert nodes <= oracle_nodes
 
 
 def test_min_set_cover_keeps_the_first_smallest_leaf():

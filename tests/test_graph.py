@@ -91,6 +91,30 @@ def test_fraction_distances_keep_their_type_on_unit_fractions_and_split_hosts():
     _same_distances(Graph([0, 1], [], {}))
 
 
+FLOAT_WEIGHTS = (0.1, 0.2, 0.3, 0.7, 1.0, 1.3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=10**6),
+       st.booleans())
+def test_float_distances_are_symmetric(n, seed, backwards):
+    # summed along a path in two directions, floats can differ by an ulp; the
+    # rows are read from the smaller end, in whatever order they are asked for
+    rng = random.Random(seed)
+    g = random_connected(rng, n)
+    g = Graph(g.vertices, g.edges, {e: rng.choice(FLOAT_WEIGHTS) for e in g.edges})
+    order = sorted(g.vertices, reverse=backwards)
+    for u in order:
+        for v in order:
+            assert distance(g, u, v) == distance(g, v, u)
+
+
+def test_float_distance_on_a_path_does_not_depend_on_argument_order():
+    # 0.7 + 0.2 + 0.1 is 0.9999999999999999 and 0.1 + 0.2 + 0.7 is 1.0
+    g = Graph(range(4), [(0, 1), (1, 2), (2, 3)], {(0, 1): 0.7, (1, 2): 0.2, (2, 3): 0.1})
+    assert distance(g, 3, 0) == distance(g, 0, 3) == 0.7 + 0.2 + 0.1
+
+
 def test_set_distance_empty_set_is_an_error():
     g = path_graph(3)
     with pytest.raises(InputError):

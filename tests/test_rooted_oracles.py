@@ -8,10 +8,13 @@ against its earlier mask search, which revisits them, on both host families
 and a pinned path, and finds no pair on the 5x5 rooted grid.  The DP, whose
 blocks are flat int entries, is checked against its earlier ``(label,
 mask)`` encoding on both host families, for the very pair it returns, in
-the default sweep order and in random ones.  The
-minimal-support scan of the rooted dichotomy is checked against its
-frozenset version, and the dichotomy's certificates on small unit and
-Fraction-weighted hosts against the set oracles."""
+the default sweep order and in random ones.  The blocker is also checked
+against the brute-force first smallest blocker on hosts, connected or not,
+with one to three root sets, and each support it cuts for being a support
+that no single vertex can leave.  The minimal-support scan of the rooted
+dichotomy is checked against its frozenset version, and the dichotomy's
+certificates on small unit and Fraction-weighted hosts against the set
+oracles."""
 
 import gc
 import itertools
@@ -315,6 +318,37 @@ def test_blocker_returns_the_same_set(host, size_cap):
     g, roots = host
     assert _outcome(min_transversal_blocker, g, roots, size_cap) == \
         _outcome(set_min_transversal_blocker, g, roots, size_cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_blocker_is_the_first_smallest_blocker_for_one_to_three_root_sets(seed):
+    # hosts connected or not, each with 1-3 root sets; the brute force scans
+    # every vertex set by size, then lexicographically
+    rng = random.Random(seed)
+    g, roots = _random_rooted_host(rng, rng.randint(1, 10))
+    assert _outcome(min_transversal_blocker, g, roots, len(g)) == \
+        _outcome(set_min_transversal_blocker, g, roots, len(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rooted_hosts(), st.integers(min_value=0, max_value=10**6),
+       st.sampled_from((0.6, 0.85, 1.0)))
+def test_minimal_support_is_a_support_that_no_vertex_can_leave(host, seed, keep):
+    g, roots = host
+    model = _SupportMasks(g, roots)
+    rng = random.Random(seed)
+    comp = model.supporting_component(
+        sum(b for b in model.bit.values() if rng.random() < keep))
+    if not comp:
+        return
+    support = model.minimal_support(comp)
+    assert support & ~comp == 0
+    side = frozenset(v for v, b in model.bit.items() if support & b)
+    assert g.is_connected_set(side) and _has_distinct_reps(roots, side)
+    for v in side:
+        rest = side - {v}
+        assert not (rest and g.is_connected_set(rest) and _has_distinct_reps(roots, rest))
 
 
 @pytest.mark.parametrize("w", [3, 4])

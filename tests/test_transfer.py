@@ -138,6 +138,19 @@ def test_quasi_isometry_json_round_trip():
     assert q2.map == q.map and q2.m == q.m and q2.a == q.a
 
 
+@pytest.mark.parametrize("doc", [
+    {"map": [[0, 1.5], ["2", 2.9]], "m": 1, "a": 0},
+    {"map": [[0, 1.0]], "m": 1, "a": 0},
+    {"map": [[0, 1, 2]], "m": 1, "a": 0},
+    {"m": 1, "a": 0},
+    {"map": [[0, 1]], "m": "x", "a": 0},
+    {"map": [[0, 1]], "m": 1},
+], ids=["non-int entries", "float target", "triple", "no map", "bad m", "no a"])
+def test_quasi_isometry_from_json_dict_refuses_malformed_documents(doc):
+    with pytest.raises(InputError):
+        quasi_isometry_from_json_dict(doc)
+
+
 def test_scale_metric_scales_distances_exactly():
     g = path_graph(5)
     scaled = scale_metric(g, Fraction(3, 2))

@@ -80,6 +80,19 @@ def test_decomposition_json_round_trip():
     assert td2.bags == td.bags and td2.tree == td.tree
 
 
+@pytest.mark.parametrize("doc", [
+    {"tree": {"vertices": [0], "edges": []}, "bags": {"0.5": [0]}},
+    {"tree": {"vertices": [0], "edges": []}, "bags": {0.5: [0]}},
+    {"bags": {"0": [0]}},
+    {"tree": {"vertices": [0], "edges": []}},
+    {"tree": {"vertices": [0], "edges": []}, "bags": [[0]]},
+    {"tree": {"vertices": [0], "edges": []}, "bags": {"0": 7}},
+], ids=["fractional key", "float key", "no tree", "no bags", "bag list", "bag not a set"])
+def test_decomposition_from_json_dict_refuses_malformed_documents(doc):
+    with pytest.raises(InputError):
+        decomposition_from_json_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # tree Helly
 
