@@ -144,7 +144,7 @@ def check_grid_lower_bound(seed: int) -> CriterionResult:
         # the same as separating x from y with their union
         s = 1
         bound = -(-r // (2 * s + 1))
-        count, _ = min_separating_balls(g, x, y, s, size_cap=bound + 2)
+        count, _ = min_separating_balls(g, x, y, s)
         # per-ball row bound, full scan
         row_ok = all(
             len({v // n for v in g.vertices if distance(g, c, v) <= s})
@@ -686,7 +686,7 @@ def check_pullback(seed: int) -> CriterionResult:
         tgt, q = one_subdivision(g)
         ia = frozenset(q.map[v] for v in spec.x)
         ib = frozenset(q.map[v] for v in spec.y)
-        _, centers = min_separating_balls(tgt, ia, ib, 0, len(tgt))
+        _, centers = min_separating_balls(tgt, ia, ib, 0)
         for l in (0, 2):
             try:
                 z = pullback_hitting_set(

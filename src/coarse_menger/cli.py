@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -152,15 +151,8 @@ def cmd_run_duality(args) -> int:
     r_values = _num_list(args.r)
     beta_values = _num_list(args.beta)
 
-    def work(inst):
-        return duality_sweep(inst["graph"], inst["x"], inst["y"], args.l,
-                             r_values, beta_values)
-
-    if args.jobs > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(work, instances))
-    else:
-        reports = [work(inst) for inst in instances]
+    reports = [duality_sweep(inst["graph"], inst["x"], inst["y"], args.l,
+                             r_values, beta_values) for inst in instances]
 
     paired = sorted(zip(instances, reports), key=lambda p: p[1].fingerprint)
     violations = []
@@ -182,7 +174,7 @@ def cmd_run_duality(args) -> int:
     shell = _report_shell("run-duality", {
         "grid": args.grid, "file": args.file, "seed": args.seed,
         "count": args.count, "r": r_values, "beta": beta_values, "l": args.l,
-        "jobs": args.jobs, "strict": args.strict,
+        "strict": args.strict,
     })
     shell["instances"] = body
     shell["violations"] = violations
@@ -283,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", default="1,2", help="comma list of far thresholds")
     p.add_argument("--beta", default="0,1", help="comma list of ball radii")
     p.add_argument("--l", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run_duality)

@@ -7,6 +7,7 @@ exact solving branches on the family member with fewest covering candidates.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,6 +20,7 @@ from .graph import (
     _exact_against,
     _greedy_cover,
     _hit_masks,
+    _implicit_hitting_set,
     _member_masks,
     _set_cover,
     _within,
@@ -51,7 +53,6 @@ class CoverInstance:
     y: Optional[frozenset] = None
     #: ... or an explicit list of member vertex sets
     explicit_family: Optional[Tuple[frozenset, ...]] = None
-    mode: str = "exact"
 
     def __post_init__(self):
         if self.radius < 0:
@@ -59,8 +60,6 @@ class CoverInstance:
         implicit = self.l is not None and self.x is not None and self.y is not None
         if implicit == (self.explicit_family is not None):
             raise InputError("give either (l, x, y) or explicit_family")
-        if self.mode not in ("exact", "greedy"):
-            raise InputError(f"unknown mode {self.mode!r}")
 
     def family(self) -> Tuple[frozenset, ...]:
         if self.explicit_family is not None:
@@ -78,7 +77,6 @@ class CoverInstance:
 class CoverSolution:
     centered: CenteredSet
     count: int
-    optimal: bool
     nodes_explored: int = 0
 
     def to_json_dict(self) -> dict:
@@ -86,7 +84,6 @@ class CoverSolution:
             "count": self.count,
             "centers": sorted(self.centered.centers.members),
             "radius": _json_num(self.centered.radius),
-            "optimal": self.optimal,
         }
 
 
@@ -121,32 +118,21 @@ def min_set_cover(universe: Sequence[int], sets: Dict[int, frozenset]):
 def min_ball_hitting(inst: CoverInstance) -> CoverSolution:
     """Minimum number of radius-``inst.radius`` vertex-centered balls whose
     union intersects every family member."""
-    return _ball_hitting(inst.host, inst.family(), inst.radius, inst.mode)
+    return _ball_hitting(inst.host, inst.family(), inst.radius)
 
 
-def _ball_hitting(
-    g: Graph, family: Sequence[frozenset], radius: Number, mode: str
-) -> CoverSolution:
+def _ball_hitting(g: Graph, family: Sequence[frozenset], radius: Number) -> CoverSolution:
     if not family:
         empty = VertexSet(frozenset(), g)
-        return CoverSolution(CenteredSet(empty, empty, radius), 0, True)
+        return CoverSolution(CenteredSet(empty, empty, radius), 0)
 
-    hits = _hit_masks(g, family, radius)
-    target = (1 << len(family)) - 1
-
-    if mode == "greedy":
-        chosen, _ = _greedy_cover(target, hits)
-        optimal = False
-        nodes = 0
-    else:
-        chosen, nodes = _set_cover(target, hits)
-        optimal = True
+    chosen, nodes = _set_cover((1 << len(family)) - 1, _hit_masks(g, family, radius))
     centers = [g.vertices[i] for i in chosen]
     z = neighborhood(g, centers, radius).members & frozenset().union(*family)
     centered = CenteredSet(
         VertexSet(z, g), VertexSet(frozenset(centers), g), radius
     )
-    return CoverSolution(centered, len(centers), optimal, nodes)
+    return CoverSolution(centered, len(centers), nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +246,10 @@ def duality_sweep(
       tolerance one ball can meet two paths that count as r-far.
 
     When the enumeration is refused, each packing cell falls back to the
-    greedy packing of :func:`max_far_packing`.  A cover cell then picks balls
-    greedily until they separate x from y at l = 0, and has no value at
-    l > 0.  Neither fallback enumerates paths.
+    flagged greedy packing of :func:`max_far_packing`.  A cover cell at l = 0
+    stays exact: a set of balls hits every x-y path iff it separates x from
+    y, and :func:`min_separating_balls` finds the fewest without enumerating
+    paths.  At l > 0 it has no value.
 
     The tables are keyed by threshold, so two ``r_values``, or two
     ``beta_values``, that compare equal (``1`` and ``1.0`` included) are an
@@ -322,9 +309,8 @@ def duality_sweep(
         elif family is not None:
             report.cover_by_radius[beta] = DualityCell(0, True)
         elif l == 0:
-            # at l = 0 the balls hit every x-y path iff they separate x from y
-            count = _greedy_separating_balls(g, x.members, y.members, beta)
-            report.cover_by_radius[beta] = DualityCell(count, False, "capacity:greedy")
+            count, _ = min_separating_balls(g, x.members, y.members, beta)
+            report.cover_by_radius[beta] = DualityCell(count, True)
         else:
             report.cover_by_radius[beta] = DualityCell(None, False, "capacity:refused")
     return report
@@ -371,57 +357,45 @@ def gallai_check(g: Graph, a, k: int) -> GallaiVerdict:
     return GallaiVerdict("hitting", k, hitting_set=frozenset(chosen))
 
 
-def min_separating_balls(g: Graph, x, y, radius: Number, size_cap: int):
+def min_separating_balls(g: Graph, x, y, radius: Number):
     """Fewest radius-balls whose union meets every x-y path.
 
-    A ball union hits every x-y path exactly when deleting it leaves no x-y
-    path, so this searches center subsets by iterative deepening and checks
-    separation directly — scaling past the path-enumeration cap.  Returns
-    (count, chosen centers); raises CapacityError when size_cap balls do not
-    suffice.
+    A ball union meets every x-y path exactly when deleting it leaves no x-y
+    path, so no path family is enumerated.  The implicit-hitting-set loop
+    (:func:`graph._implicit_hitting_set`) asks a breadth-first search from x
+    for a shortest x-y path in G minus the chosen balls, which meets x only
+    at its start; the centers whose balls meet that path are the OR of its
+    vertices' ball masks (distances are symmetric).  The balls around x
+    always separate, so the loop ends without a cap.  Returns (count, chosen
+    centers).
     """
-    x = as_vertex_set(g, x)
-    y = as_vertex_set(g, y)
-    balls = {c: neighborhood(g, [c], radius).members for c in g.vertices}
-    for size in range(size_cap + 1):
-        for centers in itertools.combinations(g.vertices, size):
-            union = frozenset().union(*(balls[c] for c in centers))
-            if _separated(g, x.members, y.members, union):
-                return size, frozenset(centers)
-    raise CapacityError(
-        "no separating ball family within the size cap",
-        cap=size_cap,
-        actual=None,
-    )
+    x = as_vertex_set(g, x).members
+    y = as_vertex_set(g, y).members
+    if radius < 0:
+        raise InputError("negative radius")
+    bit = g.vertex_bits()
+    balls = _within(g, bit, radius)
+    ball_of = dict(zip(g.vertices, balls))
 
+    def missed(chosen: List[int]) -> List[int]:
+        removed = 0
+        for i in chosen:
+            removed |= balls[i]
+        parent = {v: None for v in sorted(x) if not removed & bit[v]}
+        queue = deque(parent)
+        while queue:
+            u = queue.popleft()
+            if u in y:
+                hit = 0
+                while u is not None:
+                    hit |= ball_of[u]
+                    u = parent[u]
+                return [hit]
+            for n in g.neighbors(u):
+                if n not in parent and not removed & bit[n]:
+                    parent[n] = u
+                    queue.append(n)
+        return []
 
-def _separated(g: Graph, x: frozenset, y: frozenset, removed: frozenset) -> bool:
-    """Whether ``g - removed`` has no x-y path."""
-    free_x = x - removed
-    if not free_x:
-        return True
-    seen = set(free_x)
-    stack = list(free_x)
-    while stack:
-        u = stack.pop()
-        if u in y:
-            return False
-        for n in g.neighbors(u):
-            if n not in removed and n not in seen:
-                seen.add(n)
-                stack.append(n)
-    return True
-
-
-def _greedy_separating_balls(g: Graph, x: frozenset, y: frozenset, radius: Number) -> int:
-    """Number of radius-balls, each around the lowest vertex of x that still
-    reaches y, picked until they separate x from y.  Every ball holds its
-    center, so at most |x| are picked."""
-    union = frozenset()
-    count = 0
-    for v in sorted(x):
-        # ``union`` only grows: a vertex cut off stays cut off
-        if not _separated(g, frozenset([v]), y, union):
-            union |= neighborhood(g, [v], radius).members
-            count += 1
-    return count
+    chosen = _implicit_hitting_set(len(g), missed)
+    return len(chosen), frozenset(g.vertices[i] for i in chosen)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CapacityError, InputError
 
@@ -526,7 +526,9 @@ def _set_cover(target: int, masks: Sequence[int], budget: Optional[int] = None):
     members.  The ban is exact and returns the same positions: a cover
     through a banned candidate lies in that candidate's own subtree, which
     was searched first and under a limit no smaller, so the cover was found
-    there (and lowered the limit below its size) or ruled out.
+    there (and lowered the limit below its size) or ruled out.  Every pivot
+    before a node's own is covered in its subtree, so its children resume the
+    pivot scan after it.
     """
     elements = [1 << j for j in range(target.bit_length()) if target >> j & 1]
     covering = {b: [i for i, m in enumerate(masks) if m & b] for b in elements}
@@ -540,9 +542,10 @@ def _set_cover(target: int, masks: Sequence[int], budget: Optional[int] = None):
     chosen = []
     nodes = 0
 
-    def search(uncovered: int, banned: int) -> bool:
+    def search(uncovered: int, banned: int, start: int) -> bool:
         # True stops the search: the first cover within a budget was found;
-        # ``banned`` holds the positions this subtree may not take
+        # ``banned`` holds the positions this subtree may not take, and
+        # ``pivots[:start]`` are covered
         nonlocal best, limit, nodes
         nodes += 1
         if not uncovered:
@@ -552,19 +555,66 @@ def _set_cover(target: int, masks: Sequence[int], budget: Optional[int] = None):
             return False
         if len(chosen) - (-uncovered.bit_count() // max_size) > limit:
             return False
-        pivot = next(b for b in pivots if b & uncovered)
+        while not pivots[start] & uncovered:
+            start += 1
+        pivot = pivots[start]
         for i in sorted(covering[pivot], key=lambda i: (-(masks[i] & uncovered).bit_count(), i)):
             if banned >> i & 1:
                 continue
             chosen.append(i)
-            if search(uncovered & ~masks[i], banned):
+            if search(uncovered & ~masks[i], banned, start + 1):
                 return True
             chosen.pop()
             banned |= 1 << i
         return False
 
-    search(target, 0)
+    search(target, 0, 0)
     return best, nodes
+
+
+def _implicit_hitting_set(n: int, missed: Callable[[list], Sequence[int]],
+                          size_cap: Optional[int] = None) -> list:
+    """Fewest positions in ``range(n)`` that hit every set of a family known
+    only through ``missed``, by the implicit-hitting-set loop (Chandrasekaran,
+    Karp, Moreno-Centeno and Vempala, SODA 2011).
+
+    ``missed(chosen)`` returns sets of the family (masks over positions)
+    that ``chosen`` misses, and nothing once it hits them all.  The sets
+    found so far are a lower bound: each round takes their greedy cover and
+    asks ``missed`` about it.  Once that cover hits everything, the exact
+    cover (:func:`_set_cover`) is deepened from the last bound, so the first
+    cover that ``missed`` accepts is a minimum.  Past ``size_cap`` positions
+    it raises :class:`CapacityError`.  Returns the positions in cover order.
+    """
+    hits = [0] * n  # per position, the found sets it is in
+    count = 0  # sets found
+    lb = 0  # a lower bound on the answer
+    chosen: list = []
+    found = missed(chosen)
+    while found:
+        for s in found:
+            while s:
+                low = s & -s
+                hits[low.bit_length() - 1] |= 1 << count
+                s ^= low
+            count += 1
+        target = (1 << count) - 1
+        chosen, _ = _greedy_cover(target, hits)
+        if len(chosen) > lb:
+            found = missed(chosen)
+            if found:
+                continue
+            # the greedy cover hits everything but may be too large
+            while True:
+                if size_cap is not None and lb > size_cap:
+                    raise CapacityError("no hitting set within the size cap",
+                                        cap=size_cap, actual=None)
+                chosen, _ = _set_cover(target, hits, lb)
+                if chosen is not None:
+                    break
+                lb += 1
+        found = missed(chosen)
+    return chosen
 
 
 def certify_centered(g: Graph, z, k: int, r: Number, mode: str = "exact"):

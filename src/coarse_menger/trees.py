@@ -29,9 +29,8 @@ from .graph import (
     Graph,
     Number,
     VertexSet,
-    _greedy_cover,
+    _implicit_hitting_set,
     _member_masks,
-    _set_cover,
     as_vertex_set,
     certify_centered,
     leq,
@@ -1072,32 +1071,26 @@ def min_transversal_blocker(
     vertex masks (:meth:`Graph.vertex_bits`), with distinct representatives
     decided by Hall's condition.
 
-    The scan starts at the minimum size, found first by an implicit hitting
-    set loop (Chandrasekaran, Karp, Moreno-Centeno and Vempala, SODA 2011):
-    every blocker hits every minimal support (connected, with distinct
-    representatives), so a minimum hitting set of the supports found so far
-    is a lower bound; its cover either blocks, and the bound is the minimum,
-    or leaves a component from which more supports are cut.  The supports
-    are cut by :meth:`_SupportMasks.minimal_support` from pruned BFS trees;
-    which minimal supports are found changes the work, not the answer, since
-    the final scan at the proven minimum picks the blocker.
+    The scan starts at the minimum size, found first by the implicit hitting
+    set loop :func:`graph._implicit_hitting_set`: every blocker hits every
+    minimal support (connected, with distinct representatives), so a
+    minimum hitting set of the supports found so far is a lower bound; its
+    cover either blocks, and the bound is the minimum, or leaves a component
+    from which more supports are cut.  The supports are cut by
+    :meth:`_SupportMasks.minimal_support` from pruned BFS trees; which
+    minimal supports are found changes the work, not the answer, since the
+    final scan at the proven minimum picks the blocker.
     """
     model = _SupportMasks(g, root_sets)
-
-    def survives(removed: int) -> bool:
-        return bool(model.supporting_component(model.everything & ~removed))
-
-    hits = [0] * len(g)  # per vertex bit position, the supports it is in
     supports: List[int] = []
-    lb = 0  # a lower bound on the blocker size
-    z: List[int] = []  # bit positions; hits every support, blocks only if |z| = lb
-    while True:
+
+    def missed(z: List[int]) -> List[int]:
+        # a minimal support missed by z, plus one avoiding each of its
+        # vertices in turn: each is missed by z, and they differ
         left = model.everything & ~sum(1 << i for i in z)
         comp = model.supporting_component(left)
         if not comp:
-            break
-        # a minimal support missed by z, plus one avoiding each of its
-        # vertices in turn: each is missed by z, and they differ
+            return []
         first = model.minimal_support(comp)
         cuts = [first]
         for b in _bits(first):
@@ -1106,30 +1099,16 @@ def min_transversal_blocker(
                 support = model.minimal_support(comp)
                 if support not in cuts:
                     cuts.append(support)
-        for support in cuts:
-            for i in range(support.bit_length()):
-                if support >> i & 1:
-                    hits[i] |= 1 << len(supports)
-            supports.append(support)
-        target = (1 << len(supports)) - 1
-        z, _ = _greedy_cover(target, hits)
-        if len(z) > lb and not survives(sum(1 << i for i in z)):
-            # the greedy cover blocks but may be too large: deepen the exact
-            # cover from the last bound until one fits
-            while True:
-                if lb > size_cap:
-                    raise CapacityError(
-                        "no blocker within the budget", cap=size_cap, actual=None
-                    )
-                z, _ = _set_cover(target, hits, lb)
-                if z is not None:
-                    break
-                lb += 1
+        supports.extend(cuts)
+        return cuts
+
+    z = _implicit_hitting_set(len(g), missed, size_cap)
     # no blocker is smaller than |z|; a candidate missing a found support
     # leaves it whole, so it cannot block
     for combo in itertools.combinations(sorted(g.vertices), len(z)):
         mask = sum(model.bit[v] for v in combo)
-        if all(s & mask for s in supports) and not survives(mask):
+        if all(s & mask for s in supports) and not model.supporting_component(
+                model.everything & ~mask):
             return frozenset(combo)
     raise InternalInconsistencyError("no blocker at the proven minimum size")
 
@@ -1204,7 +1183,7 @@ def rooted_fat_minor_ep(
             )
             _check_model_packing(g, models, r)
             return RootedMinorResult("packing", models=models)
-        cover = _ball_hitting(g, supports, rho, "exact")
+        cover = _ball_hitting(g, supports, rho)
         if cover.count > budget:
             raise InternalInconsistencyError("hitting budget exceeded")
         return RootedMinorResult(

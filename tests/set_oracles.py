@@ -13,9 +13,10 @@ For the radius test ``graph._within`` they are the per-(center, vertex)
 ``leq`` loops ``hits_through`` and ``near_through``.
 For the covering side they are the per-(center, member) loop of
 ``graph._hit_masks``, the frozenset set covers (``min_set_cover``,
-the exact and greedy search of ``certify_centered``, the greedy loop of
-``min_ball_hitting`` and the trichotomy's hitting-center search), and for path
-enumeration the ``seen``-set depth-first search of ``enumerate_paths``.
+the exact and greedy search of ``certify_centered`` and the trichotomy's
+hitting-center search), the combinations scan that ``min_separating_balls``
+ran before its implicit-hitting-set loop, and for path enumeration the
+``seen``-set depth-first search of ``enumerate_paths``.
 For ``menger_packing`` the oracle is networkx maximum flow on the vertex-split
 digraph, and for ``max_independent_set(..., enough=k)`` the k-clique search
 over the complementary "far" relation that ``trees`` used before.  For
@@ -37,7 +38,6 @@ from coarse_menger.covering import (
     DualityCell,
     DualityReport,
     _ball_hitting,
-    _greedy_separating_balls,
     graph_fingerprint,
 )
 from coarse_menger.errors import CapacityError, InputError, InternalInconsistencyError
@@ -874,22 +874,6 @@ def set_hit_masks(g: Graph, family: Sequence[frozenset], r) -> List[int]:
     return hits
 
 
-def set_ball_hitting_greedy(g: Graph, family: Sequence[frozenset], radius) -> List[int]:
-    """Centers picked, in order, by the greedy mode of ``min_ball_hitting``."""
-    balls = {c: _ball(g, c, radius) for c in g.vertices}
-    hit_sets = {
-        c: frozenset(i for i, member in enumerate(family) if balls[c] & member)
-        for c in g.vertices
-    }
-    chosen: List[int] = []
-    uncovered = set(range(len(family)))
-    while uncovered:
-        c = max(g.vertices, key=lambda c: (len(hit_sets[c] & uncovered), -c))
-        chosen.append(c)
-        uncovered -= hit_sets[c]
-    return chosen
-
-
 def set_certify_centered(g: Graph, z, k: int, r, mode: str = "exact"):
     """Search for at most ``k`` vertex centers whose radius-``r`` balls cover
     ``z``.  Returns a :class:`CenteredSet` on success, else a
@@ -1060,14 +1044,44 @@ def plain_duality_sweep(
             report.packing_by_r[r] = DualityCell(sol.size, False, "capacity:greedy")
     family = None if paths is None else tuple(p.vertex_set for p in paths)
     for beta in beta_values:
-        inst = CoverInstance(g, beta, l=l, x=x.members, y=y.members)
+        CoverInstance(g, beta, l=l, x=x.members, y=y.members)
         if family is not None:
-            sol = _ball_hitting(g, family, beta, inst.mode)
+            sol = _ball_hitting(g, family, beta)
             report.cover_by_radius[beta] = DualityCell(sol.count, True)
         elif l == 0:
             # at l = 0 the balls hit every x-y path iff they separate x from y
-            count = _greedy_separating_balls(g, x.members, y.members, beta)
-            report.cover_by_radius[beta] = DualityCell(count, False, "capacity:greedy")
+            count, _ = scan_separating_balls(g, x.members, y.members, beta)
+            report.cover_by_radius[beta] = DualityCell(count, True)
         else:
             report.cover_by_radius[beta] = DualityCell(None, False, "capacity:refused")
     return report
+
+
+def separated(g: Graph, x: frozenset, y: frozenset, removed: frozenset) -> bool:
+    """Whether ``g - removed`` has no x-y path, by a flood fill from x."""
+    seen = set(x - removed)
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        if u in y:
+            return False
+        for n in g.neighbors(u):
+            if n not in removed and n not in seen:
+                seen.add(n)
+                stack.append(n)
+    return True
+
+
+def scan_separating_balls(g: Graph, x, y, radius):
+    """Fewest radius-``radius`` balls whose union separates x from y, by a
+    scan of the center subsets size by size in ``itertools.combinations``
+    order: the first separating subset.  Returns (count, centers)."""
+    x = as_vertex_set(g, x).members
+    y = as_vertex_set(g, y).members
+    balls = {c: _ball(g, c, radius) for c in g.vertices}
+    for size in range(len(x) + 1):
+        for centers in itertools.combinations(g.vertices, size):
+            union = frozenset().union(*(balls[c] for c in centers))
+            if separated(g, x, y, union):
+                return size, frozenset(centers)
+    raise InternalInconsistencyError("the balls around x do not separate")

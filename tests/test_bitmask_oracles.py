@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarse_menger.covering import (
-    CoverInstance,
     _minimal_family,
     duality_sweep,
-    min_ball_hitting,
+    min_separating_balls,
     min_set_cover,
 )
 from coarse_menger.errors import InputError, InternalInconsistencyError
+from coarse_menger.generators import grid, grid_column
 from coarse_menger.graph import (
     INF,
     TOL,
@@ -33,12 +33,14 @@ from coarse_menger.tangles import _hitting_center_search
 
 from conftest import random_connected
 from set_oracles import (
+    _ball,
     find_clique,
     hits_through,
     near_through,
     nx_menger_packing,
     plain_duality_sweep,
-    set_ball_hitting_greedy,
+    scan_separating_balls,
+    separated,
     set_certify_centered,
     set_enumerate_paths,
     set_far_conflicts,
@@ -355,16 +357,6 @@ def test_certify_centered_search_order_on_whole_vertex_sets(seed, r):
     assert got.centers.members == set_certify_centered(g, z, len(g), r).centers.members
 
 
-@settings(max_examples=150, deadline=None)
-@given(weighted_hosts(), st.sampled_from(RADII))
-def test_greedy_ball_hitting_matches_oracle(host, radius):
-    g, rng = host
-    family = tuple(_members(g, rng))
-    sol = min_ball_hitting(CoverInstance(g, radius, explicit_family=family, mode="greedy"))
-    picks = set_ball_hitting_greedy(g, family, radius)
-    assert (sol.count, sol.centered.centers.members) == (len(picks), frozenset(picks))
-
-
 @settings(max_examples=300, deadline=None)
 @given(weighted_hosts(), st.sampled_from(RADII))
 def test_hit_masks_match_the_per_member_loop(host, r):
@@ -519,3 +511,35 @@ def test_duality_sweep_bounds_r_only_by_a_smaller_r_of_its_kind():
     g = Graph(range(4), [(0, 1), (0, 2), (1, 3)], {(0, 1): d, (0, 2): 1, (1, 3): 1})
     report = _same_sweep(g, {0, 1}, {2, 3}, 0, [1.0000000005, 1], [])
     assert [c.value for c in report.packing_by_r.values()] == [2, 1]
+
+
+# -- ball separator -------------------------------------------------------------
+
+SEPARATOR_RADII = (0, 0.3, Fraction(1, 2), 1, Fraction(3, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_hosts(max_n=10), st.sampled_from(SEPARATOR_RADII))
+def test_separating_balls_match_the_scan(host, radius):
+    # x and y may be empty or overlap; the centers are checked by a flood
+    # fill, and at radius 0 the count is a minimum vertex cut (Menger)
+    g, rng = host
+    x = frozenset(rng.sample(g.vertices, rng.randint(0, min(4, len(g)))))
+    y = frozenset(rng.sample(g.vertices, rng.randint(0, min(4, len(g)))))
+    count, centers = min_separating_balls(g, x, y, radius)
+    assert count == len(centers) == scan_separating_balls(g, x, y, radius)[0]
+    union = frozenset().union(frozenset(), *(_ball(g, c, radius) for c in centers))
+    assert separated(g, x, y, union)
+    if radius == 0:
+        assert count == menger_packing(g, x, y)
+
+
+@pytest.mark.parametrize("rows, cols, cover", [(3, 6, {0: 3, 1: 1}), (4, 5, {0: 4, 1: 2})])
+def test_duality_sweep_above_the_cap_matches_the_plain_sweep(rows, cols, cover):
+    # past the enumeration cap the packing cells are flagged greedy and the
+    # cover cells exact: the plain sweep scans the center subsets
+    report = _same_sweep(grid(rows, cols), grid_column(rows, cols, 0),
+                         grid_column(rows, cols, cols - 1), 0, [1, 2, 3], [0, 1])
+    assert all(c.flag == "capacity:greedy" for c in report.packing_by_r.values())
+    assert {b: (c.value, c.exact) for b, c in report.cover_by_radius.items()} == {
+        b: (v, True) for b, v in cover.items()}

@@ -15,12 +15,11 @@ from coarse_menger.covering import (
     min_separating_balls,
     min_set_cover,
 )
-from coarse_menger.errors import CapacityError, InputError, InternalInconsistencyError
+from coarse_menger.errors import InputError, InternalInconsistencyError
 from coarse_menger.generators import grid, grid_column
 from coarse_menger.graph import Graph
 
 from conftest import cycle_graph, path_graph, small_connected_graphs
-from set_oracles import _ball
 
 
 def test_instance_requires_exactly_one_family_source():
@@ -65,7 +64,7 @@ def test_min_set_cover_matches_subset_scan(seed):
 def test_cover_on_path_middle_vertex():
     g = path_graph(5)
     sol = min_ball_hitting(CoverInstance(g, 0, l=0, x=frozenset([0]), y=frozenset([4])))
-    assert sol.count == 1 and sol.optimal
+    assert sol.count == 1
 
 
 def test_cover_radius_one_on_grid():
@@ -99,24 +98,6 @@ def test_empty_family_has_empty_cover():
     assert sol.count == 0
 
 
-@settings(max_examples=30, deadline=None)
-@given(small_connected_graphs(max_n=7), st.integers(min_value=0, max_value=10**6),
-       st.integers(min_value=0, max_value=1))
-def test_greedy_cover_is_feasible_and_not_smaller(g, seed, beta):
-    rng = random.Random(seed)
-    x = frozenset(rng.sample(g.vertices, min(2, len(g.vertices))))
-    y = frozenset(rng.sample(g.vertices, min(2, len(g.vertices))))
-    inst = CoverInstance(g, beta, l=0, x=x, y=y)
-    exact = min_ball_hitting(inst)
-    greedy = min_ball_hitting(CoverInstance(g, beta, l=0, x=x, y=y, mode="greedy"))
-    assert greedy.count >= exact.count
-    family = inst.family()
-    union = frozenset().union(
-        frozenset(), *(_ball(g, c, beta) for c in greedy.centered.centers.members)
-    )
-    assert all(union & member for member in family)
-
-
 @settings(max_examples=25, deadline=None)
 @given(small_connected_graphs(max_n=7), st.integers(min_value=0, max_value=10**6),
        st.integers(min_value=0, max_value=1))
@@ -127,28 +108,40 @@ def test_separating_balls_agree_with_path_cover(g, seed, beta):
     x = frozenset(rng.sample(g.vertices, min(2, len(g.vertices))))
     y = frozenset(rng.sample(g.vertices, min(2, len(g.vertices))))
     cover = min_ball_hitting(CoverInstance(g, beta, l=0, x=x, y=y))
-    size, _ = min_separating_balls(g, x, y, beta, size_cap=len(g.vertices))
+    size, _ = min_separating_balls(g, x, y, beta)
     assert size == cover.count
 
 
 def test_separating_balls_scales_past_enumeration_cap():
     g = grid(3, 9)
-    size, centers = min_separating_balls(
-        g, grid_column(3, 9, 0), grid_column(3, 9, 8), 1, size_cap=3
-    )
+    size, centers = min_separating_balls(g, grid_column(3, 9, 0), grid_column(3, 9, 8), 1)
     assert size == 1
 
 
 def test_separating_balls_refuse_a_negative_radius():
     with pytest.raises(InputError):
-        min_separating_balls(grid(3, 3), {0}, {8}, -1, 3)
+        min_separating_balls(grid(3, 3), {0}, {8}, -1)
 
 
-def test_separating_balls_capacity():
-    g = grid(3, 5)
-    with pytest.raises(CapacityError):
-        min_separating_balls(g, grid_column(3, 5, 0), grid_column(3, 5, 4), 0,
-                             size_cap=1)
+def test_separating_balls_are_fewer_than_the_first_greedy_separator():
+    # the found paths' greedy cover separates with 4 vertices before the
+    # exact cover finds the cut {2, 3, 5}
+    g = Graph(range(7), [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (2, 4), (2, 5), (5, 6)])
+    assert min_separating_balls(g, {0, 1, 4, 5}, {2, 3, 5}, 0)[0] == 3
+
+
+def test_separating_balls_with_an_empty_side_take_none():
+    g = path_graph(5)
+    assert min_separating_balls(g, set(), {4}, 0) == (0, frozenset())
+    assert min_separating_balls(g, {0}, set(), 1) == (0, frozenset())
+
+
+def test_separating_balls_remove_a_shared_vertex():
+    # a vertex of x & y is an x-y path by itself: a ball must hold it
+    g = path_graph(5)
+    assert min_separating_balls(g, {2}, {2, 4}, 0) == (1, frozenset([2]))
+    count, centers = min_separating_balls(g, {0, 2}, {2, 4}, 1)
+    assert count == 1 and centers <= {1, 2, 3}
 
 
 def test_duality_sweep_weak_duality_clean():

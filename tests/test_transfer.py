@@ -179,8 +179,7 @@ def test_pullback_hits_every_source_path():
         from coarse_menger.covering import min_separating_balls
 
         size, centers = min_separating_balls(tgt, frozenset(q.map[v] for v in a),
-                                             frozenset(q.map[v] for v in b),
-                                             0, size_cap=len(tgt.vertices))
+                                             frozenset(q.map[v] for v in b), 0)
         z = pullback_hitting_set(g, tgt, q, centers, k=2, r=1, l=0,
                                  a_set=a, b_set=b)
         for p in enumerate_chordless_paths(g, 0, a, b).paths:
