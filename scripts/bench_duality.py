@@ -14,13 +14,14 @@ caches start cold.
 
 The script wraps functions where the library calls them, so every tree runs
 unmodified.  It records the median over ``--runs`` passes of the seconds of
-the pass and of three layers: the far-conflict rows, the independent-set
-search and the ball-hit masks.  A layer is timed at the first of its
-functions (``LAYERS``) that the tree defines: the private helper that takes a
-shared transposition where there is one, else the public function.  A name
-that its module imports from another (``covering._within``) is wrapped in
-that module only.  One more
-pass counts, per pass: the independent-set and set-cover search nodes, the
+the pass, of its unit hosts (``pass_unit``) and of its Fraction-weighted
+hosts (``pass_weighted``), and of three layers: the far-conflict rows, the
+independent-set search and the ball-hit masks.  A layer is timed at the
+first of its functions (``LAYERS``) that the tree defines: the private
+helper that takes a shared transposition where there is one, else the
+public function.  A name that its module imports from another
+(``covering._within``) is wrapped in that module only.  One more pass
+counts, per pass: the independent-set and set-cover search nodes, the
 ``graph.leq`` calls and the ``graph._member_masks`` calls.  It also records
 the work per pass, read from the path family that each sweep transposes
 (``graph._member_masks``, one call per host): the sum of P^2 over the r values
@@ -50,6 +51,8 @@ WEIGHTED_HOSTS = 20
 WEIGHTS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 R_VALUES = (1, 2, 3)
 BETA_VALUES = (0, 1)
+#: the pass, and its unit and its Fraction-weighted hosts
+PASS_PARTS = ("pass", "pass_unit", "pass_weighted")
 #: layer -> the functions that build it, the innermost first
 LAYERS = {
     "packing.far_conflicts": ("packing._conflicts_through", "packing.far_conflicts"),
@@ -146,21 +149,25 @@ def measure(src: str, runs: int) -> dict:
 
     def one_pass():
         graphs = [(graph.Graph(vs, es, w), x, y) for vs, es, w, x, y in hosts]
-        t0 = time.perf_counter()
-        reports = [covering.duality_sweep(g, x, y, 0, R_VALUES, BETA_VALUES)
-                   for g, x, y in graphs]
-        return time.perf_counter() - t0, reports
+        took, reports = {}, []
+        for part, gs in (("pass_unit", graphs[:HOSTS]), ("pass_weighted", graphs[HOSTS:])):
+            t0 = time.perf_counter()
+            reports += [covering.duality_sweep(g, x, y, 0, R_VALUES, BETA_VALUES)
+                        for g, x, y in gs]
+            took[part] = time.perf_counter() - t0
+        took["pass"] = took["pass_unit"] + took["pass_weighted"]
+        return took, reports
 
     seconds = dict.fromkeys(LAYERS, 0.0)
     for layer, names in LAYERS.items():
         next(name for name in names if _rebind(name, _timer(layer, seconds)))
-    passes = {name: [] for name in ("pass",) + tuple(LAYERS)}
+    passes = {name: [] for name in PASS_PARTS + tuple(LAYERS)}
     for _ in range(runs):
         seconds.update(dict.fromkeys(LAYERS, 0.0))
         took, reports = one_pass()
-        passes["pass"].append(took)
-        for layer in LAYERS:
-            passes[layer].append(seconds[layer])
+        took.update(seconds)
+        for name, times in passes.items():
+            times.append(took[name])
 
     # the counters slow a pass down, so they count one more, untimed pass
     counts = dict.fromkeys(COUNTED, 0)
@@ -195,10 +202,11 @@ def main() -> int:
         "topic": "duality relations",
         "layer": "L2-L3",
         "what": "median seconds of a duality_sweep pass over the duality host "
-                "family and of its far-conflict, independent-set and ball-hit "
-                "layers; search nodes, leq and _member_masks calls per pass; the "
-                "paths each sweep transposes and the work on them per pass, and "
-                "a digest of the reports",
+                "family, of its unit and its Fraction-weighted hosts, and of "
+                "its far-conflict, independent-set and ball-hit layers; search "
+                "nodes, leq and _member_masks calls per pass; the paths each "
+                "sweep transposes and the work on them per pass, and a digest "
+                "of the reports",
         "hosts": f"random_instances({BASE_SEED}, {HOSTS}), 8-14 vertices, plus "
                  f"{WEIGHTED_HOSTS} Fraction-weighted copies; l=0, "
                  f"r in {list(R_VALUES)}, beta in {list(BETA_VALUES)}",

@@ -52,7 +52,7 @@ class Graph:
 
     __slots__ = (
         "vertices", "edges", "weights", "_vset", "_adj", "_dist_cache", "_bits", "_closed",
-        "_scaled", "_exact",
+        "_scaled", "_exact", "_int_rows", "_fractions",
     )
 
     def __init__(
@@ -110,6 +110,8 @@ class Graph:
             adj[v].append(u)
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._dist_cache = {}
+        self._int_rows = {}
+        self._fractions = {}
         self._bits = None
         self._closed = None
         self._scaled = None
@@ -232,11 +234,13 @@ class Graph:
     def dist_from(self, source: int) -> dict:
         """Single-source shortest-path lengths (cached per graph).
 
-        The source is at int ``0`` and an unreachable vertex at ``INF``.  When
-        every weight is a ``Fraction``, Dijkstra runs on ints: the weights
-        times the LCM of their denominators (:meth:`_scaled_adjacency`), each
-        length divided back into a ``Fraction``.  The values equal those of
-        summing the ``Fraction`` weights.
+        The source is at int ``0`` and an unreachable vertex at ``INF``; every
+        other length is the sum of the weights as given.  On an exact host
+        the row is read from the int row (:meth:`_int_row`): on unit and int
+        hosts it is that row, and when every weight is a ``Fraction`` each
+        length is divided back into ``Fraction(d, scale)``, built here and
+        only here, one object per length for all the rows of the host.  A
+        host that mixes int and ``Fraction`` weights sums them as given.
 
         On a host with float weights the rows are made symmetric: d(u, v) is
         read from the row of min(u, v), so it cannot depend on argument order
@@ -249,8 +253,18 @@ class Graph:
         if cached is not None:
             return cached
         if self._exact:
-            cached = cache[source] = self._row(source)
-            return cached
+            scale, _, kind = self._scaled_adjacency()
+            if kind is None:
+                row = self._row(source)
+            else:
+                row = self._int_row(source)
+                if kind is Fraction:
+                    parts = self._fractions
+                    row = {v: d if d == 0 or d is INF
+                           else parts.get(d) or parts.setdefault(d, Fraction(d, scale))
+                           for v, d in row.items()}
+            cache[source] = row
+            return row
         below = []
         for v in self.vertices:
             if v not in cache:
@@ -262,9 +276,23 @@ class Graph:
                 return cache[v]
             below.append(v)
 
-    def _row(self, source: int) -> dict:
-        """Dijkstra (BFS when unweighted) from ``source``, uncached."""
-        scaled = self._scaled_adjacency()
+    def _int_row(self, source: int) -> dict:
+        """On an exact host, the lengths from ``source`` times the scale of
+        :meth:`_scaled_adjacency`, as ints (``INF`` where unreachable): BFS on
+        a unit host, Dijkstra on the scaled int weights otherwise.  Cached
+        per source; the radius test compares these rows."""
+        rows = self._int_rows
+        row = rows.get(source)
+        if row is None:
+            self._require_vertex(source)
+            adj = self._scaled_adjacency()[1]
+            row = rows[source] = self._row(source, adj)
+        return row
+
+    def _row(self, source: int, adj: Optional[dict] = None) -> dict:
+        """Uncached lengths from ``source``: BFS when unweighted, else
+        Dijkstra on ``adj`` (``adj[u]`` lists ``(n, weight)``) when given, or
+        on the weights as given."""
         if self.weights is None:
             dist = {source: 0}
             frontier = [source]
@@ -278,48 +306,49 @@ class Graph:
                             dist[n] = d
                             nxt.append(n)
                 frontier = nxt
-        elif scaled:
-            scale, adj = scaled
+        elif adj is not None:
             dist = {}
             heap = [(0, source)]
             while heap:
                 d, u = heapq.heappop(heap)
                 if u in dist:
                     continue
-                dist[u] = Fraction(d, scale) if d else 0
+                dist[u] = d
                 for n, w in adj[u]:
                     if n not in dist:
                         heapq.heappush(heap, (d + w, n))
         else:
             dist = {}
             heap = [(0, source)]
-            zero = 0
             while heap:
                 d, u = heapq.heappop(heap)
                 if u in dist:
                     continue
-                dist[u] = d if d != 0 else zero
+                dist[u] = d
                 for n in self._adj[u]:
                     if n not in dist:
                         heapq.heappush(heap, (d + self.weights[_norm_edge(u, n)], n))
         return {v: dist.get(v, INF) for v in self.vertices}
 
     def _scaled_adjacency(self):
-        """``(scale, adjacency)`` when the graph is weighted and every weight
-        is a ``Fraction``, else False: ``scale`` is the LCM of the
-        denominators and ``adjacency[u]`` lists ``(n, weight(u, n) * scale)``
-        with int weights.  Computed once per graph."""
+        """``(scale, adjacency, kind)`` on an exact host, computed once per
+        graph.  ``scale`` is the LCM of the weight denominators (an int has
+        denominator 1; 1 on a unit host) and ``adjacency[u]`` lists ``(n,
+        weight(u, n) * scale)`` with int weights (None on a unit host).
+        ``kind`` is int or ``Fraction`` when every weight is one (int on a
+        unit host), else None."""
         if self._scaled is None:
             ws = self.weights
-            if ws is not None and all(isinstance(w, Fraction) for w in ws.values()):
+            if ws is None:
+                self._scaled = (1, None, int)
+            else:
+                kinds = {Fraction if isinstance(w, Fraction) else int for w in ws.values()}
                 scale = math.lcm(*(w.denominator for w in ws.values()))
                 ints = {e: w.numerator * (scale // w.denominator) for e, w in ws.items()}
                 self._scaled = (scale, {
                     u: tuple((n, ints[_norm_edge(u, n)]) for n in ns)
                     for u, ns in self._adj.items()
-                })
-            else:
-                self._scaled = False
+                }, kinds.pop() if len(kinds) == 1 else None)
         return self._scaled
 
 
@@ -466,18 +495,28 @@ def _within(g: Graph, through: dict, r: Number, strict: bool = False,
     with ``not leq(r, dist(c, v))`` (closer than ``r``) when ``strict``.
     With ``through = g.vertex_bits()`` that is the ball mask of each center;
     with a family's :func:`_member_masks`, the mask of the members the ball
-    meets.  On an exact host with an exact ``r`` the test is plain ``<=`` or
-    ``<``, decided once per call.
+    meets.  On an exact host with an exact ``r`` the call takes one int
+    threshold ``t``, ``floor(r * scale)`` or ``ceil(r * scale) - 1`` when
+    ``strict``, and compares the int rows (:meth:`Graph._int_row`, the
+    distances times ``scale``) with it: ``d * scale <= t``.
     """
-    exact = _exact_against(g, r)
     masks = []
+    if _exact_against(g, r):
+        rs = r * g._scaled_adjacency()[0]
+        t = math.ceil(rs) - 1 if strict else math.floor(rs)
+        for c in g.vertices if centers is None else centers:
+            dc = g._int_row(c)
+            mask = 0
+            for v, holders in through.items():
+                if dc[v] <= t:
+                    mask |= holders
+            masks.append(mask)
+        return masks
     for c in g.vertices if centers is None else centers:
         dc = g.dist_from(c)
         mask = 0
         for v, holders in through.items():
-            d = dc[v]
-            if ((d < r if strict else d <= r) if exact
-                    else (not leq(r, d) if strict else leq(d, r))):
+            if not leq(r, dc[v]) if strict else leq(dc[v], r):
                 mask |= holders
         masks.append(mask)
     return masks

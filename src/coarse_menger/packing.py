@@ -20,7 +20,8 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
-from .graph import Graph, Number, _member_masks, _within, as_vertex_set, leq, set_distance
+from .graph import (Graph, Number, _member_masks, _within, as_vertex_set, distance, leq,
+                    set_distance)
 from .paths import PathWitness, _enumerate, enumerate_chordless_paths, make_path
 
 EXACT_PACKING_VERTEX_CAP = 16
@@ -246,12 +247,10 @@ def _shortest_lxy_path(g: Graph, allowed: set, x: frozenset, y: frozenset, l):
                         parent[n] = u
                         nxt.append(n)
             frontier = nxt
-        from .graph import distance as _dist
-
         for t in sorted(y):
             if t not in parent:
                 continue
-            if not leq(l, _dist(g, s, t)):
+            if not leq(l, distance(g, s, t)):
                 continue
             seq = []
             v = t

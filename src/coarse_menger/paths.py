@@ -151,10 +151,11 @@ def _sequences(
     bit = g.vertex_bits()
     ends = y.members
     barred = x.members - ends if minimal else frozenset()
-    # distances are >= 0, so at l = 0 every end passes without a test
+    # distances are >= 0, so at l = 0 every end passes without a test, and
+    # no distance row is read
     any_end = l == 0
 
-    def extend(seq: list, body: int, dist_start: dict):
+    def extend(seq: list, body: int, dist_start: Optional[dict]):
         # ``body`` is the mask of seq[:-1]
         tail = seq[-1]
         if tail in ends:
@@ -171,7 +172,7 @@ def _sequences(
             seq.pop()
 
     for start in sorted(x.members):
-        extend([start], 0, g.dist_from(start))
+        extend([start], 0, None if any_end else g.dist_from(start))
     return sorted(found)
 
 

@@ -9,8 +9,8 @@ of the boundary DP, the blocker scan and the minimal-support scan in
 ``coarse_menger.acceptance``, with the same search orders; that oracle also
 keeps its earlier mask search, which revisits states, and the DP its earlier
 mask version, whose blocks are ``(label, mask)`` pairs.
-For the radius test ``graph._within`` they are the per-(center, vertex)
-``leq`` loops ``hits_through`` and ``near_through``.
+For the radius test ``graph._within`` it is the per-(center, vertex)
+``leq`` loop ``within_through``, on distances summed by ``fraction_dijkstra``.
 For the covering side they are the per-(center, member) loop of
 ``graph._hit_masks``, the frozenset set covers (``min_set_cover``,
 the exact and greedy search of ``certify_centered`` and the trichotomy's
@@ -52,6 +52,7 @@ from coarse_menger.graph import (
     _norm_edge,
     as_vertex_set,
     distance,
+    is_exact,
     leq,
     set_distance,
 )
@@ -72,8 +73,9 @@ from coarse_menger.trees import MODEL_ENUM_CAP
 
 
 def fraction_dijkstra(g: Graph, source: int) -> dict:
-    """Shortest-path lengths from ``source`` on a weighted host, summing the
-    weights as given: the source at int 0, unreachable vertices at ``INF``."""
+    """Shortest-path lengths from ``source``, summing the weights as given
+    (1 per edge on a unit host): the source at int 0, unreachable vertices
+    at ``INF``."""
     dist = {}
     heap = [(0, source)]
     while heap:
@@ -83,7 +85,8 @@ def fraction_dijkstra(g: Graph, source: int) -> dict:
         dist[u] = d
         for n in g.neighbors(u):
             if n not in dist:
-                heapq.heappush(heap, (d + g.weights[_norm_edge(u, n)], n))
+                w = 1 if g.weights is None else g.weights[_norm_edge(u, n)]
+                heapq.heappush(heap, (d + w, n))
     return {v: dist.get(v, INF) for v in g.vertices}
 
 
@@ -781,34 +784,24 @@ def _ball_mask(g: Graph, center: int, r) -> int:
     return mask
 
 
-def hits_through(g: Graph, through: dict, r, centers=None) -> List[int]:
+def within_through(g: Graph, through: dict, r, strict: bool = False,
+                   centers=None) -> List[int]:
     """Per center (every vertex in vertex order by default), the OR of
-    ``through[v]`` over the vertices ``v`` within ``r`` of it, one ``leq`` per
-    (center, vertex): the reference for ``graph._within``."""
-    hits = []
+    ``through[v]`` over the vertices ``v`` within ``r`` of it (``leq(d,
+    r)``), or closer than ``r`` (``not leq(r, d)``) when ``strict``: one
+    ``leq`` per (center, vertex), the loop of ``graph._within`` before it
+    compared scaled int rows, and its reference.  On exact hosts the
+    distances come from :func:`fraction_dijkstra`, not from ``dist_from``."""
+    exact = g.weights is None or all(is_exact(w) for w in g.weights.values())
+    masks = []
     for c in g.vertices if centers is None else centers:
-        dc = g.dist_from(c)
-        hit = 0
+        dc = fraction_dijkstra(g, c) if exact else g.dist_from(c)
+        mask = 0
         for v, holders in through.items():
-            if leq(dc[v], r):
-                hit |= holders
-        hits.append(hit)
-    return hits
-
-
-def near_through(g: Graph, through: dict, r, centers=None) -> List[int]:
-    """:func:`hits_through` for the vertices closer than ``r`` (``not leq(r,
-    d)``): the reach of each center in the far-conflict relation, the
-    reference for ``graph._within(..., strict=True)``."""
-    near = []
-    for c in g.vertices if centers is None else centers:
-        dc = g.dist_from(c)
-        reach = 0
-        for u, holders in through.items():
-            if not leq(r, dc[u]):
-                reach |= holders
-        near.append(reach)
-    return near
+            if not leq(r, dc[v]) if strict else leq(dc[v], r):
+                mask |= holders
+        masks.append(mask)
+    return masks
 
 
 def set_min_set_cover(universe: Sequence[int], sets: Dict[int, frozenset]):

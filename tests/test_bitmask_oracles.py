@@ -35,8 +35,6 @@ from conftest import random_connected
 from set_oracles import (
     _ball,
     find_clique,
-    hits_through,
-    near_through,
     nx_menger_packing,
     plain_duality_sweep,
     scan_separating_balls,
@@ -48,6 +46,7 @@ from set_oracles import (
     set_hitting_center_search,
     set_max_independent_set,
     set_min_set_cover,
+    within_through,
 )
 
 RADII = (0.3, Fraction(1, 2), 1, Fraction(3, 2), 2, 3)
@@ -368,18 +367,21 @@ def test_hit_masks_match_the_per_member_loop(host, r):
     assert _hit_masks(g, family, r) == set_hit_masks(g, family, r)
 
 
-#: edge weights of the radius-test hosts; "mixed" puts int, Fraction and
-#: float weights on one host
-WITHIN_WEIGHTS = dict(WEIGHT_KINDS, int=(1, 2, 3), mixed=(1, Fraction(1, 2), 0.3, 0.7))
+#: edge weights of the radius-test hosts; "mixed" puts int and Fraction
+#: weights on one host, "mixed_float" int, Fraction and float weights
+WITHIN_WEIGHTS = dict(WEIGHT_KINDS, int=(1, 2, 3), mixed=(1, 2, Fraction(1, 2), Fraction(2, 3)),
+                      mixed_float=(1, Fraction(1, 2), 0.3, 0.7))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(WITHIN_WEIGHTS)),
        st.booleans(), st.booleans())
 def test_within_matches_the_per_pair_reference(seed, kind, connected, strict):
     # disconnected hosts put INF in the rows; the radii are 0, exact and float
-    # values on every kind of host, every distance, and distances moved by
-    # half the float tolerance either way, down to an exact r
+    # values on every kind of host, every distance as given and as a Fraction
+    # (r * scale on a distance), a sixth either side of one (r * scale off
+    # the int lattice), and distances moved by half the float tolerance
+    # either way, down to an exact r
     rng = random.Random(seed)
     n = rng.randint(2, 9)
     if connected:
@@ -391,7 +393,8 @@ def test_within_matches_the_per_pair_reference(seed, kind, connected, strict):
         g = Graph(g.vertices, g.edges, {e: rng.choice(WITHIN_WEIGHTS[kind]) for e in g.edges})
     dists = sorted({d for c in g.vertices for d in g.dist_from(c).values() if d != INF}, key=float)
     d = rng.choice(dists)
-    r = rng.choice((0, 1, Fraction(3, 2), 2, 0.3, 1.0, 2.5, d, float(d),
+    r = rng.choice((0, 1, Fraction(3, 2), 2, 0.3, 1.0, 2.5, d, float(d), Fraction(d),
+                    Fraction(d) + Fraction(1, 6), max(Fraction(d) - Fraction(1, 6), 0),
                     d + TOL / 2, float(d) - TOL / 2, max(Fraction(d) - Fraction(TOL) / 2, 0)))
     through = rng.choice((
         g.vertex_bits(),
@@ -399,8 +402,22 @@ def test_within_matches_the_per_pair_reference(seed, kind, connected, strict):
         {v: rng.getrandbits(4) for v in rng.sample(g.vertices, rng.randint(0, n))},
     ))
     centers = rng.choice((None, rng.sample(g.vertices, rng.randint(0, n))))
-    reference = near_through if strict else hits_through
-    assert _within(g, through, r, strict, centers) == reference(g, through, r, centers)
+    got = _within(g, through, r, strict, centers)
+    assert got == within_through(g, through, r, strict, centers)
+
+
+def test_within_at_a_radius_equal_to_a_distance():
+    # distances from 0 are 0, 1/2, 5/6 and 1 (scale 6: int rows 0, 3, 5, 6);
+    # a vertex at exactly r is within r but not closer than r
+    g = Graph(range(4), [(0, 1), (1, 2), (2, 3)],
+              {(0, 1): Fraction(1, 2), (1, 2): Fraction(1, 3), (2, 3): Fraction(1, 6)})
+    bit = g.vertex_bits()
+    for r, within, closer in ((Fraction(5, 6), 0b0111, 0b0011), (1, 0b1111, 0b0111),
+                              (Fraction(1, 2), 0b0011, 0b0001), (0, 0b0001, 0)):
+        assert _within(g, bit, r, centers=[0]) == [within]
+        assert _within(g, bit, r, strict=True, centers=[0]) == [closer]
+    family = [frozenset([2]), frozenset([3]), frozenset([1, 3])]
+    assert _within(g, _member_masks(g, family), Fraction(5, 6), centers=[0, 3]) == [0b101, 0b111]
 
 
 # -- Menger flow ----------------------------------------------------------------

@@ -59,25 +59,40 @@ def test_weighted_distance_uses_fractions_exactly():
     assert distance(g, 0, 2) == Fraction(5, 6)
 
 
-FRACTION_WEIGHTS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 7))
+#: edge weights per kind of exact host; "mixed" puts int and Fraction weights
+#: on one host
+EXACT_WEIGHTS = {
+    "unit": None,
+    "int": (1, 2, 3, 5),
+    "fraction": (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 7)),
+    "mixed": (1, 2, Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), Fraction(5, 7)),
+}
 
 
-def _same_distances(g):
-    for s in g.vertices:
+def _same_distances(g, order=None):
+    for s in g.vertices if order is None else order:
         got, expected = g.dist_from(s), fraction_dijkstra(g, s)
         assert got == expected
         assert [type(d) for d in got.values()] == [type(d) for d in expected.values()]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6),
-       st.booleans())
-def test_fraction_distances_match_fraction_dijkstra(n, seed, split):
-    # ints scaled by the LCM of the denominators, divided back into Fractions
+       st.booleans(), st.sampled_from(sorted(EXACT_WEIGHTS)))
+def test_fraction_distances_match_fraction_dijkstra(n, seed, split, kind):
+    # rows read from the int rows (scaled by the LCM of the denominators on
+    # weighted hosts), divided back into Fractions on all-Fraction hosts;
+    # value by value and type by type, asked for in a random order, with and
+    # without the radius test reading the int rows first
     rng = random.Random(seed)
     g = random_connected(rng, n)
     edges = [e for e in g.edges if not split or rng.random() < 0.6]
-    _same_distances(Graph(g.vertices, edges, {e: rng.choice(FRACTION_WEIGHTS) for e in edges}))
+    weights = EXACT_WEIGHTS[kind]
+    g = Graph(g.vertices, edges,
+              None if weights is None else {e: rng.choice(weights) for e in edges})
+    if rng.random() < 0.5:
+        neighborhood(g, frozenset(rng.sample(g.vertices, rng.randint(1, n))), Fraction(1, 2))
+    _same_distances(g, rng.sample(g.vertices, n))
 
 
 def test_fraction_distances_keep_their_type_on_unit_fractions_and_split_hosts():
@@ -179,7 +194,11 @@ def test_certify_centered_rejects_bad_mode_even_for_empty_z():
 def test_edge_list_round_trip():
     g = Graph([0, 1, 2], [(0, 1), (1, 2)],
               {(0, 1): 1, (1, 2): Fraction(3, 2)})
-    assert from_edge_list(to_edge_list(g)) == g
+    g2 = from_edge_list(to_edge_list(g))
+    assert g2 == g
+    # a mixed int and Fraction host: the same distances, of the same types
+    _same_distances(g2)
+    assert [type(d) for d in g2.dist_from(0).values()] == [int, int, Fraction]
 
 
 def test_json_round_trip():
@@ -188,6 +207,8 @@ def test_json_round_trip():
     g2 = from_json(to_json(g))
     assert g2 == g
     assert distance(g2, 0, 1) == Fraction(1, 3)
+    _same_distances(g2)
+    assert g2.dist_from(0) == {0: 0, 1: Fraction(1, 3), 2: Fraction(7, 3), 5: math.inf}
 
 
 MALFORMED_GRAPH_DOCUMENTS = {
