@@ -9,8 +9,10 @@ Each ``label=src-dir`` runs in a fresh interpreter that imports
 ``trees.two_disjoint_connected_transversals`` and
 ``trees.min_transversal_blocker`` (budget 2w) on ``rooted_p3_grid(w)`` as the
 median of ``--runs`` runs, and records the blocker found.  One more, untimed
-run reads the DP's layer list when the function returns, for the number of
-states it kept (summed over layers) and its largest layer.
+run wraps ``trees._drop_dominated``, which the DP calls once per phase, and
+sums the sizes of the layers it returns for the number of states the DP kept
+(and takes their largest); a last untimed run under ``tracemalloc`` records
+the DP's peak of traced memory.
 """
 
 from __future__ import annotations
@@ -23,28 +25,46 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 
-def _count_states(dp, g, roots):
-    """Summed and largest layer size of one DP run, read from the function's
-    ``layers`` local as it returns."""
-    seen = {}
+#: what the script wraps in ``coarse_menger``: the DP's per-phase pruning,
+#: whose returned layers it counts
+WRAPPED = ("trees._drop_dominated",)
 
-    def hook(frame, event, arg):
-        if event == "return" and frame.f_code is dp.__code__:
-            sizes = [len(layer) for layer in frame.f_locals["layers"]]
-            seen.update(kept=sum(sizes), largest=max(sizes))
 
-    sys.setprofile(hook)
+def _count_states(trees, g, roots):
+    """Summed and largest layer size of one DP run, from the layers that
+    ``trees._drop_dominated`` returns."""
+    sizes = []
+    drop = trees._drop_dominated
+
+    def counted(layer):
+        kept = drop(layer)
+        sizes.append(len(kept))
+        return kept
+
+    trees._drop_dominated = counted
+    try:
+        trees.two_disjoint_connected_transversals(g, roots)
+    finally:
+        trees._drop_dominated = drop
+    return {"kept": sum(sizes), "largest": max(sizes)}
+
+
+def _peak_mb(dp, g, roots) -> float:
+    """The ``tracemalloc`` peak of one DP run, in MiB."""
+    tracemalloc.start()
     try:
         dp(g, roots)
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
     finally:
-        sys.setprofile(None)
-    return seen
+        tracemalloc.stop()
 
 
 def measure(src: str, widths, runs: int) -> list:
     sys.path.insert(0, src)
+    from coarse_menger import trees
     from coarse_menger.generators import rooted_p3_grid
     from coarse_menger.trees import (
         min_transversal_blocker,
@@ -64,7 +84,8 @@ def measure(src: str, widths, runs: int) -> list:
             t2 = time.perf_counter()
             dp_s.append(t1 - t0)
             blocker_s.append(t2 - t1)
-        states = _count_states(two_disjoint_connected_transversals, g, roots)
+        states = _count_states(trees, g, roots)
+        peak_mb = _peak_mb(two_disjoint_connected_transversals, g, roots)
         rows.append({
             "w": w,
             "dp_s": round(statistics.median(dp_s), 4),
@@ -72,6 +93,7 @@ def measure(src: str, widths, runs: int) -> list:
             "dp_pair_found": pair is not None,
             "dp_states_kept": states["kept"],
             "dp_largest_layer": states["largest"],
+            "dp_peak_mb": peak_mb,
             "z": sorted(z),
             "min_hitting": len(z),
         })
@@ -96,7 +118,8 @@ def main() -> int:
         "topic": "rooted-grid hitting branch",
         "layer": "L3",
         "what": "median seconds of the boundary DP and the blocker scan on "
-                "rooted_p3_grid(w), DP states kept, and the blocker found",
+                "rooted_p3_grid(w), DP states kept, the DP's tracemalloc "
+                "peak (MiB), and the blocker found",
         "runs": args.runs,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} cores",

@@ -292,7 +292,11 @@ class Graph:
     def _row(self, source: int, adj: Optional[dict] = None) -> dict:
         """Uncached lengths from ``source``: BFS when unweighted, else
         Dijkstra on ``adj`` (``adj[u]`` lists ``(n, weight)``) when given, or
-        on the weights as given."""
+        on the weights as given.  On ``adj`` (int weights) a vertex is pushed
+        only when its length beats the best one pushed so far.  On the weights
+        as given every length is pushed: where int, ``Fraction`` and float
+        weights mix, equal lengths of different types tie, and the heap's
+        order among them picks the type of the length kept."""
         if self.weights is None:
             dist = {source: 0}
             frontier = [source]
@@ -308,6 +312,7 @@ class Graph:
                 frontier = nxt
         elif adj is not None:
             dist = {}
+            best = {source: 0}
             heap = [(0, source)]
             while heap:
                 d, u = heapq.heappop(heap)
@@ -316,7 +321,11 @@ class Graph:
                 dist[u] = d
                 for n, w in adj[u]:
                     if n not in dist:
-                        heapq.heappush(heap, (d + w, n))
+                        nd = d + w
+                        old = best.get(n)
+                        if old is None or nd < old:
+                            best[n] = nd
+                            heapq.heappush(heap, (nd, n))
         else:
             dist = {}
             heap = [(0, source)]

@@ -824,24 +824,24 @@ def _drop_dominated(layer: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
     """``layer`` without the states whose ``sdr1`` and ``sdr2`` masks are
     both subsets of another state's with equal ``blocks`` and ``closed``.
 
-    One pass records the first state of each ``(blocks, closed)`` key; only
-    the keys met again get a list, in insertion order.  Each such group is
-    scanned by falling total mask size (a stable sort), so a state can only
-    be dominated by one scanned before it; the kept ones form an antichain.
-    Which states are dropped depends on the groups and their order alone,
-    not on how a block is encoded."""
-    first: Dict[tuple, tuple] = {}
-    groups: Dict[tuple, List[tuple]] = {}
+    One pass records, per ``closed`` and then per ``blocks``, the first state
+    of each key; a key met again maps to a list of its states instead, in
+    insertion order.  Each such group is scanned by falling total mask size
+    (a stable sort), so a state can only be dominated by one scanned before
+    it; the kept ones form an antichain.  Which states are dropped depends on
+    the groups and their order alone, not on how a block is encoded."""
+    seen = ({}, {}, {}, {})  # by ``closed`` (bits 1 and 2), then by ``blocks``
+    groups: List[List[tuple]] = []
     for state in layer:
-        key = (state[0], state[3])
-        head = first.setdefault(key, state)
+        by_blocks = seen[state[3] >> 1]
+        head = by_blocks.setdefault(state[0], state)
         if head is not state:
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [head, state]
+            if head.__class__ is list:
+                head.append(state)
             else:
-                group.append(state)
-    for group in groups.values():
+                group = by_blocks[state[0]] = [head, state]
+                groups.append(group)
+    for group in groups:
         if len(group) == 2:
             # the sort and scan below, unrolled for the most common group
             a, b = group
@@ -855,8 +855,10 @@ def _drop_dominated(layer: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
         kept: List[Tuple[int, int]] = []
         for state in group:
             _, sdr1, sdr2, _ = state
-            if any(not sdr1 & ~k1 and not sdr2 & ~k2 for k1, k2 in kept):
-                del layer[state]
+            for k1, k2 in kept:
+                if not sdr1 & ~k1 and not sdr2 & ~k2:
+                    del layer[state]
+                    break
             else:
                 kept.append((sdr1, sdr2))
     return layer
@@ -897,20 +899,31 @@ def two_disjoint_connected_transversals(
     is monotone too, so whatever the dropped state reaches, the state that
     dominates it reaches with larger masks.
 
-    After each intro phase, a state is also dropped if one of its labels can
-    no longer collect every root set: a root index is *spent* once no later
+    In each intro phase, a state is made only if both of its labels can
+    still collect every root set: a root index is *spent* once no later
     vertex of ``order`` lies in that root set, and each label must hold some
-    subset ``s`` in its ``sdr`` mask that contains every spent index.  A
-    closed label holds the full set and so always passes; an unused label
-    holds only the empty set and fails once any index is spent.  If a layer
-    becomes empty, the search returns None at once.  This is exact too.  The
-    test is necessary for finishing, since ``grown`` adds only indices of
-    later vertices and a label closes only with the full set, so no final
-    state is lost.  It stays failed going forward: the vertex introduced next
-    adds only indices that were not spent before it.  And it is monotone in
-    the ``sdr`` masks, so a dropped state never dominates a kept one.  The
-    kept states thus keep their insertion order and first predecessors, and
-    the pair returned is the same.
+    subset ``s`` in its ``sdr`` mask that contains every spent index.  The
+    test reads the new state alone, so it runs as the skip and each label
+    make their state, not on the layer afterwards.  A closed label holds the
+    full set and so always passes; an unused label holds only the empty set
+    and fails once any index is spent.  If a layer becomes empty, the search
+    returns None at once.  This is exact too.  The test is necessary for
+    finishing, since ``grown`` adds only indices of later vertices and a
+    label closes only with the full set, so no final state is lost.  It
+    stays failed going forward: the vertex introduced next adds only indices
+    that were not spent before it.  And it is monotone in the ``sdr`` masks,
+    so a dropped state never dominates a kept one.  The kept states thus keep
+    their insertion order and first predecessors, and the pair returned is
+    the same.
+
+    Only the current layer is kept.  It maps each state to a predecessor
+    chain: None at the start, ``(v, label, chain)`` for a state made by
+    giving ``v`` a label, and the predecessor's own chain object for a skip
+    or a forget.  The chain of the first final state lists the labeled
+    vertices, so it is the pair; no earlier layer is read, and the chains of
+    dropped states are freed as the sweep moves on.  A state keeps the chain
+    of the first transition that made it, as the pair encoding keeps its
+    first predecessor, so the pair returned is the one it gives.
     """
     if order is None:
         order = sorted(g.vertices)
@@ -931,8 +944,7 @@ def two_disjoint_connected_transversals(
             actual=boundary,
         )
 
-    # flatten the sweep into sequential phases so every transition has an
-    # unambiguous predecessor layer for witness reconstruction
+    # flatten the sweep into sequential phases, one layer of states each
     phases: List[tuple] = []
     for step, v in enumerate(order):
         phases.append(("intro", v))
@@ -944,13 +956,12 @@ def two_disjoint_connected_transversals(
     roots_at = _member_masks(g, root_sets)
     full = (1 << len(root_sets)) - 1
     # per vertex, the ``sdr`` bits of the root subsets that contain every
-    # index spent once it is introduced (no entry while none is spent)
+    # index spent once it is introduced (every subset while none is spent)
     finishing: Dict[int, int] = {}
     remaining = 0
     for v in reversed(order):
         spent = full & ~remaining
-        if spent:
-            finishing[v] = sum(1 << s for s in range(full + 1) if s & spent == spent)
+        finishing[v] = sum(1 << s for s in range(full + 1) if s & spent == spent)
         remaining |= roots_at.get(v, 0)
     grown_cache: Dict[tuple, int] = {}
 
@@ -974,50 +985,57 @@ def two_disjoint_connected_transversals(
             grown_cache[key] = out
         return out
 
-    # one dict per layer: state -> (predecessor state, vertex, label given)
-    layers: List[Dict[tuple, Optional[tuple]]] = [{((), 1, 1, 0): None}]
+    # the one layer kept: state -> predecessor chain, None at the start and
+    # ``(vertex, label, chain)`` once a transition gives a vertex a label
+    current: Dict[tuple, Optional[tuple]] = {((), 1, 1, 0): None}
     active = 0
     for kind, v in phases:
-        nxt: Dict[tuple, tuple] = {}
+        nxt: Dict[tuple, Optional[tuple]] = {}
         vb = bit[v]
         ve = vb << 1  # v's bit within a block entry
         if kind == "intro":
             nbrs = (closed_nbhd[v] & active) << 1  # v itself is not active yet
             at = roots_at.get(v, 0)
-            for state in layers[-1]:
+            can_finish = finishing[v]
+            for state, chain in current.items():
                 blocks, sdr1, sdr2, closed = state
-                if state not in nxt:
-                    nxt[state] = (state, v, 0)
-                for label in (1, 2):
-                    if closed >> label & 1:
-                        continue
-                    # symmetry: the first labeled vertex gets label 1 (a
-                    # label is in use once a block holds it or it closed)
-                    if label == 2 and not (blocks or closed):
-                        continue
-                    tag = label - 1
-                    merged = ve | tag
-                    kept = []
-                    for e in blocks:
-                        if e & 1 == tag and e & nbrs:
-                            merged |= e
-                        else:
-                            kept.append(e)
-                    kept.append(merged)
-                    kept.sort()
-                    if tag:
-                        new_state = (tuple(kept), sdr1, grown(sdr2, at), closed)
-                    else:
-                        new_state = (tuple(kept), grown(sdr1, at), sdr2, closed)
-                    if new_state not in nxt:
-                        nxt[new_state] = (state, v, label)
+                ok1 = sdr1 & can_finish
+                ok2 = sdr2 & can_finish
+                if ok1 and ok2:
+                    nxt.setdefault(state, chain)
+                # label 1, unless it closed
+                if ok2 and not closed & 2:
+                    grown1 = grown(sdr1, at) if at else sdr1
+                    if grown1 & can_finish:
+                        entry = ve
+                        kept = []
+                        for e in blocks:
+                            if e & nbrs and not e & 1:
+                                entry |= e
+                            else:
+                                kept.append(e)
+                        kept.append(entry)
+                        kept.sort()
+                        nxt.setdefault((tuple(kept), grown1, sdr2, closed), (v, 1, chain))
+                # label 2, unless it closed; by symmetry the first labeled
+                # vertex gets label 1 (a label is in use once a block holds
+                # it or it closed)
+                if ok1 and not closed & 4 and (blocks or closed):
+                    grown2 = grown(sdr2, at) if at else sdr2
+                    if grown2 & can_finish:
+                        entry = ve | 1
+                        kept = []
+                        for e in blocks:
+                            if e & nbrs and e & 1:
+                                entry |= e
+                            else:
+                                kept.append(e)
+                        kept.append(entry)
+                        kept.sort()
+                        nxt.setdefault((tuple(kept), sdr1, grown2, closed), (v, 2, chain))
             active |= vb
-            can_finish = finishing.get(v)
-            if can_finish:
-                nxt = {state: step for state, step in nxt.items()
-                       if state[1] & can_finish and state[2] & can_finish}
         else:
-            for state in layers[-1]:
+            for state, chain in current.items():
                 blocks, sdr1, sdr2, closed = state
                 for home, e in enumerate(blocks):
                     if e & ve:
@@ -1039,25 +1057,21 @@ def two_disjoint_connected_transversals(
                         if not (sdr2 if tag else sdr1) >> full & 1:
                             continue  # closed component missing some root
                         out_state = (rest, sdr1, sdr2, closed | 2 << tag)
-                if out_state not in nxt:
-                    nxt[out_state] = (state, v, 0)
+                nxt.setdefault(out_state, chain)
             active &= ~vb
-        layers.append(_drop_dominated(nxt))
-        if not layers[-1]:
+        current = _drop_dominated(nxt)
+        if not current:
             return None
 
-    final = next((s for s in layers[-1] if s[3] == 0b110), None)
+    final = next((s for s in current if s[3] == 0b110), None)
     if final is None:
         return None
-    assignment: Dict[int, int] = {}
-    state = final
-    for layer in reversed(layers[1:]):
-        state, v, label = layer[state]
-        if label:
-            assignment[v] = label
-    side1 = frozenset(v for v, lab in assignment.items() if lab == 1)
-    side2 = frozenset(v for v, lab in assignment.items() if lab == 2)
-    return side1, side2
+    sides: Dict[int, List[int]] = {1: [], 2: []}
+    chain = current[final]
+    while chain is not None:
+        v, label, chain = chain
+        sides[label].append(v)
+    return frozenset(sides[1]), frozenset(sides[2])
 
 
 def min_transversal_blocker(

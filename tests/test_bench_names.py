@@ -4,9 +4,10 @@ library.
 ``bench_duality.py`` times a layer at the first name of its ``LAYERS`` entry
 that a tree defines, and counts through ``COUNTED`` and ``FAMILY``.
 ``bench_rooted_oracle.py`` wraps the names in its ``WRAPPED`` and counts the
-oracle's nested ``SEARCHES`` and its ``MEMO`` local.  A renamed function
-would silently move a layer to its fallback, or make a count read 0, so the
-innermost names must exist in ``src``.
+oracle's nested ``SEARCHES`` and its ``MEMO`` local.  ``bench_rooted_grid.py``
+counts the boundary DP's states through the names in its ``WRAPPED``.  A
+renamed function would silently move a layer to its fallback, or make a
+count read 0, so the innermost names must exist in ``src``.
 """
 
 import importlib
@@ -32,6 +33,7 @@ NAMES = sorted(
     | {BENCH.FAMILY}
 )
 ORACLE_BENCH = _load("bench_rooted_oracle")
+GRID_BENCH = _load("bench_rooted_grid")
 
 
 def _resolve(name):
@@ -49,6 +51,11 @@ def test_bench_duality_names_resolve(name):
 
 @pytest.mark.parametrize("name", ORACLE_BENCH.WRAPPED)
 def test_bench_rooted_oracle_names_resolve(name):
+    assert callable(_resolve(name))
+
+
+@pytest.mark.parametrize("name", GRID_BENCH.WRAPPED)
+def test_bench_rooted_grid_names_resolve(name):
     assert callable(_resolve(name))
 
 

@@ -8,7 +8,9 @@ against its earlier mask search, which revisits them, on both host families
 and a pinned path, and finds no pair on the 5x5 rooted grid.  The DP, whose
 blocks are flat int entries, is checked against its earlier ``(label,
 mask)`` encoding on both host families, for the very pair it returns, in
-the default sweep order and in random ones.  The blocker is also checked
+the default sweep order and in random ones, and on a planted 5x5 rooted
+grid whose pair is found late; one DP call on the 6x6 rooted grid must peak
+below 4 MiB of traced memory.  The blocker is also checked
 against the brute-force first smallest blocker on hosts, connected or not,
 with one to three root sets, and each support it cuts for being a support
 that no single vertex can leave.  The minimal-support scan of the rooted
@@ -19,6 +21,7 @@ oracles."""
 import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -300,6 +303,32 @@ def test_boundary_dp_returns_the_pair_encoding_result_in_any_order(host):
     g, roots, order = host
     assert _outcome(two_disjoint_connected_transversals, g, roots, order) == \
         _outcome(pair_two_disjoint_connected_transversals, g, roots, order)
+
+
+def test_boundary_dp_returns_the_pair_encoding_result_on_a_planted_5x5_grid():
+    # bottom-row vertices added to two root sets: the pair is a long chain of
+    # labels, first found only near the end of the sweep
+    spec = rooted_p3_grid(5)
+    g, roots = spec.graph, list(spec.roots)
+    roots = [roots[0] | {23}, roots[1] | {24}, roots[2]]
+    got = two_disjoint_connected_transversals(g, roots)
+    assert got is not None
+    _assert_valid_witness(g, roots, got)
+    assert got == pair_two_disjoint_connected_transversals(g, roots)
+
+
+def test_boundary_dp_keeps_one_layer_on_the_6x6_rooted_grid():
+    # one layer of states with shared predecessor chains: an 18 MiB peak
+    # when every layer is kept until the DP returns
+    spec = rooted_p3_grid(6)
+    g, roots = spec.graph, list(spec.roots)
+    tracemalloc.start()
+    try:
+        assert two_disjoint_connected_transversals(g, roots) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 3), (2, 5), (3, 4), (4, 5)])
