@@ -9,10 +9,11 @@ Each ``label=src-dir`` runs in a fresh interpreter that imports
 ``trees.two_disjoint_connected_transversals`` and
 ``trees.min_transversal_blocker`` (budget 2w) on ``rooted_p3_grid(w)`` as the
 median of ``--runs`` runs, and records the blocker found.  One more, untimed
-run wraps ``trees._drop_dominated``, which the DP calls once per phase, and
-sums the sizes of the layers it returns for the number of states the DP kept
-(and takes their largest); a last untimed run under ``tracemalloc`` records
-the DP's peak of traced memory.
+run wraps ``trees._drop_dominated``, which the DP calls once per vertex step
+(the vertex's intro and the forgets after it), and sums the sizes of the
+layers handed to it for the number of states the DP made, and of the layers
+it returns for the number it kept (and takes their largest); a last untimed
+run under ``tracemalloc`` records the DP's peak of traced memory.
 """
 
 from __future__ import annotations
@@ -28,18 +29,19 @@ import time
 import tracemalloc
 
 
-#: what the script wraps in ``coarse_menger``: the DP's per-phase pruning,
-#: whose returned layers it counts
+#: what the script wraps in ``coarse_menger``: the DP's per-step pruning,
+#: whose layers it counts
 WRAPPED = ("trees._drop_dominated",)
 
 
 def _count_states(trees, g, roots):
-    """Summed and largest layer size of one DP run, from the layers that
-    ``trees._drop_dominated`` returns."""
-    sizes = []
+    """Summed sizes of the layers handed to ``trees._drop_dominated`` in one
+    DP run, and summed and largest sizes of the layers it returns."""
+    made, sizes = [], []
     drop = trees._drop_dominated
 
     def counted(layer):
+        made.append(len(layer))
         kept = drop(layer)
         sizes.append(len(kept))
         return kept
@@ -49,7 +51,7 @@ def _count_states(trees, g, roots):
         trees.two_disjoint_connected_transversals(g, roots)
     finally:
         trees._drop_dominated = drop
-    return {"kept": sum(sizes), "largest": max(sizes)}
+    return {"made": sum(made), "kept": sum(sizes), "largest": max(sizes)}
 
 
 def _peak_mb(dp, g, roots) -> float:
@@ -91,6 +93,7 @@ def measure(src: str, widths, runs: int) -> list:
             "dp_s": round(statistics.median(dp_s), 4),
             "blocker_s": round(statistics.median(blocker_s), 4),
             "dp_pair_found": pair is not None,
+            "dp_states_made": states["made"],
             "dp_states_kept": states["kept"],
             "dp_largest_layer": states["largest"],
             "dp_peak_mb": peak_mb,
@@ -118,7 +121,7 @@ def main() -> int:
         "topic": "rooted-grid hitting branch",
         "layer": "L3",
         "what": "median seconds of the boundary DP and the blocker scan on "
-                "rooted_p3_grid(w), DP states kept, the DP's tracemalloc "
+                "rooted_p3_grid(w), DP states made and kept, the DP's tracemalloc "
                 "peak (MiB), and the blocker found",
         "runs": args.runs,
         "python": platform.python_version(),

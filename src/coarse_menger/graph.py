@@ -87,7 +87,9 @@ class Graph:
                     e = _norm_edge(*e)
                     if e not in es:
                         raise InputError(f"weight given for non-edge {e}")
-                    if not val > 0:
+                    # an int is its own numerator, and a Fraction's has its
+                    # sign: no ``Fraction._richcmp`` per weight
+                    if not getattr(val, "numerator", val) > 0:
                         raise InputError(f"non-positive weight {val} on edge {e}")
                     if not is_exact(val):
                         # bool passes ``> 0`` and ``math.isfinite``; an int

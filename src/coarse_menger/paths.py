@@ -12,10 +12,10 @@ its closed neighbourhood for chordless ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
-from .graph import Graph, Number, as_vertex_set, distance, leq, set_distance
+from .graph import INF, Graph, Number, as_vertex_set, distance, leq, set_distance
 
 #: default vertex-count limit for uncapped path enumeration
 ENUM_VERTEX_LIMIT = 16
@@ -102,8 +102,9 @@ def enumerate_paths(
     deduplicated up to reversal, in canonical lexicographic order.
 
     Uncapped enumeration is refused above :data:`ENUM_VERTEX_LIMIT` host
-    vertices; with a finite ``cap`` the first ``cap`` canonical paths are
-    returned and truncation is flagged.
+    vertices.  With a finite ``cap`` the search stops once it has found
+    ``cap + 1`` distinct paths: the first ``cap`` it found are returned, in
+    canonical order, and ``truncated`` says that more exist.
     """
     return _enumerate(g, l, x, y, cap, g.vertex_bits())
 
@@ -112,11 +113,10 @@ def _enumerate(
     g: Graph, l: Number, x, y, cap: Optional[int], blocking: Mapping[int, int],
     minimal: bool = False,
 ) -> PathEnumeration:
-    """:func:`_sequences` as path witnesses, the first ``cap`` of them."""
-    ordered = _sequences(g, l, x, y, cap, blocking, minimal)
-    truncated = cap is not None and len(ordered) > cap
-    if truncated:
-        ordered = ordered[:cap]
+    """:func:`_sequences` as path witnesses, the first ``cap`` found."""
+    found = _sequences(g, l, x, y, cap, blocking, minimal)
+    truncated = cap is not None and len(found) > cap
+    ordered = sorted(found[:cap])
     paths = tuple(PathWitness(s, distance(g, s[0], s[-1])) for s in ordered)
     return PathEnumeration(paths, truncated)
 
@@ -126,9 +126,10 @@ def _sequences(
     minimal: bool = False,
 ) -> List[Tuple[int, ...]]:
     """Depth-first path search shared by :func:`enumerate_paths` and
-    :func:`enumerate_chordless_paths`, as canonical sequences in order: a
-    neighbour ``n`` of the tail extends the path iff ``blocking[n]`` misses
-    every path vertex but the tail.
+    :func:`enumerate_chordless_paths`, as canonical sequences in the order
+    found: a neighbour ``n`` of the tail extends the path iff ``blocking[n]``
+    misses every path vertex but the tail.  With a finite ``cap`` the search
+    stops at the ``cap + 1``-st distinct sequence.
 
     With ``minimal``, only the paths with no interior vertex in ``x | y``:
     the search never enters a vertex of ``x - y``, and a path ends at its
@@ -147,7 +148,8 @@ def _sequences(
     if not x.members or not y.members:
         return []
 
-    found = set()
+    found: Dict[Tuple[int, ...], None] = {}  # insertion-ordered set
+    stop = INF if cap is None else cap + 1
     bit = g.vertex_bits()
     ends = y.members
     barred = x.members - ends if minimal else frozenset()
@@ -155,32 +157,38 @@ def _sequences(
     # no distance row is read
     any_end = l == 0
 
-    def extend(seq: list, body: int, dist_start: Optional[dict]):
-        # ``body`` is the mask of seq[:-1]
+    def extend(seq: list, body: int, dist_start: Optional[dict]) -> bool:
+        # ``body`` is the mask of seq[:-1]; True once ``stop`` paths are found
         tail = seq[-1]
         if tail in ends:
             if any_end or leq(l, dist_start[tail]):
-                found.add(canonical_sequence(seq))
+                found[canonical_sequence(seq)] = None
+                if len(found) >= stop:
+                    return True
             if minimal and body:
-                return
+                return False
         grown = body | bit[tail]
         for n in g.neighbors(tail):
             if blocking[n] & body or n in barred:
                 continue
             seq.append(n)
-            extend(seq, grown, dist_start)
+            done = extend(seq, grown, dist_start)
             seq.pop()
+            if done:
+                return True
+        return False
 
     for start in sorted(x.members):
-        extend([start], 0, None if any_end else g.dist_from(start))
-    return sorted(found)
+        if extend([start], 0, None if any_end else g.dist_from(start)):
+            break
+    return list(found)
 
 
 def _chordless_sequences(g: Graph, l: Number, x, y, minimal: bool = False):
     """The uncapped :func:`enumerate_chordless_paths` family (with
     ``minimal``, its members with no interior vertex in ``x | y``) as
     canonical vertex sequences, for callers that need only vertex sets."""
-    return _sequences(g, l, x, y, None, g.closed_neighborhood_masks(), minimal)
+    return sorted(_sequences(g, l, x, y, None, g.closed_neighborhood_masks(), minimal))
 
 
 # ---------------------------------------------------------------------------

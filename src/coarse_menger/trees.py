@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import index
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -864,6 +865,40 @@ def _drop_dominated(layer: Dict[tuple, tuple]) -> Dict[tuple, tuple]:
     return layer
 
 
+def _forget(layer: Dict[tuple, tuple], ue: int, full: int) -> Dict[tuple, tuple]:
+    """``layer`` after forgetting the vertex whose bit within a block entry
+    is ``ue``: its block shrinks, or, if that leaves it empty, the label's
+    component closes — provided no other block holds the label and the
+    label's ``sdr`` mask holds the full root set ``full``.  States keep
+    their chains, and their first maker's order."""
+    out: Dict[tuple, tuple] = {}
+    for state, chain in layer.items():
+        blocks = state[0]
+        for home, e in enumerate(blocks):
+            if e & ue:
+                break
+        else:
+            out.setdefault(state, chain)  # the vertex is in no block
+            continue
+        _, sdr1, sdr2, closed = state
+        shrunk = e ^ ue
+        if shrunk >> 1:
+            # ``shrunk`` < ``e``, so it sorts at or before ``home``
+            at = bisect_left(blocks, shrunk, 0, home)
+            out.setdefault((blocks[:at] + (shrunk,) + blocks[at:home] + blocks[home + 1:],
+                            sdr1, sdr2, closed), chain)
+            continue
+        tag = e & 1
+        for f in blocks:
+            if f & 1 == tag and f != e:
+                break  # a second component would be stranded
+        else:
+            if (sdr2 if tag else sdr1) >> full & 1:  # else a root is missing
+                out.setdefault((blocks[:home] + blocks[home + 1:],
+                                sdr1, sdr2, closed | 2 << tag), chain)
+    return out
+
+
 def two_disjoint_connected_transversals(
     g: Graph,
     root_sets: Sequence[frozenset],
@@ -891,24 +926,32 @@ def two_disjoint_connected_transversals(
     key and orders a group by mask sizes and insertion alone): the first
     final state, and so the pair returned, is the one the pair encoding gives.
 
-    After each phase, a state whose ``sdr1`` and ``sdr2`` are both subsets of
-    another state's with the same ``(blocks, closed)`` is dropped
-    (:func:`_drop_dominated`).  That is exact: the transitions on ``blocks``
-    and ``closed`` never read the ``sdr`` masks, ``grown`` is monotone in
-    them, and the only test on them (the full set, when a component closes)
-    is monotone too, so whatever the dropped state reaches, the state that
-    dominates it reaches with larger masks.
+    The sweep runs in steps: introduce a vertex, then forget (:func:`_forget`)
+    each vertex whose last neighbor it is.  At the end of each step, a state
+    whose ``sdr1`` and ``sdr2`` are both subsets of another state's with the
+    same ``(blocks, closed)`` is dropped (:func:`_drop_dominated`).  That is
+    exact: the transitions on ``blocks`` and ``closed`` never read the
+    ``sdr`` masks, ``grown`` is monotone in them, and the only test on them
+    (the full set, when a component closes) is monotone too, so whatever the
+    dropped state reaches, the state that dominates it reaches with larger
+    masks.  Dropping once per step, not after the intro and after each
+    forget, keeps the same states: a forget keeps a state's ``sdr`` masks,
+    so the image of a state that the intro's drop would have removed is
+    dominated by its dominator's image, which the step's drop removes, along
+    with anything it dominates.  So each state a step keeps has only makers
+    that the earlier drop keeps, in the same order: it keeps its first maker
+    and its chain, and the pair returned is the same.
 
-    In each intro phase, a state is made only if both of its labels can
-    still collect every root set: a root index is *spent* once no later
+    As a vertex is introduced, a state is made only if both of its labels
+    can still collect every root set: a root index is *spent* once no later
     vertex of ``order`` lies in that root set, and each label must hold some
     subset ``s`` in its ``sdr`` mask that contains every spent index.  The
     test reads the new state alone, so it runs as the skip and each label
     make their state, not on the layer afterwards.  A closed label holds the
     full set and so always passes; an unused label holds only the empty set
-    and fails once any index is spent.  If a layer becomes empty, the search
-    returns None at once.  This is exact too.  The test is necessary for
-    finishing, since ``grown`` adds only indices of later vertices and a
+    and fails once any index is spent.  If a step leaves no state, the
+    search returns None at once.  This is exact too.  The test is necessary
+    for finishing, since ``grown`` adds only indices of later vertices and a
     label closes only with the full set, so no final state is lost.  It
     stays failed going forward: the vertex introduced next adds only indices
     that were not spent before it.  And it is monotone in the ``sdr`` masks,
@@ -930,26 +973,26 @@ def two_disjoint_connected_transversals(
     order = list(order)
     if sorted(order) != sorted(g.vertices):
         raise InputError("order must list every vertex once")
-    forget_at = _forget_times(g, order)
+    forgotten_at: Dict[int, List[int]] = {}
+    for u, i in _forget_times(g, order).items():
+        forgotten_at.setdefault(i, []).append(u)
+    # the sweep as steps: introduce ``v``, then forget the vertices whose
+    # last neighbor it is
+    steps: List[Tuple[int, List[int]]] = []
     boundary = 0
     alive = 0
     for i, v in enumerate(order):
+        forgets = sorted(forgotten_at.get(i, ()))
+        steps.append((v, forgets))
         alive += 1
         boundary = max(boundary, alive)
-        alive -= sum(1 for u in order[: i + 1] if forget_at[u] == i)
+        alive -= len(forgets)
     if boundary > boundary_cap:
         raise CapacityError(
             "sweep boundary too wide for the disjoint-transversal search",
             cap=boundary_cap,
             actual=boundary,
         )
-
-    # flatten the sweep into sequential phases, one layer of states each
-    phases: List[tuple] = []
-    for step, v in enumerate(order):
-        phases.append(("intro", v))
-        for u in sorted(u for u in order[: step + 1] if forget_at[u] == step):
-            phases.append(("forget", u))
 
     bit = g.vertex_bits()
     closed_nbhd = g.closed_neighborhood_masks()
@@ -989,76 +1032,53 @@ def two_disjoint_connected_transversals(
     # ``(vertex, label, chain)`` once a transition gives a vertex a label
     current: Dict[tuple, Optional[tuple]] = {((), 1, 1, 0): None}
     active = 0
-    for kind, v in phases:
+    for v, forgets in steps:
         nxt: Dict[tuple, Optional[tuple]] = {}
         vb = bit[v]
         ve = vb << 1  # v's bit within a block entry
-        if kind == "intro":
-            nbrs = (closed_nbhd[v] & active) << 1  # v itself is not active yet
-            at = roots_at.get(v, 0)
-            can_finish = finishing[v]
-            for state, chain in current.items():
-                blocks, sdr1, sdr2, closed = state
-                ok1 = sdr1 & can_finish
-                ok2 = sdr2 & can_finish
-                if ok1 and ok2:
-                    nxt.setdefault(state, chain)
-                # label 1, unless it closed
-                if ok2 and not closed & 2:
-                    grown1 = grown(sdr1, at) if at else sdr1
-                    if grown1 & can_finish:
-                        entry = ve
-                        kept = []
-                        for e in blocks:
-                            if e & nbrs and not e & 1:
-                                entry |= e
-                            else:
-                                kept.append(e)
-                        kept.append(entry)
-                        kept.sort()
-                        nxt.setdefault((tuple(kept), grown1, sdr2, closed), (v, 1, chain))
-                # label 2, unless it closed; by symmetry the first labeled
-                # vertex gets label 1 (a label is in use once a block holds
-                # it or it closed)
-                if ok1 and not closed & 4 and (blocks or closed):
-                    grown2 = grown(sdr2, at) if at else sdr2
-                    if grown2 & can_finish:
-                        entry = ve | 1
-                        kept = []
-                        for e in blocks:
-                            if e & nbrs and e & 1:
-                                entry |= e
-                            else:
-                                kept.append(e)
-                        kept.append(entry)
-                        kept.sort()
-                        nxt.setdefault((tuple(kept), sdr1, grown2, closed), (v, 2, chain))
-            active |= vb
-        else:
-            for state, chain in current.items():
-                blocks, sdr1, sdr2, closed = state
-                for home, e in enumerate(blocks):
-                    if e & ve:
-                        break
-                else:
-                    e = 0  # v is in no block
-                if not e:
-                    out_state = state
-                else:
-                    rest = blocks[:home] + blocks[home + 1:]
-                    shrunk = e ^ ve
-                    if shrunk >> 1:
-                        out_state = (tuple(sorted(rest + (shrunk,))),
-                                     sdr1, sdr2, closed)
-                    else:
-                        tag = e & 1
-                        if any(f & 1 == tag for f in rest):
-                            continue  # a second component would be stranded
-                        if not (sdr2 if tag else sdr1) >> full & 1:
-                            continue  # closed component missing some root
-                        out_state = (rest, sdr1, sdr2, closed | 2 << tag)
-                nxt.setdefault(out_state, chain)
-            active &= ~vb
+        nbrs = (closed_nbhd[v] & active) << 1  # v itself is not active yet
+        at = roots_at.get(v, 0)
+        can_finish = finishing[v]
+        for state, chain in current.items():
+            blocks, sdr1, sdr2, closed = state
+            ok1 = sdr1 & can_finish
+            ok2 = sdr2 & can_finish
+            if ok1 and ok2:
+                nxt.setdefault(state, chain)
+            # label 1, unless it closed
+            if ok2 and not closed & 2:
+                grown1 = grown(sdr1, at) if at else sdr1
+                if grown1 & can_finish:
+                    entry = ve
+                    kept = []
+                    for e in blocks:
+                        if e & nbrs and not e & 1:
+                            entry |= e
+                        else:
+                            kept.append(e)
+                    kept.append(entry)
+                    kept.sort()
+                    nxt.setdefault((tuple(kept), grown1, sdr2, closed), (v, 1, chain))
+            # label 2, unless it closed; by symmetry the first labeled
+            # vertex gets label 1 (a label is in use once a block holds
+            # it or it closed)
+            if ok1 and not closed & 4 and (blocks or closed):
+                grown2 = grown(sdr2, at) if at else sdr2
+                if grown2 & can_finish:
+                    entry = ve | 1
+                    kept = []
+                    for e in blocks:
+                        if e & nbrs and e & 1:
+                            entry |= e
+                        else:
+                            kept.append(e)
+                    kept.append(entry)
+                    kept.sort()
+                    nxt.setdefault((tuple(kept), sdr1, grown2, closed), (v, 2, chain))
+        active |= vb
+        for u in forgets:
+            nxt = _forget(nxt, bit[u] << 1, full)
+            active &= ~bit[u]
         current = _drop_dominated(nxt)
         if not current:
             return None

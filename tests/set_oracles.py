@@ -974,7 +974,9 @@ def set_hitting_center_search(
 
 def set_enumerate_paths(g: Graph, l, x, y, cap: Optional[int] = None) -> PathEnumeration:
     """All simple paths from ``x`` to ``y`` with endpoint distance >= ``l``,
-    deduplicated up to reversal, in canonical lexicographic order."""
+    deduplicated up to reversal, in canonical lexicographic order; with a
+    finite ``cap``, the first ``cap`` distinct ones that the depth-first
+    search finds, and whether it finds more."""
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
     if cap is None and len(g) > ENUM_VERTEX_LIMIT:
@@ -986,12 +988,12 @@ def set_enumerate_paths(g: Graph, l, x, y, cap: Optional[int] = None) -> PathEnu
     if not x.members or not y.members:
         return PathEnumeration((), False)
 
-    found = set()
+    found = {}  # canonical sequences, in the order the search finds them
 
     def extend(seq: list, seen: set):
         tail = seq[-1]
         if tail in y.members and leq(l, distance(g, seq[0], tail)):
-            found.add(canonical_sequence(seq))
+            found.setdefault(canonical_sequence(seq))
         for n in g.neighbors(tail):
             if n not in seen:
                 seen.add(n)
@@ -1004,10 +1006,9 @@ def set_enumerate_paths(g: Graph, l, x, y, cap: Optional[int] = None) -> PathEnu
         if start in x.members:
             extend([start], {start})
 
-    ordered = sorted(found)
-    truncated = cap is not None and len(ordered) > cap
-    if truncated:
-        ordered = ordered[:cap]
+    found = list(found)
+    truncated = cap is not None and len(found) > cap
+    ordered = sorted(found[:cap])
     paths = tuple(PathWitness(s, distance(g, s[0], s[-1])) for s in ordered)
     return PathEnumeration(paths, truncated)
 

@@ -42,6 +42,21 @@ def test_rejects_nonpositive_weight():
         Graph([0, 1], [(0, 1)], {(0, 1): 0})
 
 
+@pytest.mark.parametrize("val,accepted", [
+    (0, False), (-1, False), (1, True),
+    (Fraction(0), False), (Fraction(-1, 3), False), (Fraction(1, 3), True),
+    (0.0, False), (-0.5, False), (0.5, True),
+    (math.nan, False), (math.inf, False),
+    (True, False), (False, False), ("1", False),
+])
+def test_weight_verdicts(val, accepted):
+    if accepted:
+        assert Graph([0, 1], [(0, 1)], {(0, 1): val}).weights == {(0, 1): val}
+    else:
+        with pytest.raises(InputError):
+            Graph([0, 1], [(0, 1)], {(0, 1): val})
+
+
 def test_path_distances():
     g = path_graph(6)
     assert distance(g, 0, 5) == 5

@@ -1,12 +1,14 @@
 """Path enumeration, and the chordless-path reduction it rests on."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarse_menger.errors import CapacityError, InputError
+from coarse_menger.generators import grid
 from coarse_menger.graph import Graph, set_distance
 from coarse_menger.paths import (
     enumerate_chordless_paths,
@@ -62,6 +64,25 @@ def test_uncapped_enumeration_refused_on_large_hosts():
         enumerate_paths(g, 0, frozenset([0]), frozenset([19]))
     capped = enumerate_paths(g, 0, frozenset([0]), frozenset([19]), cap=5)
     assert len(capped.paths) == 1 and not capped.truncated
+
+
+def test_capped_enumeration_stops_at_the_cap():
+    # the 6x6 grid has over a million corner-to-corner paths: the search must
+    # stop after the second, not enumerate them all and truncate
+    g = grid(6, 6)
+    neighbors = Graph.neighbors
+    calls = []
+
+    def counted(self, v):
+        calls.append(v)
+        if len(calls) > 10_000:
+            raise AssertionError("capped search kept going")
+        return neighbors(self, v)
+
+    with mock.patch.object(Graph, "neighbors", counted):
+        capped = enumerate_paths(g, 0, frozenset([0]), frozenset([35]), cap=1)
+    assert len(capped.paths) == 1 and capped.truncated
+    assert is_lxy_path(g, capped.paths[0], 0, frozenset([0]), frozenset([35]))
 
 
 def test_chordless_excludes_chorded_paths():

@@ -9,8 +9,10 @@ and a pinned path, and finds no pair on the 5x5 rooted grid.  The DP, whose
 blocks are flat int entries, is checked against its earlier ``(label,
 mask)`` encoding on both host families, for the very pair it returns, in
 the default sweep order and in random ones, and on a planted 5x5 rooted
-grid whose pair is found late; one DP call on the 6x6 rooted grid must peak
-below 4 MiB of traced memory.  The blocker is also checked
+grid whose pair is found late; every state it hands to its dominance
+pruning must hold ascending block entries with disjoint masks, in any sweep
+order; one DP call on the 6x6 rooted grid must peak below 4 MiB of traced
+memory.  The blocker is also checked
 against the brute-force first smallest blocker on hosts, connected or not,
 with one to three root sets, and each support it cuts for being a support
 that no single vertex can leave.  The minimal-support scan of the rooted
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarse_menger import acceptance
+from coarse_menger import acceptance, trees
 from coarse_menger.acceptance import (
     _RootedSupports,
     exhaustive_two_disjoint_supports,
@@ -303,6 +305,28 @@ def test_boundary_dp_returns_the_pair_encoding_result_in_any_order(host):
     g, roots, order = host
     assert _outcome(two_disjoint_connected_transversals, g, roots, order) == \
         _outcome(pair_two_disjoint_connected_transversals, g, roots, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordered_hosts())
+def test_boundary_dp_states_hold_ascending_disjoint_blocks(host):
+    # a forget inserts the shrunk entry by bisection, trusting that the
+    # entries of a state are sorted and their masks disjoint; every state
+    # of every step (with no, one or several forgets) must keep that
+    g, roots, order = host
+    drop = trees._drop_dominated
+
+    def checked(layer):
+        for blocks, _, _, _ in layer:
+            assert all(a < b for a, b in zip(blocks, blocks[1:]))
+            seen = 0
+            for e in blocks:
+                assert not seen & e >> 1
+                seen |= e >> 1
+        return drop(layer)
+
+    with mock.patch.object(trees, "_drop_dominated", checked):
+        _outcome(two_disjoint_connected_transversals, g, roots, order)
 
 
 def test_boundary_dp_returns_the_pair_encoding_result_on_a_planted_5x5_grid():
