@@ -55,7 +55,7 @@ class CoverInstance:
     explicit_family: Optional[Tuple[frozenset, ...]] = None
 
     def __post_init__(self):
-        if self.radius < 0:
+        if not self.radius >= 0:  # NaN too
             raise InputError("negative cover radius")
         implicit = self.l is not None and self.x is not None and self.y is not None
         if implicit == (self.explicit_family is not None):
@@ -371,7 +371,7 @@ def min_separating_balls(g: Graph, x, y, radius: Number):
     """
     x = as_vertex_set(g, x).members
     y = as_vertex_set(g, y).members
-    if radius < 0:
+    if not radius >= 0:  # NaN too
         raise InputError("negative radius")
     bit = g.vertex_bits()
     balls = _within(g, bit, radius)

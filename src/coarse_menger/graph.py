@@ -1,10 +1,12 @@
 """Finite graphs, shortest-path metrics, neighborhoods and centered-set
 certificates.
 
-A :class:`Graph` is immutable after construction.  Distances are exact
-integers on unweighted graphs; on weighted graphs they keep whatever numeric
-type the weights carry (``Fraction`` weights give exact rational distances,
-floats are compared with an absolute tolerance of ``TOL``).
+A :class:`Graph` is immutable after construction.  Every weight is an exact
+ratio (a float is m * 2**e), so distances are summed exactly, as ints scaled
+by the LCM of the denominators.  They are handed out as ints on unweighted
+and int-weighted graphs, as ``Fraction``s when some weight is one, and as the
+correctly rounded floats of the exact sums when some weight is a float; a
+float distance or radius is compared with an absolute tolerance of ``TOL``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class Graph:
 
     __slots__ = (
         "vertices", "edges", "weights", "_vset", "_adj", "_dist_cache", "_bits", "_closed",
-        "_scaled", "_exact", "_int_rows", "_fractions",
+        "_scaled", "_exact", "_int_rows", "_lengths",
     )
 
     def __init__(
@@ -113,7 +115,7 @@ class Graph:
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         self._dist_cache = {}
         self._int_rows = {}
-        self._fractions = {}
+        self._lengths = {}
         self._bits = None
         self._closed = None
         self._scaled = None
@@ -236,69 +238,57 @@ class Graph:
     def dist_from(self, source: int) -> dict:
         """Single-source shortest-path lengths (cached per graph).
 
-        The source is at int ``0`` and an unreachable vertex at ``INF``; every
-        other length is the sum of the weights as given.  On an exact host
-        the row is read from the int row (:meth:`_int_row`): on unit and int
-        hosts it is that row, and when every weight is a ``Fraction`` each
-        length is divided back into ``Fraction(d, scale)``, built here and
-        only here, one object per length for all the rows of the host.  A
-        host that mixes int and ``Fraction`` weights sums them as given.
-
-        On a host with float weights the rows are made symmetric: d(u, v) is
-        read from the row of min(u, v), so it cannot depend on argument order
-        by an ulp.  The first row asked for there computes the rows of every
-        smaller vertex too.
+        Every row is read from the int row (:meth:`_int_row`, the exact
+        lengths times the scale of :meth:`_scaled_adjacency`) and divided
+        back by that scale into the host's kind of length: an int on unit
+        and int hosts, ``Fraction(d, scale)`` when some weight is a
+        ``Fraction`` and none a float, and the correctly rounded float of
+        the exact sum when some weight is a float (``inf`` past the float
+        maximum).  One object is built per length, for all the rows of the
+        host.  The source is at int ``0`` and an unreachable vertex at
+        ``INF``.  An exact sum does not depend on the order of its terms, so
+        d(u, v) == d(v, u) on every host, to the last bit.
         """
         self._require_vertex(source)
-        cache = self._dist_cache
-        cached = cache.get(source)
+        cached = self._dist_cache.get(source)
         if cached is not None:
             return cached
-        if self._exact:
-            scale, _, kind = self._scaled_adjacency()
-            if kind is None:
-                row = self._row(source)
-            else:
-                row = self._int_row(source)
-                if kind is Fraction:
-                    parts = self._fractions
-                    row = {v: d if d == 0 or d is INF
-                           else parts.get(d) or parts.setdefault(d, Fraction(d, scale))
-                           for v, d in row.items()}
-            cache[source] = row
-            return row
-        below = []
-        for v in self.vertices:
-            if v not in cache:
-                row = self._row(v)
-                for u in below:
-                    row[u] = cache[u][v]
-                cache[v] = row
-            if v == source:
-                return cache[v]
-            below.append(v)
+        row = self._int_row(source)
+        if self._scaled_adjacency()[2] is not int:
+            lengths = self._lengths
+            row = {v: d if d == 0 or d is INF
+                   else lengths.get(d) or lengths.setdefault(d, self._length(d))
+                   for v, d in row.items()}
+        self._dist_cache[source] = row
+        return row
+
+    def _length(self, d: int) -> Number:
+        """The int row entry ``d`` as a length of the host's kind."""
+        scale, _, kind = self._scaled_adjacency()
+        if kind is Fraction:
+            return Fraction(d, scale)
+        try:
+            return d / scale  # int true division rounds correctly
+        except OverflowError:
+            return INF
 
     def _int_row(self, source: int) -> dict:
-        """On an exact host, the lengths from ``source`` times the scale of
-        :meth:`_scaled_adjacency`, as ints (``INF`` where unreachable): BFS on
-        a unit host, Dijkstra on the scaled int weights otherwise.  Cached
-        per source; the radius test compares these rows."""
+        """The lengths from ``source`` times the scale of
+        :meth:`_scaled_adjacency`, as ints (``INF`` where unreachable).
+        Cached per source; :meth:`dist_from` and the radius test read these
+        rows."""
         rows = self._int_rows
         row = rows.get(source)
         if row is None:
             self._require_vertex(source)
-            adj = self._scaled_adjacency()[1]
-            row = rows[source] = self._row(source, adj)
+            row = rows[source] = self._row(source)
         return row
 
-    def _row(self, source: int, adj: Optional[dict] = None) -> dict:
-        """Uncached lengths from ``source``: BFS when unweighted, else
-        Dijkstra on ``adj`` (``adj[u]`` lists ``(n, weight)``) when given, or
-        on the weights as given.  On ``adj`` (int weights) a vertex is pushed
-        only when its length beats the best one pushed so far.  On the weights
-        as given every length is pushed: where int, ``Fraction`` and float
-        weights mix, equal lengths of different types tie, and the heap's
-        order among them picks the type of the length kept."""
+    def _row(self, source: int) -> dict:
+        """Uncached int lengths from ``source``: BFS on a unit host, else
+        Dijkstra on the scaled int weights of :meth:`_scaled_adjacency`,
+        where a vertex is pushed only when its length beats the best one
+        pushed so far."""
         if self.weights is None:
             dist = {source: 0}
             frontier = [source]
@@ -312,7 +302,8 @@ class Graph:
                             dist[n] = d
                             nxt.append(n)
                 frontier = nxt
-        elif adj is not None:
+        else:
+            adj = self._scaled_adjacency()[1]
             dist = {}
             best = {source: 0}
             heap = [(0, source)]
@@ -328,38 +319,31 @@ class Graph:
                         if old is None or nd < old:
                             best[n] = nd
                             heapq.heappush(heap, (nd, n))
-        else:
-            dist = {}
-            heap = [(0, source)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if u in dist:
-                    continue
-                dist[u] = d
-                for n in self._adj[u]:
-                    if n not in dist:
-                        heapq.heappush(heap, (d + self.weights[_norm_edge(u, n)], n))
         return {v: dist.get(v, INF) for v in self.vertices}
 
     def _scaled_adjacency(self):
-        """``(scale, adjacency, kind)`` on an exact host, computed once per
-        graph.  ``scale`` is the LCM of the weight denominators (an int has
-        denominator 1; 1 on a unit host) and ``adjacency[u]`` lists ``(n,
-        weight(u, n) * scale)`` with int weights (None on a unit host).
-        ``kind`` is int or ``Fraction`` when every weight is one (int on a
-        unit host), else None."""
+        """``(scale, adjacency, kind)``, computed once per graph.  Every
+        weight is an exact ratio (``as_integer_ratio``; a float is m * 2**e),
+        and ``scale`` is the LCM of their denominators: 1 on unit and int
+        hosts, a power of two when every weight is a float.
+        ``adjacency[u]`` lists ``(n, weight(u, n) * scale)`` with int weights
+        (None on a unit host).  ``kind`` is the type of a length: float if
+        some weight is a float, else ``Fraction`` if some weight is one,
+        else int."""
         if self._scaled is None:
             ws = self.weights
             if ws is None:
                 self._scaled = (1, None, int)
             else:
-                kinds = {Fraction if isinstance(w, Fraction) else int for w in ws.values()}
-                scale = math.lcm(*(w.denominator for w in ws.values()))
-                ints = {e: w.numerator * (scale // w.denominator) for e, w in ws.items()}
+                ratios = {e: w.as_integer_ratio() for e, w in ws.items()}
+                scale = math.lcm(*(q for _, q in ratios.values()))
+                ints = {e: p * (scale // q) for e, (p, q) in ratios.items()}
+                kind = (float if not self._exact else
+                        Fraction if any(isinstance(w, Fraction) for w in ws.values()) else int)
                 self._scaled = (scale, {
                     u: tuple((n, ints[_norm_edge(u, n)]) for n in ns)
                     for u, ns in self._adj.items()
-                }, kinds.pop() if len(kinds) == 1 else None)
+                }, kind)
         return self._scaled
 
 
@@ -469,7 +453,7 @@ def neighborhood(g: Graph, s, r: Number) -> VertexSet:
     """``{v : dist(v, s) <= r}`` (:func:`_within` around the members of
     ``s``); equals ``s`` when ``r == 0`` and is empty when ``s`` is."""
     s = as_vertex_set(g, s)
-    if r < 0:
+    if not r >= 0:  # NaN too
         raise InputError("negative radius")
     bit = g.vertex_bits()
     ball = 0
@@ -506,28 +490,30 @@ def _within(g: Graph, through: dict, r: Number, strict: bool = False,
     with ``not leq(r, dist(c, v))`` (closer than ``r``) when ``strict``.
     With ``through = g.vertex_bits()`` that is the ball mask of each center;
     with a family's :func:`_member_masks`, the mask of the members the ball
-    meets.  On an exact host with an exact ``r`` the call takes one int
-    threshold ``t``, ``floor(r * scale)`` or ``ceil(r * scale) - 1`` when
-    ``strict``, and compares the int rows (:meth:`Graph._int_row`, the
-    distances times ``scale``) with it: ``d * scale <= t``.
+    meets.  The call takes one int threshold ``t`` and compares the int rows
+    (:meth:`Graph._int_row`, the exact distances times ``scale``) with it:
+    ``d * scale <= t``.  On an exact host with an exact ``r``, ``t`` is
+    ``floor(r * scale)``, or ``ceil(r * scale) - 1`` when ``strict``;
+    otherwise the tolerance moves ``r`` first, to ``r + TOL``, or to
+    ``r - TOL`` when ``strict``.  An infinite ``r`` takes every vertex, or
+    when ``strict`` every vertex at a finite distance.
     """
-    masks = []
+    scale, adj, _ = g._scaled_adjacency()
     if _exact_against(g, r):
-        rs = r * g._scaled_adjacency()[0]
-        t = math.ceil(rs) - 1 if strict else math.floor(rs)
-        for c in g.vertices if centers is None else centers:
-            dc = g._int_row(c)
-            mask = 0
-            for v, holders in through.items():
-                if dc[v] <= t:
-                    mask |= holders
-            masks.append(mask)
-        return masks
+        t = math.ceil(r * scale) - 1 if strict else math.floor(r * scale)
+    elif r == INF:
+        # the total scaled weight is past every finite distance
+        t = INF if not strict else (
+            len(g.edges) if adj is None else sum(w for ns in adj.values() for _, w in ns))
+    else:
+        t = (math.ceil(Fraction(r - TOL) * scale) - 1 if strict
+             else math.floor(Fraction(r + TOL) * scale))
+    masks = []
     for c in g.vertices if centers is None else centers:
-        dc = g.dist_from(c)
+        dc = g._int_row(c)
         mask = 0
         for v, holders in through.items():
-            if not leq(r, dc[v]) if strict else leq(dc[v], r):
+            if dc[v] <= t:
                 mask |= holders
         masks.append(mask)
     return masks
@@ -676,7 +662,7 @@ def certify_centered(g: Graph, z, k: int, r: Number, mode: str = "exact"):
     centers and is refused above :data:`EXACT_CENTER_CAP` host vertices.
     """
     z = as_vertex_set(g, z)
-    if k < 0 or r < 0:
+    if k < 0 or not r >= 0:
         raise InputError("negative center count or radius")
     if mode not in ("exact", "greedy"):
         raise InputError(f"unknown mode {mode!r}")

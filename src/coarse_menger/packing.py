@@ -40,7 +40,7 @@ class PackingInstance:
     def __post_init__(self):
         as_vertex_set(self.host, self.x)
         as_vertex_set(self.host, self.y)
-        if self.l < 0 or not self.r > 0:
+        if not self.l >= 0 or not self.r > 0:
             raise InputError("need l >= 0 and r > 0")
         if self.mode not in ("exact", "greedy"):
             raise InputError(f"unknown mode {self.mode!r}")

@@ -1182,7 +1182,7 @@ def rooted_fat_minor_ep(
     where two disjoint supports are r-far, by a boundary sweep over the
     vertex order (exact for grid-like hosts) and the minimum blocker.
     """
-    if k < 1 or r <= 0:
+    if k < 1 or not r > 0:
         raise InputError("need k >= 1 and r > 0")
     order = _path_order(pattern)
     if len(order) > 3:

@@ -75,7 +75,10 @@ from coarse_menger.trees import MODEL_ENUM_CAP
 def fraction_dijkstra(g: Graph, source: int) -> dict:
     """Shortest-path lengths from ``source``, summing the weights as given
     (1 per edge on a unit host): the source at int 0, unreachable vertices
-    at ``INF``."""
+    at ``INF``.  This is the Dijkstra that ``Graph.dist_from`` ran on hosts
+    with float weights, and on hosts mixing int and ``Fraction`` weights,
+    before every host summed scaled ints.  It is exact on ``Fraction``
+    weights; on floats each sum rounds, in the order of the path."""
     dist = {}
     heap = [(0, source)]
     while heap:
@@ -790,12 +793,17 @@ def within_through(g: Graph, through: dict, r, strict: bool = False,
     ``through[v]`` over the vertices ``v`` within ``r`` of it (``leq(d,
     r)``), or closer than ``r`` (``not leq(r, d)``) when ``strict``: one
     ``leq`` per (center, vertex), the loop of ``graph._within`` before it
-    compared scaled int rows, and its reference.  On exact hosts the
-    distances come from :func:`fraction_dijkstra`, not from ``dist_from``."""
+    compared scaled int rows, and its reference.  The distances come from
+    :func:`fraction_dijkstra`, not from ``dist_from``: on float hosts they
+    are the sums as given, so a mask that moves against the old summation
+    shows.  There every length is made a float, as ``dist_from`` hands it
+    out, so that each comparison takes the tolerance."""
     exact = g.weights is None or all(is_exact(w) for w in g.weights.values())
     masks = []
     for c in g.vertices if centers is None else centers:
-        dc = fraction_dijkstra(g, c) if exact else g.dist_from(c)
+        dc = fraction_dijkstra(g, c)
+        if not exact:
+            dc = {v: float(d) for v, d in dc.items()}
         mask = 0
         for v, holders in through.items():
             if not leq(r, dc[v]) if strict else leq(dc[v], r):

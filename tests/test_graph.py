@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarse_menger.covering import CoverInstance, min_separating_balls
 from coarse_menger.errors import CapacityError, InputError
+from coarse_menger.generators import grid
 from coarse_menger.graph import (
     CenteredRefusal,
     CenteredSet,
     Graph,
     VertexSet,
+    _within,
     certify_centered,
     distance,
     from_edge_list,
@@ -22,9 +25,11 @@ from coarse_menger.graph import (
     to_edge_list,
     to_json,
 )
+from coarse_menger.packing import PackingInstance
+from coarse_menger.trees import min_degree_decomposition, rooted_fat_minor_ep
 
 from conftest import cycle_graph, path_graph, random_connected, small_connected_graphs
-from set_oracles import fraction_dijkstra
+from set_oracles import fraction_dijkstra, within_through
 
 
 def test_rejects_self_loop():
@@ -84,11 +89,25 @@ EXACT_WEIGHTS = {
 }
 
 
+def _length_type(g):
+    """The type of a nonzero finite length of ``g``: float if some weight is
+    a float, else Fraction if some weight is one, else int."""
+    ws = () if g.weights is None else g.weights.values()
+    return (float if any(isinstance(w, float) for w in ws)
+            else Fraction if any(isinstance(w, Fraction) for w in ws) else int)
+
+
+def _types(g, row):
+    # the source is at int 0 and an unreachable vertex at INF
+    kind = _length_type(g)
+    return [int if d == 0 else float if d == math.inf else kind for d in row.values()]
+
+
 def _same_distances(g, order=None):
     for s in g.vertices if order is None else order:
         got, expected = g.dist_from(s), fraction_dijkstra(g, s)
         assert got == expected
-        assert [type(d) for d in got.values()] == [type(d) for d in expected.values()]
+        assert [type(d) for d in got.values()] == _types(g, expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,7 +115,7 @@ def _same_distances(g, order=None):
        st.booleans(), st.sampled_from(sorted(EXACT_WEIGHTS)))
 def test_fraction_distances_match_fraction_dijkstra(n, seed, split, kind):
     # rows read from the int rows (scaled by the LCM of the denominators on
-    # weighted hosts), divided back into Fractions on all-Fraction hosts;
+    # weighted hosts), divided back into Fractions on Fraction and mixed hosts;
     # value by value and type by type, asked for in a random order, with and
     # without the radius test reading the int rows first
     rng = random.Random(seed)
@@ -140,9 +159,55 @@ def test_float_distances_are_symmetric(n, seed, backwards):
 
 
 def test_float_distance_on_a_path_does_not_depend_on_argument_order():
-    # 0.7 + 0.2 + 0.1 is 0.9999999999999999 and 0.1 + 0.2 + 0.7 is 1.0
+    # 0.7 + 0.2 + 0.1 is 0.9999999999999999 and 0.1 + 0.2 + 0.7 is 1.0; the
+    # exact sum of the three floats rounds to 1.0
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)], {(0, 1): 0.7, (1, 2): 0.2, (2, 3): 0.1})
-    assert distance(g, 3, 0) == distance(g, 0, 3) == 0.7 + 0.2 + 0.1
+    assert distance(g, 3, 0) == distance(g, 0, 3) == 1.0
+    assert distance(g, 0, 3) == float(Fraction(0.7) + Fraction(0.2) + Fraction(0.1))
+
+
+#: edge weights of the float-distance hosts; "mixed" puts int, Fraction and
+#: float weights on one host, "huge" weights near the float maximum
+FLOAT_HOST_WEIGHTS = {
+    "float": FLOAT_WEIGHTS + (1e-300, 2.5e-7, 12345.678),
+    "mixed": (1, 2, Fraction(1, 3), Fraction(5, 7), 0.1, 0.3, 1.3),
+    "huge": (1e308, 1.7e308, 0.5, 1),
+}
+
+
+def _rounded(d):
+    # the float nearest the exact length, inf past the float maximum
+    try:
+        return float(d)
+    except OverflowError:
+        return math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6),
+       st.booleans(), st.sampled_from(sorted(FLOAT_HOST_WEIGHTS)))
+def test_float_distances_are_the_rounded_exact_sums(n, seed, split, kind):
+    # value by value against the exact Fraction sums, type by type, in a
+    # random request order, with and without the radius test first
+    rng = random.Random(seed)
+    g = random_connected(rng, n)
+    edges = [e for e in g.edges if not split or rng.random() < 0.6]
+    g = Graph(g.vertices, edges, {e: rng.choice(FLOAT_HOST_WEIGHTS[kind]) for e in edges})
+    exact = Graph(g.vertices, edges, {e: Fraction(w) for e, w in g.weights.items()})
+    if rng.random() < 0.5:
+        neighborhood(g, frozenset(rng.sample(g.vertices, rng.randint(1, n))), 0.5)
+    rounded = _rounded if _length_type(g) is float else Fraction
+    for s in rng.sample(g.vertices, n):
+        got, expected = g.dist_from(s), fraction_dijkstra(exact, s)
+        assert got == {v: d if d == 0 or d == math.inf else rounded(d) for v, d in expected.items()}
+        assert [type(d) for d in got.values()] == _types(g, expected)
+
+
+def test_float_distances_past_the_float_maximum_are_infinite():
+    g = Graph(range(4), [(0, 1), (1, 2), (2, 3)], {(0, 1): 1e308, (1, 2): 1e308, (2, 3): 0.5})
+    assert g.dist_from(0) == {0: 0, 1: 1e308, 2: math.inf, 3: math.inf}
+    assert distance(g, 3, 1) == 1e308 + 0.5
+    assert neighborhood(g, [0], 1e308).members == frozenset([0, 1])
 
 
 def test_set_distance_empty_set_is_an_error():
@@ -160,6 +225,44 @@ def test_neighborhood_ball():
     g = cycle_graph(8)
     ball = neighborhood(g, frozenset([0]), 2)
     assert ball.members == frozenset([0, 1, 2, 6, 7])
+
+
+@pytest.mark.parametrize("weights", [
+    None, {(0, 1): 2, (1, 2): Fraction(1, 2)}, {(0, 1): 0.3, (1, 2): 1e308},
+], ids=["unit", "mixed", "float"])
+def test_an_infinite_radius_takes_every_vertex_or_every_reachable_one(weights):
+    # vertex 3 is unreachable: within an infinite radius of every vertex, but
+    # closer than it only to itself
+    g = Graph(range(4), [(0, 1), (1, 2)], weights)
+    bit = g.vertex_bits()
+    assert _within(g, bit, math.inf) == within_through(g, bit, math.inf) == [0b1111] * 4
+    assert (_within(g, bit, math.inf, strict=True) == within_through(g, bit, math.inf, True)
+            == [0b0111] * 3 + [0b1000])
+    assert neighborhood(g, [3], math.inf).members == frozenset(range(4))
+
+
+GRID = grid(3, 3)
+
+#: one call per public entry point that takes a radius or a path length
+NAN_CALLS = {
+    "neighborhood": lambda: neighborhood(GRID, [0], math.nan),
+    "certify_centered": lambda: certify_centered(GRID, [0, 8], 1, math.nan),
+    "CoverInstance": lambda: CoverInstance(GRID, math.nan, l=0, x=frozenset([0]),
+                                           y=frozenset([8])),
+    "min_separating_balls": lambda: min_separating_balls(GRID, {0}, {8}, math.nan),
+    "PackingInstance.l": lambda: PackingInstance(GRID, frozenset([0]), frozenset([8]),
+                                                 l=math.nan),
+    "rooted_fat_minor_ep": lambda: rooted_fat_minor_ep(
+        GRID, min_degree_decomposition(GRID), Graph([1, 2, 3], [(1, 2), (2, 3)]),
+        {1: frozenset([0]), 2: frozenset([4]), 3: frozenset([8])}, k=2, r=math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+def test_a_nan_radius_or_length_is_an_input_error(name):
+    # NaN fails every comparison, so ``r < 0`` would let it through
+    with pytest.raises(InputError):
+        NAN_CALLS[name]()
 
 
 def test_vertex_set_validates_host():
@@ -211,9 +314,9 @@ def test_edge_list_round_trip():
               {(0, 1): 1, (1, 2): Fraction(3, 2)})
     g2 = from_edge_list(to_edge_list(g))
     assert g2 == g
-    # a mixed int and Fraction host: the same distances, of the same types
+    # a mixed int and Fraction host: the same distances, each a Fraction
     _same_distances(g2)
-    assert [type(d) for d in g2.dist_from(0).values()] == [int, int, Fraction]
+    assert [type(d) for d in g2.dist_from(0).values()] == [int, Fraction, Fraction]
 
 
 def test_json_round_trip():
