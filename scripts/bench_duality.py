@@ -19,7 +19,8 @@ hosts (``pass_weighted``), and of three layers: the far-conflict rows, the
 independent-set search and the ball-hit masks.  A layer is timed at the
 first of its functions (``LAYERS``) that the tree defines: the private
 helper that takes a shared transposition where there is one, else the
-public function.  A name that its module imports from another
+public function; and also at each of its ``ALSO`` functions that the tree
+defines.  A name that its module imports from another
 (``covering._within``) is wrapped in that module only.  One more pass
 counts, per pass: the independent-set and set-cover search nodes, the
 ``graph.leq`` calls and the ``graph._member_masks`` calls.  It also records
@@ -59,6 +60,9 @@ LAYERS = {
     "packing.max_independent_set": ("packing.max_independent_set",),
     "graph._hit_masks": ("covering._within", "graph._hits_through", "graph._hit_masks"),
 }
+#: layer -> more functions timed into it where a tree defines them: the
+#: per-vertex reach that the far-conflict rows read is built apart from them
+ALSO = {"packing.far_conflicts": ("packing._reach",)}
 #: count -> (function, what one call adds)
 COUNTED = {
     "max_independent_set_nodes": ("packing.max_independent_set", lambda result: result[1]),
@@ -161,6 +165,8 @@ def measure(src: str, runs: int) -> dict:
     seconds = dict.fromkeys(LAYERS, 0.0)
     for layer, names in LAYERS.items():
         next(name for name in names if _rebind(name, _timer(layer, seconds)))
+        for name in ALSO.get(layer, ()):
+            _rebind(name, _timer(layer, seconds))
     passes = {name: [] for name in PASS_PARTS + tuple(LAYERS)}
     for _ in range(runs):
         seconds.update(dict.fromkeys(LAYERS, 0.0))

@@ -35,6 +35,7 @@ from .packing import (
     PackingInstance,
     _conflicts_through,
     _enumerate_a_paths,
+    _reach,
     gallai_packing,
     max_far_packing,
     max_independent_set,
@@ -57,6 +58,8 @@ class CoverInstance:
     def __post_init__(self):
         if not self.radius >= 0:  # NaN too
             raise InputError("negative cover radius")
+        if self.l is not None and not self.l >= 0:
+            raise InputError("need l >= 0")
         implicit = self.l is not None and self.x is not None and self.y is not None
         if implicit == (self.explicit_family is not None):
             raise InputError("give either (l, x, y) or explicit_family")
@@ -121,12 +124,19 @@ def min_ball_hitting(inst: CoverInstance) -> CoverSolution:
     return _ball_hitting(inst.host, inst.family(), inst.radius)
 
 
-def _ball_hitting(g: Graph, family: Sequence[frozenset], radius: Number) -> CoverSolution:
+def _ball_hitting(g: Graph, family: Sequence[frozenset], radius: Number,
+                  budget: Optional[int] = None) -> Optional[CoverSolution]:
+    """The library's one ball-cover search: fewest radius-``radius`` balls
+    meeting every ``family`` member (:func:`graph._set_cover` over
+    :func:`graph._hit_masks`), or with ``budget`` the first cover of at most
+    ``budget`` balls, or None.  An empty family takes no ball."""
     if not family:
         empty = VertexSet(frozenset(), g)
         return CoverSolution(CenteredSet(empty, empty, radius), 0)
 
-    chosen, nodes = _set_cover((1 << len(family)) - 1, _hit_masks(g, family, radius))
+    chosen, nodes = _set_cover((1 << len(family)) - 1, _hit_masks(g, family, radius), budget)
+    if chosen is None:
+        return None
     centers = [g.vertices[i] for i in chosen]
     z = neighborhood(g, centers, radius).members & frozenset().union(*family)
     centered = CenteredSet(
@@ -286,7 +296,7 @@ def duality_sweep(
                 value[i] = last[is_exact(r)] = everything
                 continue
             bounds = [flow] + ([last[is_exact(r)]] if is_exact(r) in last else [])
-            rows = _conflicts_through(g, family, through, r)
+            rows = _conflicts_through(family, _reach(g, through, r, strict=True))
             chosen, _ = max_independent_set(rows, enough=min(bounds))
             value[i] = last[is_exact(r)] = len(chosen)
     for i, inst in enumerate(packs):

@@ -35,13 +35,15 @@ def is_exact(x: Number) -> bool:
 
 
 def leq(a: Number, b: Number) -> bool:
-    """``a <= b`` with float tolerance; exact when both sides are exact."""
-    if a is INF:
-        return b is INF
-    if b is INF:
-        return True
+    """``a <= b`` with float tolerance; exact when both sides are exact.
+    Every infinite float is ``INF``, however it was made (an exact value is
+    finite)."""
     if is_exact(a) and is_exact(b):
         return a <= b
+    if a == INF:
+        return b == INF
+    if b == INF:
+        return True
     return a <= b + TOL
 
 

@@ -77,17 +77,6 @@ class Adjacency(int):
     __len__ = int.bit_count
 
 
-def _pairwise_conflicts(members: Sequence, conflict) -> List[Adjacency]:
-    """Adjacency masks of ``conflict(members[i], members[j])``, tested once
-    per pair i < j."""
-    adj = [0] * len(members)
-    for i, j in combinations(range(len(members)), 2):
-        if conflict(members[i], members[j]):
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return list(map(Adjacency, adj))
-
-
 def far_conflicts(g: Graph, members: Sequence, r: Number) -> List[Adjacency]:
     """Conflict relation of an ``r``-far packing as adjacency masks: bit j of
     ``result[i]`` is set iff ``i != j`` and ``set_distance(g, members[i],
@@ -101,18 +90,26 @@ def far_conflicts(g: Graph, members: Sequence, r: Number) -> List[Adjacency]:
     """
     if not all(members):
         raise InputError("far conflicts over an empty set")
-    return _conflicts_through(g, members, _member_masks(g, members), r)
+    return _conflicts_through(members, _reach(g, _member_masks(g, members), r, strict=True))
 
 
-def _conflicts_through(g: Graph, members: Sequence, through: dict, r: Number) -> List[Adjacency]:
-    """:func:`far_conflicts` from the members' :func:`graph._member_masks`."""
-    # vertex -> mask of the members with a vertex at distance < r
-    near = dict(zip(through, _within(g, through, r, strict=True, centers=through)))
+def _reach(g: Graph, through: dict, r: Number, strict: bool) -> dict:
+    """Per vertex ``v`` of ``through``, the OR of ``through`` over the
+    vertices within ``r`` of ``v`` (closer than ``r`` when ``strict``):
+    :func:`graph._within` with ``through``'s vertices as centers."""
+    return dict(zip(through, _within(g, through, r, strict, centers=through)))
+
+
+def _conflicts_through(members: Sequence, reach: dict) -> List[Adjacency]:
+    """The library's one builder of conflict relations: member i's row is
+    the OR of ``reach[v]`` over its vertices ``v``, less bit i.  With
+    :func:`_reach` over the members' :func:`graph._member_masks` that is a
+    radius relation; with the masks themselves, sharing a vertex."""
     rows: List[Adjacency] = []
     for i, member in enumerate(members):
         row = 0
         for v in member:
-            row |= near[v]
+            row |= reach[v]
         rows.append(Adjacency(row & ~(1 << i)))
     return rows
 
@@ -339,7 +336,8 @@ def gallai_packing(g: Graph, a, with_witness: bool = False):
             actual=len(g),
         )
     paths = _enumerate_a_paths(g, a)
-    conflicts = _pairwise_conflicts([p.vertex_set for p in paths], lambda s, t: not s.isdisjoint(t))
+    sets = [p.vertex_set for p in paths]
+    conflicts = _conflicts_through(sets, _member_masks(g, sets))
     chosen, _ = max_independent_set(conflicts)
     result = GallaiResult(
         len(chosen), tuple(paths[i] for i in sorted(chosen)), "exhaustive"

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .covering import _ball_hitting
 from .errors import (
     CapacityError,
     InputError,
@@ -24,8 +25,6 @@ from .graph import (
     Graph,
     Number,
     VertexSet,
-    _hit_masks,
-    _set_cover,
     as_vertex_set,
     certify_centered,
     leq,
@@ -176,13 +175,15 @@ def _max_far_count(g: Graph, members: Sequence[frozenset], r: Number) -> int:
     return len(max_independent_set(far_conflicts(g, members, r))[0])
 
 
-def _check_family(g: Graph, l: VertexSet, fam) -> List[frozenset]:
+def _check_family(sub: Graph, l: VertexSet, fam) -> List[frozenset]:
+    """The family's members as sets, each nonempty and connected in ``sub``,
+    the subgraph induced on ``l``."""
     clean = []
     for f in fam:
         f = frozenset(f)
         if not f or not f <= l.members:
             raise InputError("family member empty or outside the subgraph")
-        if not g.induced(l.members).is_connected_set(f):
+        if not sub.is_connected_set(f):
             raise InputError(f"family member {sorted(f)} is disconnected")
         clean.append(f)
     return clean
@@ -198,7 +199,7 @@ def build_gfrtz_tangle(
     l = as_vertex_set(g, l)
     z = as_vertex_set(g, z)
     sub = g.induced(l.members)
-    members = _check_family(g, l, fam)
+    members = _check_family(sub, l, fam)
     far = _far_members(g, members, neighborhood(g, z, r_prime).members)
 
     chosen = []
@@ -234,18 +235,32 @@ class TrichotomyResult:
     tangle: Optional[Tangle] = None
 
 
-def _hitting_center_search(
-    g: Graph, far: Sequence[frozenset], budget: int, radius: Number
-):
-    """Centers (at most ``budget``) whose radius balls hit every listed
-    member — or None.  Exhaustive set-cover search.  The members lie inside
-    the subgraph, so cutting the balls to it would change nothing."""
-    if not far:
-        return frozenset()
-    if budget <= 0:
-        return None
-    chosen, _ = _set_cover((1 << len(far)) - 1, _hit_masks(g, far, radius), budget)
-    return None if chosen is None else frozenset(g.vertices[i] for i in chosen)
+def _check_premises(g: Graph, l: VertexSet, fam, k: int, r: Number,
+                    r_prime: Number, z: VertexSet, xi: int, eta: Number):
+    """The premises that the trichotomy and the decomposition share: r' >=
+    r/2, the subgraph's boundary inside z, z (xi, eta)-centered, a valid
+    family, and fewer than k members pairwise r-far.  Returns z's
+    certificate and the checked members."""
+    if not leq(r / 2, r_prime):
+        raise PreconditionError("need r' >= r/2",
+                                detail={"r": r, "r_prime": r_prime})
+    boundary = frozenset(
+        n for v in l.members for n in g.neighbors(v) if n not in l.members
+    )
+    if not boundary <= z.members:
+        raise PreconditionError(
+            "boundary of the subgraph not inside z",
+            detail=sorted(boundary - z.members),
+        )
+    z_cert = certify_centered(g, z, xi, eta, "exact")
+    if isinstance(z_cert, CenteredRefusal):
+        raise PreconditionError(f"z is not ({xi},{eta})-centered")
+    members = _check_family(g.induced(l.members), l, fam)
+    if _max_far_count(g, members, r) >= k:
+        raise PreconditionError(
+            f"{k} members pairwise {r}-far exist; the dichotomy premise fails"
+        )
+    return z_cert, members
 
 
 def easy_tangle_trichotomy(
@@ -271,33 +286,15 @@ def easy_tangle_trichotomy(
     z = as_vertex_set(g, z)
     if k < 1 or theta < 1:
         raise InputError("need k >= 1 and theta >= 1")
-    if not leq(r / 2, r_prime):
-        raise PreconditionError("need r' >= r/2",
-                                detail={"r": r, "r_prime": r_prime})
-    outside_nbrs = frozenset(
-        n for v in l.members for n in g.neighbors(v) if n not in l.members
-    )
-    if not outside_nbrs <= z.members:
-        raise PreconditionError(
-            "boundary of the subgraph not inside z",
-            detail=sorted(outside_nbrs - z.members),
-        )
-    z_cert = certify_centered(g, z, xi, eta, "exact")
-    if isinstance(z_cert, CenteredRefusal):
-        raise PreconditionError(f"z is not ({xi},{eta})-centered")
-    members = _check_family(g, l, fam)
-    if _max_far_count(g, members, r) >= k:
-        raise PreconditionError(
-            f"{k} members pairwise {r}-far exist; the dichotomy premise fails"
-        )
+    z_cert, members = _check_premises(g, l, fam, k, r, r_prime, z, xi, eta)
 
     fat_z = neighborhood(g, z, r_prime).members
     far = _far_members(g, members, fat_z)
 
     # outcome 1: few extra balls hit every far member
-    centers = _hitting_center_search(g, far, 3 * theta - 3, r_prime) \
-        if far else frozenset()
-    if centers is not None:
+    cover = _ball_hitting(g, far, r_prime, 3 * theta - 3)
+    if cover is not None:
+        centers = cover.centered.centers.members
         extra = neighborhood(g, centers, r_prime).members & l.members
         z_star = fat_z | extra
         all_centers = frozenset(z_cert.centers.members) | centers
@@ -431,21 +428,7 @@ def tangle_decompose(
             cap=(DECOMPOSE_VERTEX_CAP, DECOMPOSE_K_CAP, DECOMPOSE_THETA_CAP),
             actual=(len(l), k, max(thetas)),
         )
-    if not leq(r / 2, r_prime):
-        raise PreconditionError("need r' >= r/2")
-    boundary = frozenset(
-        n for v in l.members for n in g.neighbors(v) if n not in l.members
-    )
-    if not boundary <= z.members:
-        raise PreconditionError("boundary of the subgraph not inside z")
-    z_cert = certify_centered(g, z, xi, eta, "exact") if z.members else None
-    if isinstance(z_cert, CenteredRefusal):
-        raise PreconditionError(f"z is not ({xi},{eta})-centered")
-    members = _check_family(g, l, fam)
-    if _max_far_count(g, members, r) >= k:
-        raise PreconditionError(
-            f"{k} members pairwise {r}-far exist; nothing to decompose"
-        )
+    z_cert, members = _check_premises(g, l, fam, k, r, r_prime, z, xi, eta)
 
     def fatten(s: frozenset, radius: Number) -> frozenset:
         return neighborhood(g, VertexSet(s, g), radius).members
@@ -466,9 +449,9 @@ def tangle_decompose(
         far = _far_members(g, mem, fat_z)
 
         # few extra balls hit every far member
-        centers = _hitting_center_search(g, far, 3 * theta1 - 3, r_prime)
-        if centers is not None:
-            extra = neighborhood(g, centers, r_prime).members & lv
+        cover = _ball_hitting(g, far, r_prime, 3 * theta1 - 3)
+        if cover is not None:
+            extra = neighborhood(g, cover.centered.centers.members, r_prime).members & lv
             return fat_z | extra, []
 
         sub = g.induced(lv)
@@ -566,10 +549,9 @@ def tangle_decompose(
     fresh_cert = _certify_or_raise(
         g, z_star - fat2_z, fresh_budget, 2 * r_prime, "fresh part of z_star"
     )
-    base_centers = frozenset(z_cert.centers.members) if z_cert else frozenset()
     full_cert = CenteredSet(
         VertexSet(z_star, g),
-        VertexSet(base_centers | fresh_cert.centers.members, g),
+        VertexSet(z_cert.centers.members | fresh_cert.centers.members, g),
         eta + 2 * r_prime,
     )
     if full_cert.center_count > xi + fresh_budget:

@@ -38,7 +38,7 @@ from .graph import (
     neighborhood,
     set_distance,
 )
-from .packing import _pairwise_conflicts, far_conflicts, max_independent_set
+from .packing import _conflicts_through, _reach, far_conflicts, max_independent_set
 from .paths import FatMinorModel
 
 #: exact model-union enumeration bound
@@ -471,8 +471,8 @@ def easy_tree_hitting(
 
     # direct packing attempt: members pairwise farther than 2r
     unions = [fam.union(m) for m in fam.members]
-    conflicts = _pairwise_conflicts(unions, lambda s, t: not set_distance(g, s, t) > 2 * r)
-    packing, _ = max_independent_set(conflicts, enough=k)
+    near = _reach(g, _member_masks(g, unions), 2 * r, strict=False)
+    packing, _ = max_independent_set(_conflicts_through(unions, near), enough=k)
     if len(packing) >= k:
         return EasyTreeResult("packing",
                               packing=tuple(fam.members[i] for i in packing))

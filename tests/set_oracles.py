@@ -3,7 +3,10 @@ cross-check oracles.
 
 For ``coarse_menger.packing`` they are the straightforward formulations: one
 ``set_distance`` per pair of members, and a branch-and-bound over Python lists
-and adjacency sets.  For the rooted-grid path they are the frozenset versions
+and adjacency sets.  The relations that ``gallai_packing`` and
+``easy_tree_hitting`` built with one test per pair of members, before the one
+row builder ``packing._conflicts_through`` made them, are kept as
+``set_sharing_conflicts`` and ``set_near_conflicts``.  For the rooted-grid path they are the frozenset versions
 of the boundary DP, the blocker scan and the minimal-support scan in
 ``coarse_menger.trees`` and of the exhaustive oracle in
 ``coarse_menger.acceptance``, with the same search orders; that oracle also
@@ -13,8 +16,8 @@ For the radius test ``graph._within`` it is the per-(center, vertex)
 ``leq`` loop ``within_through``, on distances summed by ``fraction_dijkstra``.
 For the covering side they are the per-(center, member) loop of
 ``graph._hit_masks``, the frozenset set covers (``min_set_cover``,
-the exact and greedy search of ``certify_centered`` and the trichotomy's
-hitting-center search), the combinations scan that ``min_separating_balls``
+the exact and greedy search of ``certify_centered`` and the search of
+``covering._ball_hitting`` within a budget), the combinations scan that ``min_separating_balls``
 ran before its implicit-hitting-set loop, and for path enumeration the
 ``seen``-set depth-first search of ``enumerate_paths``.
 For ``menger_packing`` the oracle is networkx maximum flow on the vertex-split
@@ -101,6 +104,31 @@ def set_far_conflicts(g, members: Sequence[frozenset], r) -> List[set]:
             conflicts[i].add(j)
             conflicts[j].add(i)
     return conflicts
+
+
+def pairwise_conflicts(members: Sequence, conflict) -> List[int]:
+    """Adjacency masks of ``conflict(members[i], members[j])``, tested once
+    per pair i < j."""
+    adj = [0] * len(members)
+    for i, j in itertools.combinations(range(len(members)), 2):
+        if conflict(members[i], members[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def set_sharing_conflicts(members: Sequence[frozenset]) -> List[int]:
+    """Members conflict iff they share a vertex (vertex-disjoint packings)."""
+    return pairwise_conflicts(members, lambda s, t: not s.isdisjoint(t))
+
+
+def set_near_conflicts(g, members: Sequence[frozenset], radius, tolerant=False) -> List[int]:
+    """Members conflict iff their set distance is at most ``radius``: exactly,
+    as ``not set_distance > radius``, or with ``leq``'s float tolerance when
+    ``tolerant``."""
+    if tolerant:
+        return pairwise_conflicts(members, lambda s, t: leq(set_distance(g, s, t), radius))
+    return pairwise_conflicts(members, lambda s, t: not set_distance(g, s, t) > radius)
 
 
 def set_max_independent_set(conflicts: List[set], order: Sequence[int]):

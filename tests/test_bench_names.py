@@ -2,7 +2,8 @@
 library.
 
 ``bench_duality.py`` times a layer at the first name of its ``LAYERS`` entry
-that a tree defines, and counts through ``COUNTED`` and ``FAMILY``.
+that a tree defines and at the names of its ``ALSO`` entry, and counts
+through ``COUNTED`` and ``FAMILY``.
 ``bench_rooted_oracle.py`` wraps the names in its ``WRAPPED`` and counts the
 oracle's nested ``SEARCHES`` and its ``MEMO`` local.  ``bench_rooted_grid.py``
 counts the boundary DP's states through the names in its ``WRAPPED``.  A
@@ -29,6 +30,7 @@ def _load(name):
 BENCH = _load("bench_duality")
 NAMES = sorted(
     {names[0] for names in BENCH.LAYERS.values()}
+    | {name for names in BENCH.ALSO.values() for name in names}
     | {name for name, _ in BENCH.COUNTED.values()}
     | {BENCH.FAMILY}
 )

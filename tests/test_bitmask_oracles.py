@@ -3,12 +3,14 @@ unit, Fraction- and float-weighted random hosts and random set systems."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarse_menger.covering import (
+    _ball_hitting,
     _minimal_family,
     duality_sweep,
     min_separating_balls,
@@ -21,15 +23,23 @@ from coarse_menger.graph import (
     TOL,
     Graph,
     VertexSet,
+    is_exact,
     _greedy_cover,
     _hit_masks,
     _member_masks,
     _within,
     certify_centered,
 )
-from coarse_menger.packing import far_conflicts, max_independent_set, menger_packing
+from coarse_menger import packing, trees
+from coarse_menger.packing import (
+    Adjacency,
+    _enumerate_a_paths,
+    far_conflicts,
+    gallai_packing,
+    max_independent_set,
+    menger_packing,
+)
 from coarse_menger.paths import _enumerate, enumerate_chordless_paths, enumerate_paths
-from coarse_menger.tangles import _hitting_center_search
 
 from conftest import random_connected
 from set_oracles import (
@@ -46,6 +56,8 @@ from set_oracles import (
     set_hitting_center_search,
     set_max_independent_set,
     set_min_set_cover,
+    set_near_conflicts,
+    set_sharing_conflicts,
     within_through,
 )
 
@@ -123,6 +135,93 @@ def test_mis_on_far_conflicts_matches_oracle(host, r):
     assert _mis_in_order(conflicts, order) == expected
     rng.shuffle(order)
     assert _mis_in_order(conflicts, order) == set_max_independent_set(conflicts, order)
+
+
+#: edge weights of the conflict-row hosts: every kind, ints included
+ROW_WEIGHTS = dict(WEIGHT_KINDS, int=(1, 2, 3))
+
+
+class _Captured(Exception):
+    pass
+
+
+def _first_rows(module, call):
+    """The conflict rows that ``call()`` hands to its first
+    ``max_independent_set``, which ``module`` imports."""
+    seen = []
+
+    def capture(adj, enough=None):
+        seen.append(list(adj))
+        raise _Captured
+
+    with mock.patch.object(module, "max_independent_set", capture):
+        with pytest.raises(_Captured):
+            call()
+    return seen[0]
+
+
+def _row_host(seed, kind):
+    rng = random.Random(seed)
+    g = random_connected(rng, rng.randint(2, 9), p=rng.choice((0.15, 0.3, 0.5)))
+    if ROW_WEIGHTS[kind] is not None:
+        g = Graph(g.vertices, g.edges, {e: rng.choice(ROW_WEIGHTS[kind]) for e in g.edges})
+    return g, rng
+
+
+def _connected_set(g, rng):
+    """A connected vertex set grown from a random vertex."""
+    grown = {rng.choice(g.vertices)}
+    for _ in range(rng.randint(0, len(g) - 1)):
+        rim = sorted({n for v in grown for n in g.neighbors(v)} - grown)
+        grown.add(rng.choice(rim))
+    return frozenset(grown)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(ROW_WEIGHTS)))
+def test_gallai_rows_match_the_disjointness_oracle(seed, kind):
+    g, rng = _row_host(seed, kind)
+    a = frozenset(rng.sample(g.vertices, rng.randint(1, len(g))))
+    rows = _first_rows(packing, lambda: gallai_packing(g, a))
+    sets = [p.vertex_set for p in _enumerate_a_paths(g, a)]
+    assert rows == set_sharing_conflicts(sets)
+    # perfbench's tracer sizes the relation with len() on each row
+    assert all(type(row) is Adjacency for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(ROW_WEIGHTS)),
+       st.sampled_from(RADII))
+def test_easy_tree_rows_match_the_per_pair_oracle(seed, kind, r):
+    # members conflict iff they are within 2r: exactly on exact hosts with an
+    # exact r, else with the float tolerance of every other radius test
+    g, rng = _row_host(seed, kind)
+    fam = trees.ExchangeableFamily(
+        g, [(_connected_set(g, rng),) for _ in range(rng.randint(1, 6))], 1)
+    td = trees.min_degree_decomposition(g)
+    rows = _first_rows(trees, lambda: trees.easy_tree_hitting(
+        g, frozenset(g.vertices), fam, trees.Location(g, ()), td, r=r, k=2,
+        xi=td.max_bag_size, eta=0))
+    unions = [fam.union(m) for m in fam.members]
+    tolerant = kind == "float" or not is_exact(r)
+    assert rows == set_near_conflicts(g, unions, 2 * r, tolerant)
+    assert all(type(row) is Adjacency for row in rows)
+
+
+def test_easy_tree_members_within_tol_above_2r_conflict():
+    # the members are 1/2 apart; 2r falls short of that by 2e-10 or by 2e-8
+    def rows(weights, r):
+        g = Graph([0, 1], [(0, 1)], weights)
+        fam = trees.ExchangeableFamily(g, [(frozenset([0]),), (frozenset([1]),)], 1)
+        td = trees.min_degree_decomposition(g)
+        return _first_rows(trees, lambda: trees.easy_tree_hitting(
+            g, frozenset(g.vertices), fam, trees.Location(g, ()), td, r=r, k=2,
+            xi=td.max_bag_size, eta=0))
+
+    assert rows({(0, 1): 0.5}, 0.25 - 1e-10) == [0b10, 0b01]
+    assert rows({(0, 1): 0.5}, 0.25 - 1e-8) == [0, 0]
+    assert rows({(0, 1): Fraction(1, 2)}, 0.25 - 1e-10) == [0b10, 0b01]
+    assert rows({(0, 1): Fraction(1, 2)}, Fraction(1, 4) - Fraction(1, 10**10)) == [0, 0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -317,6 +416,13 @@ def test_certify_centered_matches_oracle(host, r, k, mode):
         assert got == expected
 
 
+def _budget_centers(g, far, budget, radius):
+    """The centers of ``_ball_hitting``'s first cover within ``budget``, or
+    None."""
+    cover = _ball_hitting(g, far, radius, budget)
+    return None if cover is None else cover.centered.centers.members
+
+
 @settings(max_examples=300, deadline=None)
 @given(weighted_hosts(), st.sampled_from(RADII), st.integers(min_value=0, max_value=4))
 def test_hitting_center_search_matches_oracle(host, radius, budget):
@@ -325,7 +431,7 @@ def test_hitting_center_search_matches_oracle(host, radius, budget):
     far = [frozenset(rng.sample(sorted(inside), rng.randint(1, len(inside))))
            for _ in range(rng.randint(0, 6))]
     l = VertexSet(inside, g)
-    assert (_hitting_center_search(g, far, budget, radius)
+    assert (_budget_centers(g, far, budget, radius)
             == set_hitting_center_search(g, l, far, budget, radius))
 
 
@@ -340,7 +446,7 @@ def test_hitting_center_search_matches_oracle_on_pair_systems(seed):
     far = [frozenset(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 12))]
     l = VertexSet(frozenset(g.vertices), g)
     budget = rng.randint(0, n)
-    assert (_hitting_center_search(g, far, budget, 0)
+    assert (_budget_centers(g, far, budget, 0)
             == set_hitting_center_search(g, l, far, budget, 0))
 
 

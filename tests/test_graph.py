@@ -10,6 +10,7 @@ from coarse_menger.covering import CoverInstance, min_separating_balls
 from coarse_menger.errors import CapacityError, InputError
 from coarse_menger.generators import grid
 from coarse_menger.graph import (
+    INF,
     CenteredRefusal,
     CenteredSet,
     Graph,
@@ -20,6 +21,7 @@ from coarse_menger.graph import (
     from_edge_list,
     from_json,
     from_json_dict,
+    leq,
     neighborhood,
     set_distance,
     to_edge_list,
@@ -249,6 +251,8 @@ NAN_CALLS = {
     "certify_centered": lambda: certify_centered(GRID, [0, 8], 1, math.nan),
     "CoverInstance": lambda: CoverInstance(GRID, math.nan, l=0, x=frozenset([0]),
                                            y=frozenset([8])),
+    "CoverInstance.l": lambda: CoverInstance(GRID, 1, l=math.nan, x=frozenset([0]),
+                                             y=frozenset([8])),
     "min_separating_balls": lambda: min_separating_balls(GRID, {0}, {8}, math.nan),
     "PackingInstance.l": lambda: PackingInstance(GRID, frozenset([0]), frozenset([8]),
                                                  l=math.nan),
@@ -263,6 +267,22 @@ def test_a_nan_radius_or_length_is_an_input_error(name):
     # NaN fails every comparison, so ``r < 0`` would let it through
     with pytest.raises(InputError):
         NAN_CALLS[name]()
+
+
+def test_a_negative_length_is_an_input_error():
+    for make in (PackingInstance, lambda g, x, y, l: CoverInstance(g, 1, l=l, x=x, y=y)):
+        with pytest.raises(InputError):
+            make(GRID, frozenset([0]), frozenset([8]), l=-1)
+
+
+INFINITIES = (INF, float("inf"), float("1e999"))
+
+
+@pytest.mark.parametrize("a", INFINITIES + (3,))
+@pytest.mark.parametrize("b", INFINITIES + (3,))
+def test_leq_takes_every_infinity_as_inf(a, b):
+    # an infinity made by float() or by overflow is not the object INF
+    assert leq(a, b) == (b in INFINITIES or a not in INFINITIES)
 
 
 def test_vertex_set_validates_host():

@@ -131,6 +131,39 @@ def test_trichotomy_precondition_r_prime():
                                r=4, r_prime=1, z=frozenset(), xi=1, eta=0)
 
 
+#: keyword arguments that break one premise of a valid instance on P7
+#: (l = {1..5}, z = {0, 6} its boundary, one member, k = 2, r = 2, r' = 1)
+BROKEN_PREMISES = {
+    "r_prime": {"r_prime": 0.5},
+    "boundary": {"z": frozenset([0])},
+    "centered": {"xi": 1},
+    "far_members": {"fam": [frozenset([1]), frozenset([5])]},
+}
+
+
+@pytest.mark.parametrize("premise", sorted(BROKEN_PREMISES))
+def test_both_tangle_entry_points_check_the_same_premises(premise):
+    g = path_graph(7)
+    kwargs = dict(l=frozenset(range(1, 6)), fam=[frozenset([2, 3])], k=2, r=2,
+                  r_prime=1, z=frozenset([0, 6]), xi=2, eta=0)
+    easy_tangle_trichotomy(g, theta=1, **kwargs)
+    tangle_decompose(g, thetas=[1, 1], **kwargs)
+    kwargs.update(BROKEN_PREMISES[premise])
+    with pytest.raises(PreconditionError) as tri:
+        easy_tangle_trichotomy(g, theta=1, **kwargs)
+    with pytest.raises(PreconditionError) as dec:
+        tangle_decompose(g, thetas=[1, 1], **kwargs)
+    assert str(tri.value) == str(dec.value)
+
+
+def test_decompose_certifies_an_empty_z():
+    # a negative center count is an input error even with nothing to certify
+    g = path_graph(4)
+    with pytest.raises(InputError):
+        tangle_decompose(g, frozenset(g.vertices), [], k=1, thetas=[1], r=2,
+                         r_prime=1, z=frozenset(), xi=-1, eta=0)
+
+
 def test_trichotomy_hitting_outcome():
     g = path_graph(7)
     fam = [frozenset([2, 3]), frozenset([3, 4])]
