@@ -21,6 +21,7 @@ from .graph import (
     _greedy_cover,
     _hit_masks,
     _implicit_hitting_set,
+    _json_num,
     _member_masks,
     _set_cover,
     _within,
@@ -41,7 +42,7 @@ from .packing import (
     max_independent_set,
     menger_packing,
 )
-from .paths import _chordless_sequences, enumerate_chordless_paths
+from .paths import _chordless_sequences
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,7 @@ class CoverInstance:
                 as_vertex_set(self.host, member)
             return self.explicit_family
         # a set hits every path iff it hits every chordless path
-        enum = enumerate_chordless_paths(self.host, self.l, self.x, self.y, cap=None)
-        return tuple(p.vertex_set for p in enum.paths)
+        return tuple(map(frozenset, _chordless_sequences(self.host, self.l, self.x, self.y)))
 
 
 @dataclass
@@ -88,12 +88,6 @@ class CoverSolution:
             "centers": sorted(self.centered.centers.members),
             "radius": _json_num(self.centered.radius),
         }
-
-
-def _json_num(x):
-    from fractions import Fraction
-
-    return str(x) if isinstance(x, Fraction) else x
 
 
 def min_set_cover(universe: Sequence[int], sets: Dict[int, frozenset]):

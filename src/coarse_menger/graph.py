@@ -749,10 +749,9 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _weight_to_json(w: Number):
-    if isinstance(w, Fraction):
-        return str(w)
-    return w
+def _json_num(x: Number):
+    """A number as JSON: a ``Fraction`` as its string, anything else as is."""
+    return str(x) if isinstance(x, Fraction) else x
 
 
 def to_json_dict(g: Graph) -> dict:
@@ -761,7 +760,7 @@ def to_json_dict(g: Graph) -> dict:
         "edges": [list(e) for e in g.edges],
     }
     if g.weighted:
-        doc["weights"] = [_weight_to_json(g.weights[e]) for e in g.edges]
+        doc["weights"] = [_json_num(g.weights[e]) for e in g.edges]
     return doc
 
 

@@ -88,9 +88,6 @@ class Tangle:
     host: Graph
     order: int
     members: Tuple[Separation, ...]
-    #: defining parameters when built from a family (fam, r', z); lets
-    #: consumers re-derive membership instead of trusting the stored set
-    params: Optional[dict] = None
 
     def __post_init__(self):
         if self.order < 1:
@@ -116,17 +113,20 @@ class TangleVerdict:
         return self.ok
 
 
-def _member_keys(t: Tangle) -> set:
-    return {(s.a, s.b) for s in t.members}
-
-
 def verify_tangle(g: Graph, t: Tangle) -> TangleVerdict:
     """Full axiom check against the complete separation enumeration."""
-    keys = _member_keys(t)
+    vs = frozenset(g.vertices)
     for s in t.members:
-        if frozenset(s.a | s.b) != frozenset(g.vertices):
+        if s.a | s.b != vs:
             return TangleVerdict(False, "T1", "member is not a separation of the host")
-    for s in enumerate_separations(g, t.order):
+    return _verify(g, t, enumerate_separations(g, t.order))
+
+
+def _verify(g: Graph, t: Tangle, seps: Sequence[Separation]) -> TangleVerdict:
+    """The axioms of ``t``, whose members are separations of ``g``, with
+    ``seps`` the separations of ``g`` of order below ``t.order``."""
+    keys = {(s.a, s.b) for s in t.members}
+    for s in seps:
         fwd = (s.a, s.b) in keys
         bwd = (s.b, s.a) in keys
         if fwd == bwd:
@@ -165,9 +165,14 @@ def _far_members(g: Graph, fam: Sequence[frozenset], avoid: frozenset):
     return [f for f in fam if not (f & avoid)]
 
 
-def _members_inside(members: Sequence[frozenset], side: frozenset,
-                    removed: frozenset):
-    return [f for f in members if f <= side - removed]
+def _sides(g: Graph, seps: Sequence[Separation], far: Sequence[frozenset],
+           r_prime: Number):
+    """Per separation ``s``, ``(s, in_a, in_b)``: the far members inside each
+    side, less the separator's r'-shadow."""
+    for s in seps:
+        shadow = neighborhood(g, s.separator, r_prime).members
+        a, b = s.a - shadow, s.b - shadow
+        yield s, [f for f in far if f <= a], [f for f in far if f <= b]
 
 
 def _max_far_count(g: Graph, members: Sequence[frozenset], r: Number) -> int:
@@ -200,23 +205,23 @@ def build_gfrtz_tangle(
     z = as_vertex_set(g, z)
     sub = g.induced(l.members)
     members = _check_family(sub, l, fam)
-    far = _far_members(g, members, neighborhood(g, z, r_prime).members)
+    return _orient(g, sub, members, r_prime, theta, z,
+                   enumerate_separations(sub, theta))
 
+
+def _orient(g: Graph, sub: Graph, members: Sequence[frozenset],
+            r_prime: Number, theta: int, z, seps: Sequence[Separation]):
+    """:func:`build_gfrtz_tangle` on checked members, with ``seps`` the
+    separations of ``sub`` of order below ``theta``."""
+    far = _far_members(g, members, neighborhood(g, z, r_prime).members)
     chosen = []
-    for s in enumerate_separations(sub, theta):
-        for cand in (s, s.flip()):
-            shadow = neighborhood(g, cand.separator, r_prime).members
-            in_a = _members_inside(far, cand.a, shadow)
-            in_b = _members_inside(far, cand.b, shadow)
-            if not in_a and in_b:
-                chosen.append(cand)
-                break
-    t = Tangle(
-        sub, theta, tuple(chosen),
-        params={"family": tuple(sorted(map(tuple, map(sorted, members)))),
-                "r_prime": r_prime, "z": tuple(sorted(z.members))},
-    )
-    verdict = verify_tangle(sub, t)
+    for s, in_a, in_b in _sides(g, seps, far, r_prime):
+        if not in_a and in_b:
+            chosen.append(s)
+        elif not in_b and in_a:
+            chosen.append(s.flip())
+    t = Tangle(sub, theta, tuple(chosen))
+    verdict = _verify(sub, t, seps)
     if not verdict:
         return TangleRefusal(f"axiom {verdict.axiom} fails", verdict.detail)
     return t
@@ -240,7 +245,7 @@ def _check_premises(g: Graph, l: VertexSet, fam, k: int, r: Number,
     """The premises that the trichotomy and the decomposition share: r' >=
     r/2, the subgraph's boundary inside z, z (xi, eta)-centered, a valid
     family, and fewer than k members pairwise r-far.  Returns z's
-    certificate and the checked members."""
+    certificate, the subgraph induced on l and the checked members."""
     if not leq(r / 2, r_prime):
         raise PreconditionError("need r' >= r/2",
                                 detail={"r": r, "r_prime": r_prime})
@@ -255,12 +260,13 @@ def _check_premises(g: Graph, l: VertexSet, fam, k: int, r: Number,
     z_cert = certify_centered(g, z, xi, eta, "exact")
     if isinstance(z_cert, CenteredRefusal):
         raise PreconditionError(f"z is not ({xi},{eta})-centered")
-    members = _check_family(g.induced(l.members), l, fam)
+    sub = g.induced(l.members)
+    members = _check_family(sub, l, fam)
     if _max_far_count(g, members, r) >= k:
         raise PreconditionError(
             f"{k} members pairwise {r}-far exist; the dichotomy premise fails"
         )
-    return z_cert, members
+    return z_cert, sub, members
 
 
 def easy_tangle_trichotomy(
@@ -286,7 +292,7 @@ def easy_tangle_trichotomy(
     z = as_vertex_set(g, z)
     if k < 1 or theta < 1:
         raise InputError("need k >= 1 and theta >= 1")
-    z_cert, members = _check_premises(g, l, fam, k, r, r_prime, z, xi, eta)
+    z_cert, sub, members = _check_premises(g, l, fam, k, r, r_prime, z, xi, eta)
 
     fat_z = neighborhood(g, z, r_prime).members
     far = _far_members(g, members, fat_z)
@@ -311,16 +317,13 @@ def easy_tangle_trichotomy(
         return TrichotomyResult(1, z_star=z_star, centered=cert)
 
     # outcome 2: a separation with both fattened sides short of k-1 far members
-    sub = g.induced(l.members)
-    for s in enumerate_separations(sub, theta):
-        shadow = neighborhood(g, s.separator, r_prime).members
-        in_a = _members_inside(far, s.a, shadow)
-        in_b = _members_inside(far, s.b, shadow)
+    seps = enumerate_separations(sub, theta)
+    for s, in_a, in_b in _sides(g, seps, far, r_prime):
         if _max_far_count(g, in_a, r) < k - 1 and _max_far_count(g, in_b, r) < k - 1:
             return TrichotomyResult(2, separation=s)
 
     # outcome 3: the family-defined tangle
-    t = build_gfrtz_tangle(g, l, members, r_prime, theta, z)
+    t = _orient(g, sub, members, r_prime, theta, z, seps)
     if isinstance(t, TangleRefusal):
         raise InternalInconsistencyError(
             f"no trichotomy outcome validates: {t.reason}"
@@ -380,10 +383,7 @@ def _theta_budget(thetas: Sequence[int], upto: int) -> int:
 
 def _certify_or_raise(g: Graph, z: frozenset, k: int, radius: Number,
                       what: str) -> CenteredSet:
-    if not z:
-        empty = VertexSet(frozenset(), g)
-        return CenteredSet(empty, empty, radius)
-    cert = certify_centered(g, VertexSet(z, g), k, radius, "exact")
+    cert = certify_centered(g, z, k, radius, "exact")
     if isinstance(cert, CenteredRefusal):
         raise InternalInconsistencyError(
             f"{what}: claimed ({k},{radius})-centeredness fails"
@@ -428,10 +428,10 @@ def tangle_decompose(
             cap=(DECOMPOSE_VERTEX_CAP, DECOMPOSE_K_CAP, DECOMPOSE_THETA_CAP),
             actual=(len(l), k, max(thetas)),
         )
-    z_cert, members = _check_premises(g, l, fam, k, r, r_prime, z, xi, eta)
+    z_cert, sub_l, members = _check_premises(g, l, fam, k, r, r_prime, z, xi, eta)
 
     def fatten(s: frozenset, radius: Number) -> frozenset:
-        return neighborhood(g, VertexSet(s, g), radius).members
+        return neighborhood(g, s, radius).members
 
     def recurse(lv: frozenset, mem: List[frozenset], kk: int,
                 ths: Sequence[int], zv: frozenset):
@@ -445,7 +445,6 @@ def tangle_decompose(
                 )
             return fat_z, []
         theta1 = ths[0]
-        lvs = VertexSet(lv, g)
         far = _far_members(g, mem, fat_z)
 
         # few extra balls hit every far member
@@ -455,11 +454,10 @@ def tangle_decompose(
             return fat_z | extra, []
 
         sub = g.induced(lv)
-        t = build_gfrtz_tangle(g, lvs, mem, r_prime, theta1, VertexSet(zv, g))
+        seps = enumerate_separations(sub, theta1)
+        t = _orient(g, sub, mem, r_prime, theta1, zv, seps)
         if isinstance(t, Tangle):
-            t2 = build_gfrtz_tangle(
-                g, lvs, mem, r_prime, theta1, VertexSet(fat_z, g)
-            )
+            t2 = _orient(g, sub, mem, r_prime, theta1, fat_z, seps)
             if isinstance(t2, Tangle):
                 # residual piece: the one component every far member lives in
                 homes = [
@@ -487,14 +485,9 @@ def tangle_decompose(
 
         # split: both fattened sides fall short of the packing number
         nu = _max_far_count(g, mem, r)
-        split = None
-        for s in enumerate_separations(sub, theta1):
-            shadow = fatten(s.separator, r_prime)
-            in_a = _members_inside(far, s.a, shadow)
-            in_b = _members_inside(far, s.b, shadow)
-            if _max_far_count(g, in_a, r) < nu and _max_far_count(g, in_b, r) < nu:
-                split = s
-                break
+        split = next((s for s, in_a, in_b in _sides(g, seps, far, r_prime)
+                      if _max_far_count(g, in_a, r) < nu
+                      and _max_far_count(g, in_b, r) < nu), None)
         if split is None:
             raise InternalInconsistencyError(
                 "no hitting set, no tangle, and no balanced separation"
@@ -565,7 +558,6 @@ def tangle_decompose(
                 "a member escapes both z_star and the residual pieces"
             )
 
-    sub_l = g.induced(l.members)
     leftover = [frozenset(c) for c in
                 g.induced(l.members - z_star).components()]
     final_pieces = []
@@ -600,10 +592,8 @@ def tangle_decompose(
                     "piece cuts through a leftover component"
                 )
         # the tangle survives relative to the final set
-        t = build_gfrtz_tangle(
-            g, VertexSet(p.vertices, g), inside, r_prime,
-            thetas[min(p.i_h, k - 1)], VertexSet(z_star, g)
-        )
+        t = build_gfrtz_tangle(g, p.vertices, inside, r_prime,
+                               thetas[min(p.i_h, k - 1)], z_star)
         if isinstance(t, TangleRefusal):
             raise InternalInconsistencyError(
                 f"piece tangle fails relative to z_star: {t.reason}"

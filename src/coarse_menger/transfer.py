@@ -18,6 +18,7 @@ from .graph import (
     Graph,
     Number,
     VertexSet,
+    _json_num,
     as_vertex_set,
     distance,
     leq,
@@ -43,13 +44,9 @@ class QuasiIsometry:
     def to_json_dict(self) -> dict:
         return {
             "map": [[s, t] for s, t in sorted(self.map.items())],
-            "m": _num(self.m),
-            "a": _num(self.a),
+            "m": _json_num(self.m),
+            "a": _json_num(self.a),
         }
-
-
-def _num(x):
-    return str(x) if isinstance(x, Fraction) else x
 
 
 def quasi_isometry_from_json_dict(doc: dict) -> QuasiIsometry:
@@ -81,6 +78,14 @@ class QuasiIsometryVerdict:
         return self.ok
 
 
+def _check_total(src: Graph, tgt: Graph, q: QuasiIsometry):
+    """Every source vertex has an image, and every image is a target vertex."""
+    for v in src.vertices:
+        if v not in q.map:
+            raise InputError(f"map is not total: {v} has no image")
+        tgt._require_vertex(q.map[v])
+
+
 def verify_quasi_isometry(src: Graph, tgt: Graph, q: QuasiIsometry) -> QuasiIsometryVerdict:
     """Exhaustive check of both distance bounds and target coverage."""
     if len(src) > VERIFY_PAIRS_CAP or len(tgt) > VERIFY_PAIRS_CAP:
@@ -89,10 +94,7 @@ def verify_quasi_isometry(src: Graph, tgt: Graph, q: QuasiIsometry) -> QuasiIsom
             cap=VERIFY_PAIRS_CAP,
             actual=max(len(src), len(tgt)),
         )
-    for v in src.vertices:
-        if v not in q.map:
-            raise InputError(f"map is not total: {v} has no image")
-        tgt._require_vertex(q.map[v])
+    _check_total(src, tgt, q)
 
     needed_a = 0
     worst = None
@@ -254,6 +256,7 @@ def pullback_hitting_set(
     hits every source path of the family (re-verified whenever the source is
     small enough to enumerate).
     """
+    _check_total(src, tgt, q)
     z_target = as_vertex_set(tgt, z_target)
     a_vs = as_vertex_set(src, a_set)
     b_vs = as_vertex_set(src, b_set)

@@ -239,7 +239,7 @@ def _check_subtrees(t: Graph, subtrees: Sequence[frozenset]):
     for i, s in enumerate(subtrees):
         if not s:
             raise InputError(f"subtree {i} is empty")
-        if not t.is_connected_set(s):
+        if not t.is_connected_set(as_vertex_set(t, s).members):
             raise InputError(f"subtree {i} is disconnected")
 
 
@@ -365,7 +365,7 @@ class ExchangeableFamily:
             for c in m:
                 if not c:
                     raise InputError("empty labeled component")
-                if not self.host.is_connected_set(c):
+                if not self.host.is_connected_set(as_vertex_set(self.host, c).members):
                     raise InputError(f"component {sorted(c)} is disconnected")
             for c1, c2 in itertools.combinations(m, 2):
                 if c1 & c2:
@@ -598,7 +598,7 @@ class _SupportMasks:
         self.bit = g.vertex_bits()
         closed = g.closed_neighborhood_masks()
         self.reach = {self.bit[v]: closed[v] for v in g.vertices}
-        roots = [sum(self.bit[v] for v in r if v in self.bit) for r in root_sets]
+        roots = [sum(self.bit[v] for v in r) for r in root_sets]
         # Hall: every nonempty subset of the root sets covers as many vertices
         self.hall = []
         for size in range(1, len(roots) + 1):
@@ -1115,7 +1115,7 @@ def min_transversal_blocker(
     minimal supports are found changes the work, not the answer, since the
     final scan at the proven minimum picks the blocker.
     """
-    model = _SupportMasks(g, root_sets)
+    model = _SupportMasks(g, [as_vertex_set(g, r).members for r in root_sets])
     supports: List[int] = []
 
     def missed(z: List[int]) -> List[int]:

@@ -24,7 +24,9 @@ For ``menger_packing`` the oracle is networkx maximum flow on the vertex-split
 digraph, and for ``max_independent_set(..., enough=k)`` the k-clique search
 over the complementary "far" relation that ``trees`` used before.  For
 ``duality_sweep`` it is the sweep that solves every cell on its own, without
-the bounds one cell gives the next.
+the bounds one cell gives the next.  For ``build_gfrtz_tangle`` it is the
+orientation loop that tries both orientations of each separation, with one
+shadow each.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from coarse_menger.graph import (
     distance,
     is_exact,
     leq,
+    neighborhood,
     set_distance,
 )
 from coarse_menger.packing import (
@@ -72,7 +75,8 @@ from coarse_menger.paths import (
     canonical_sequence,
     enumerate_chordless_paths,
 )
-from coarse_menger.trees import MODEL_ENUM_CAP
+from coarse_menger.tangles import enumerate_separations
+from coarse_menger.trees import MODEL_ENUM_CAP, Separation
 
 
 def fraction_dijkstra(g: Graph, source: int) -> dict:
@@ -1115,3 +1119,22 @@ def scan_separating_balls(g: Graph, x, y, radius):
             if separated(g, x, y, union):
                 return size, frozenset(centers)
     raise InternalInconsistencyError("the balls around x do not separate")
+
+
+def gfrtz_orientation(g: Graph, l, fam, r_prime, theta: int, z) -> List[Separation]:
+    """The separations of the subgraph on ``l`` of order below ``theta``,
+    each pointed at the side that alone holds a member avoiding the
+    r'-fattened ``z``, beyond the r'-shadow of the separator; a separation
+    with no such side is left out.  Each orientation is tried in turn."""
+    fat_z = neighborhood(g, z, r_prime).members
+    far = [frozenset(f) for f in fam if not frozenset(f) & fat_z]
+    chosen = []
+    for s in enumerate_separations(g.induced(l), theta):
+        for cand in (s, s.flip()):
+            shadow = neighborhood(g, cand.separator, r_prime).members
+            in_a = [f for f in far if f <= cand.a - shadow]
+            in_b = [f for f in far if f <= cand.b - shadow]
+            if not in_a and in_b:
+                chosen.append(cand)
+                break
+    return chosen

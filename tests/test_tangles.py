@@ -12,6 +12,7 @@ from coarse_menger.errors import (
 )
 from coarse_menger.graph import Graph, certify_centered, neighborhood, set_distance
 from coarse_menger.graph import CenteredSet
+from coarse_menger import tangles
 from coarse_menger.tangles import (
     Tangle,
     TangleRefusal,
@@ -24,6 +25,7 @@ from coarse_menger.tangles import (
 from coarse_menger.trees import Separation
 
 from conftest import path_graph, random_connected
+from set_oracles import gfrtz_orientation
 
 
 def two_cliques(bridge_len=3):
@@ -120,6 +122,28 @@ def test_build_family_tangle_refusal_when_family_splits():
     assert isinstance(t, TangleRefusal)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=9), st.sampled_from([0.3, 0.7]),
+       st.sampled_from([1, 2, 3]), st.sampled_from([0, 1]),
+       st.integers(min_value=0, max_value=10**6))
+def test_gfrtz_members_match_the_two_orientation_oracle(n, p, theta, r_prime, seed):
+    rng = random.Random(seed)
+    g = random_connected(rng, n, p)
+    vs = sorted(g.vertices)
+    l = frozenset(g.induced(rng.sample(vs, rng.randint(max(1, n - 2), n))).components()[0])
+    z = frozenset(rng.sample(vs, rng.randint(0, 1)))
+    fam = [frozenset([v]) for v in rng.sample(sorted(l), rng.randint(1, len(l)))]
+    fam += [frozenset(e) for e in g.induced(l).edges[:rng.randint(0, 2)]]
+    t = build_gfrtz_tangle(g, l, fam, r_prime, theta, z)
+    oracle = Tangle(g.induced(l), theta, tuple(gfrtz_orientation(g, l, fam, r_prime, theta, z)))
+    if isinstance(t, Tangle):
+        assert t == oracle
+    else:
+        verdict = verify_tangle(oracle.host, oracle)
+        assert not verdict and t.reason == f"axiom {verdict.axiom} fails"
+        assert t.detail == verdict.detail
+
+
 # ---------------------------------------------------------------------------
 # trichotomy
 
@@ -154,6 +178,33 @@ def test_both_tangle_entry_points_check_the_same_premises(premise):
     with pytest.raises(PreconditionError) as dec:
         tangle_decompose(g, thetas=[1, 1], **kwargs)
     assert str(tri.value) == str(dec.value)
+
+
+def test_one_trichotomy_or_decomposition_step_induces_and_enumerates_once(monkeypatch):
+    # the valid P7 instance above: with theta = 1 no ball fits the budget and
+    # no order-0 separation splits the member off, so the trichotomy ends in
+    # outcome 3, and the decomposition shrinks z in one step
+    g = path_graph(7)
+    kwargs = dict(l=frozenset(range(1, 6)), fam=[frozenset([2, 3])], k=2, r=2,
+                  r_prime=1, z=frozenset([0, 6]), xi=2, eta=0)
+    calls = {"induced": 0, "enumerate": 0}
+    induced, enumerate_ = Graph.induced, tangles.enumerate_separations
+
+    def counted_induced(self, vs):
+        calls["induced"] += self is g
+        return induced(self, vs)
+
+    def counted_enumerate(sub, theta):
+        calls["enumerate"] += 1
+        return enumerate_(sub, theta)
+
+    monkeypatch.setattr(Graph, "induced", counted_induced)
+    monkeypatch.setattr(tangles, "enumerate_separations", counted_enumerate)
+    assert easy_tangle_trichotomy(g, theta=1, **kwargs).outcome == 3
+    assert calls == {"induced": 1, "enumerate": 1}
+    calls["enumerate"] = 0
+    assert tangle_decompose(g, thetas=[1, 1], **kwargs).pieces == ()
+    assert calls["enumerate"] == 1
 
 
 def test_decompose_certifies_an_empty_z():

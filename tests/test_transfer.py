@@ -187,6 +187,18 @@ def test_pullback_hits_every_source_path():
         checked += 1
 
 
+@pytest.mark.parametrize("image,message", [
+    ({0: 0, 1: 1}, "map is not total"),
+    ({0: 0, 1: 1, 2: 2, 3: 9}, "unknown vertex id 9"),
+])
+def test_pullback_refuses_a_map_that_is_not_total(image, message):
+    g = path_graph(4)
+    q = QuasiIsometry(image, 1, 0)
+    with pytest.raises(InputError, match=message):
+        pullback_hitting_set(g, g, q, frozenset([1]), k=2, r=1, l=0,
+                             a_set=frozenset([0]), b_set=frozenset([3]))
+
+
 def test_ledger_values():
     assert c_h_ledger({"finite": True, "genus_bound": 0}).coefficient == 22
     assert c_h_ledger({"finite": True, "genus_bound": 2}).coefficient == 30

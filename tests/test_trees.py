@@ -18,6 +18,7 @@ from coarse_menger.trees import (
     easy_tree_hitting,
     min_degree_decomposition,
     min_transversal_blocker,
+    multi_family_select,
     rooted_fat_minor_ep,
     tree_helly,
     two_disjoint_connected_transversals,
@@ -219,6 +220,22 @@ def test_disjoint_transversals_boundary_cap():
 def test_disjoint_transversals_reject_a_root_outside_the_host():
     with pytest.raises(InputError):
         two_disjoint_connected_transversals(path_graph(4), [frozenset([0]), frozenset([9])])
+
+
+#: entry points given a vertex outside path_graph(5)
+OUTSIDE_VERTEX = {
+    "tree_helly": lambda t: tree_helly(t, [frozenset([7])], 1),
+    "tree_helly_partly": lambda t: tree_helly(t, [frozenset([0, 7])], 1),
+    "multi_family_select": lambda t: multi_family_select(t, [[frozenset([9])]], [1]),
+    "exchangeable_family": lambda t: ExchangeableFamily(t, ((frozenset([9]),),), 1),
+    "blocker": lambda t: min_transversal_blocker(t, [{0}, {9}], 3),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OUTSIDE_VERTEX))
+def test_a_vertex_outside_the_host_is_an_input_error(call):
+    with pytest.raises(InputError, match="not in host graph"):
+        OUTSIDE_VERTEX[call](path_graph(5))
 
 
 def test_min_transversal_blocker_on_path():
