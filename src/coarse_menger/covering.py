@@ -7,7 +7,6 @@ exact solving branches on the family member with fewest covering candidates.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -17,6 +16,7 @@ from .graph import (
     Graph,
     Number,
     VertexSet,
+    _bfs,
     _exact_against,
     _greedy_cover,
     _hit_masks,
@@ -24,6 +24,7 @@ from .graph import (
     _json_num,
     _member_masks,
     _set_cover,
+    _walk,
     _within,
     as_vertex_set,
     is_exact,
@@ -385,21 +386,14 @@ def min_separating_balls(g: Graph, x, y, radius: Number):
         removed = 0
         for i in chosen:
             removed |= balls[i]
-        parent = {v: None for v in sorted(x) if not removed & bit[v]}
-        queue = deque(parent)
-        while queue:
-            u = queue.popleft()
-            if u in y:
-                hit = 0
-                while u is not None:
-                    hit |= ball_of[u]
-                    u = parent[u]
-                return [hit]
-            for n in g.neighbors(u):
-                if n not in parent and not removed & bit[n]:
-                    parent[n] = u
-                    queue.append(n)
-        return []
+        left = {v for v, b in bit.items() if not removed & b}
+        parent, hit = _bfs(g, sorted(x & left), left, y)
+        if hit is None:
+            return []
+        balls_met = 0
+        for v in _walk(parent, hit):
+            balls_met |= ball_of[v]
+        return [balls_met]
 
     chosen = _implicit_hitting_set(len(g), missed)
     return len(chosen), frozenset(g.vertices[i] for i in chosen)

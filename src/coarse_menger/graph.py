@@ -180,37 +180,16 @@ class Graph:
 
     def components(self) -> list:
         """Connected components as sorted vertex lists, in id order."""
-        seen = set()
-        comps = []
-        for v in self.vertices:
-            if v in seen:
-                continue
-            stack = [v]
-            comp = set()
-            while stack:
-                u = stack.pop()
-                if u in comp:
-                    continue
-                comp.add(u)
-                stack.extend(n for n in self._adj[u] if n not in comp)
-            seen |= comp
-            comps.append(sorted(comp))
-        return comps
+        return _components(self, self._vset)
 
     def is_connected_set(self, vs: Iterable[int]) -> bool:
+        """Whether ``vs`` is nonempty and induces a connected subgraph."""
         vs = set(vs)
         if not vs:
             return False
-        start = next(iter(vs))
-        stack = [start]
-        seen = {start}
-        while stack:
-            u = stack.pop()
-            for n in self._adj[u]:
-                if n in vs and n not in seen:
-                    seen.add(n)
-                    stack.append(n)
-        return seen == vs
+        if not vs <= self._vset:
+            raise InputError(f"unknown vertex id {min(vs - self._vset)}")
+        return len(_bfs(self, [next(iter(vs))], vs)[0]) == len(vs)
 
     def is_tree(self) -> bool:
         return (
@@ -347,6 +326,58 @@ class Graph:
                     for u, ns in self._adj.items()
                 }, kind)
         return self._scaled
+
+
+# ---------------------------------------------------------------------------
+# breadth-first search inside a vertex set
+
+
+def _bfs(g: Graph, sources: Iterable[int], allowed, targets=frozenset()):
+    """Breadth-first search from ``sources``, in the order given, through
+    the vertices of the set ``allowed`` (a set, not a tuple: it is tested
+    per neighbour), reading neighbours in id order.
+
+    Returns ``(parent, hit)``.  ``parent`` maps each vertex reached, in the
+    order reached, to the vertex it came from, or to None for a source.
+    ``hit`` is the first vertex reached that is in ``targets`` (a source
+    first), where the search stops, or None if no target is reached.
+    """
+    parent = dict.fromkeys(sources)
+    queue = list(parent)
+    for s in queue:
+        if s in targets:
+            return parent, s
+    adj = g._adj
+    for u in queue:  # grows as it is read: first in, first out
+        for n in adj[u]:
+            if n in allowed and n not in parent:
+                parent[n] = u
+                if n in targets:
+                    return parent, n
+                queue.append(n)
+    return parent, None
+
+
+def _walk(parent: dict, v: int) -> list:
+    """The path from ``v`` back to its source in a :func:`_bfs` parent map."""
+    path = []
+    while v is not None:
+        path.append(v)
+        v = parent[v]
+    return path
+
+
+def _components(g: Graph, vs) -> list:
+    """The components of ``g[vs]`` (``vs`` a set) as sorted vertex lists, in
+    id order, without building the induced graph."""
+    seen: set = set()
+    comps = []
+    for v in sorted(vs):
+        if v not in seen:
+            comp = _bfs(g, [v], vs)[0]
+            seen.update(comp)
+            comps.append(sorted(comp))
+    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
-from .graph import (Graph, Number, _member_masks, _within, as_vertex_set, distance, leq,
-                    set_distance)
+from .graph import (Graph, Number, _bfs, _member_masks, _walk, _within, as_vertex_set,
+                    distance, leq, set_distance)
 from .paths import PathWitness, _enumerate, enumerate_chordless_paths, make_path
 
 EXACT_PACKING_VERTEX_CAP = 16
@@ -234,28 +234,11 @@ def _shortest_lxy_path(g: Graph, allowed: set, x: frozenset, y: frozenset, l):
     for s in sorted(x & allowed):
         # BFS tree inside allowed (unweighted hop count is fine for greedy
         # ordering even on weighted hosts)
-        parent = {s: None}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for n in g.neighbors(u):
-                    if n in allowed and n not in parent:
-                        parent[n] = u
-                        nxt.append(n)
-            frontier = nxt
+        parent, _ = _bfs(g, [s], allowed)
         for t in sorted(y):
-            if t not in parent:
+            if t not in parent or not leq(l, distance(g, s, t)):
                 continue
-            if not leq(l, distance(g, s, t)):
-                continue
-            seq = []
-            v = t
-            while v is not None:
-                seq.append(v)
-                v = parent[v]
-            seq.reverse()
-            cand = make_path(g, seq)
+            cand = make_path(g, _walk(parent, t)[::-1])
             key = (cand.length, cand.sequence)
             if best is None or key < (best.length, best.sequence):
                 best = cand

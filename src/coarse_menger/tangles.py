@@ -25,6 +25,7 @@ from .graph import (
     Graph,
     Number,
     VertexSet,
+    _components,
     as_vertex_set,
     certify_centered,
     leq,
@@ -63,7 +64,7 @@ def enumerate_separations(g: Graph, theta: int) -> List[Separation]:
     for size in range(min(theta, len(verts) + 1)):
         for sep in itertools.combinations(verts, size):
             s = frozenset(sep)
-            comps = [frozenset(c) for c in g.induced(frozenset(verts) - s).components()]
+            comps = [frozenset(c) for c in _components(g, g._vset - s)]
             for bits in range(1 << len(comps)):
                 a = s.union(*(comps[i] for i in range(len(comps)) if bits >> i & 1)) \
                     if bits else s
@@ -160,7 +161,7 @@ class TangleRefusal:
     detail: Optional[object] = None
 
 
-def _far_members(g: Graph, fam: Sequence[frozenset], avoid: frozenset):
+def _far_members(fam: Sequence[frozenset], avoid: frozenset):
     """Members whose vertex sets avoid ``avoid`` (the family minus a set)."""
     return [f for f in fam if not (f & avoid)]
 
@@ -213,7 +214,7 @@ def _orient(g: Graph, sub: Graph, members: Sequence[frozenset],
             r_prime: Number, theta: int, z, seps: Sequence[Separation]):
     """:func:`build_gfrtz_tangle` on checked members, with ``seps`` the
     separations of ``sub`` of order below ``theta``."""
-    far = _far_members(g, members, neighborhood(g, z, r_prime).members)
+    far = _far_members(members, neighborhood(g, z, r_prime).members)
     chosen = []
     for s, in_a, in_b in _sides(g, seps, far, r_prime):
         if not in_a and in_b:
@@ -295,7 +296,7 @@ def easy_tangle_trichotomy(
     z_cert, sub, members = _check_premises(g, l, fam, k, r, r_prime, z, xi, eta)
 
     fat_z = neighborhood(g, z, r_prime).members
-    far = _far_members(g, members, fat_z)
+    far = _far_members(members, fat_z)
 
     # outcome 1: few extra balls hit every far member
     cover = _ball_hitting(g, far, r_prime, 3 * theta - 3)
@@ -445,7 +446,7 @@ def tangle_decompose(
                 )
             return fat_z, []
         theta1 = ths[0]
-        far = _far_members(g, mem, fat_z)
+        far = _far_members(mem, fat_z)
 
         # few extra balls hit every far member
         cover = _ball_hitting(g, far, r_prime, 3 * theta1 - 3)
@@ -453,7 +454,7 @@ def tangle_decompose(
             extra = neighborhood(g, cover.centered.centers.members, r_prime).members & lv
             return fat_z | extra, []
 
-        sub = g.induced(lv)
+        sub = sub_l if lv == l.members else g.induced(lv)
         seps = enumerate_separations(sub, theta1)
         t = _orient(g, sub, mem, r_prime, theta1, zv, seps)
         if isinstance(t, Tangle):
@@ -472,7 +473,7 @@ def tangle_decompose(
                 return fat_z, [HPiece(homes[0], 0, fat_z)]
             # shrink: some oriented separation has no doubly-far member on
             # its big side; its fattened separator then meets every member
-            far2 = _far_members(g, mem, fatten(zv, 2 * r_prime))
+            far2 = _far_members(mem, fatten(zv, 2 * r_prime))
             for s in t.members:
                 shadow = fatten(s.separator, r_prime)
                 if not any(f <= s.b - shadow for f in far2):
@@ -558,8 +559,7 @@ def tangle_decompose(
                 "a member escapes both z_star and the residual pieces"
             )
 
-    leftover = [frozenset(c) for c in
-                g.induced(l.members - z_star).components()]
+    leftover = [frozenset(c) for c in _components(g, l.members - z_star)]
     final_pieces = []
     for p in raw_pieces:
         if not sub_l.is_connected_set(p.vertices):

@@ -30,8 +30,10 @@ from .graph import (
     Graph,
     Number,
     VertexSet,
+    _bfs,
     _implicit_hitting_set,
     _member_masks,
+    _walk,
     as_vertex_set,
     certify_centered,
     leq,
@@ -260,17 +262,9 @@ def tree_helly(t: Graph, subtrees: Sequence[frozenset], k: int) -> TreeHellyResu
             return TreeHellyResult("packing")
         return TreeHellyResult("hitting", hitting=frozenset())
 
-    root = min(t.vertices)
-    depth = {root: 0}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for n in t.neighbors(u):
-                if n not in depth:
-                    depth[n] = depth[u] + 1
-                    nxt.append(n)
-        frontier = nxt
+    depth = {}
+    for v, p in _bfs(t, [min(t.vertices)], t._vset)[0].items():  # parents first
+        depth[v] = 0 if p is None else depth[p] + 1
 
     def top(s: frozenset) -> int:
         return min(s, key=lambda v: (depth[v], v))
@@ -690,27 +684,6 @@ def _minimal_supports(model: _SupportMasks) -> List[frozenset]:
     return out
 
 
-def _tree_path(g: Graph, inside: frozenset, s: int, t: int) -> List[int]:
-    """A path from s to t through ``inside`` (BFS tree, deterministic)."""
-    parent = {s: None}
-    frontier = [s]
-    while frontier and t not in parent:
-        nxt = []
-        for u in frontier:
-            for n in sorted(g.neighbors(u)):
-                if n in inside and n not in parent:
-                    parent[n] = u
-                    nxt.append(n)
-        frontier = nxt
-    if t not in parent:
-        raise InternalInconsistencyError("support not connected")
-    path = [t]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def _extract_path_model(
     g: Graph,
     support: frozenset,
@@ -736,9 +709,7 @@ def _extract_path_model(
 
     if len(order) == 2:
         x1, x2 = reps
-        comp = next(
-            c for c in g.induced(support - {x1}).components() if x2 in c
-        )
+        comp = _bfs(g, [x2], support - {x1})[0]
         step = min(v for v in g.neighbors(x1) if v in comp)
         return FatMinorModel(
             pattern,
@@ -748,34 +719,20 @@ def _extract_path_model(
             roots=dict(roots),
         )
 
-    x1, x2, x3 = reps
-    p13 = _tree_path(g, support, x1, x3)
-    p13set = frozenset(p13)
-
-    # BFS from the middle representative until the x1-x3 path is touched;
-    # the parent chain then avoids p13 except at the touch point y
-    parent = {x2: None}
-    frontier = [x2]
-    y = x2 if x2 in p13set else None
-    while y is None:
-        nxt = []
-        for u in frontier:
-            for n in sorted(g.neighbors(u)):
-                if n in support and n not in parent:
-                    parent[n] = u
-                    if n in p13set:
-                        y = n
-                        break
-                    nxt.append(n)
-            if y is not None:
-                break
-        if y is None and not nxt:
+    def bfs_path(source: int, targets) -> List[int]:
+        # the BFS path inside the support from ``source`` to the first
+        # target reached
+        parent, hit = _bfs(g, [source], support, targets)
+        if hit is None:
             raise InternalInconsistencyError("support not connected")
-        frontier = nxt
-    arm = [y]
-    while parent[arm[-1]] is not None:
-        arm.append(parent[arm[-1]])
-    arm.reverse()  # x2 ... y
+        return _walk(parent, hit)[::-1]
+
+    x1, x2, x3 = reps
+    p13 = bfs_path(x1, {x3})
+    # the arm from the middle representative avoids the x1-x3 path except
+    # at the touch point y
+    arm = bfs_path(x2, frozenset(p13))  # x2 ... y
+    y = arm[-1]
     i = p13.index(y)
 
     h1, h2, h3 = order
@@ -902,11 +859,18 @@ def _forget(layer: Dict[tuple, tuple], ue: int, full: int) -> Dict[tuple, tuple]
 def two_disjoint_connected_transversals(
     g: Graph,
     root_sets: Sequence[frozenset],
-    order: Optional[Sequence[int]] = None,
     boundary_cap: int = 8,
 ):
     """Two vertex-disjoint connected sets, each holding distinct
-    representatives of every root set — or None.
+    representatives of every root set — or None: :func:`_transversal_sweep`
+    over the vertices in id order."""
+    return _transversal_sweep(g, root_sets, g.vertices, boundary_cap)
+
+
+def _transversal_sweep(g: Graph, root_sets: Sequence[frozenset],
+                       order: Sequence[int], boundary_cap: int):
+    """:func:`two_disjoint_connected_transversals` in a sweep ``order``,
+    which lists every vertex once.
 
     Sweeps the vertices in ``order`` tracking only the boundary (vertices
     with unprocessed neighbors): label assignment, connectivity blocks per
@@ -968,11 +932,6 @@ def two_disjoint_connected_transversals(
     of the first transition that made it, as the pair encoding keeps its
     first predecessor, so the pair returned is the one it gives.
     """
-    if order is None:
-        order = sorted(g.vertices)
-    order = list(order)
-    if sorted(order) != sorted(g.vertices):
-        raise InputError("order must list every vertex once")
     forgotten_at: Dict[int, List[int]] = {}
     for u, i in _forget_times(g, order).items():
         forgotten_at.setdefault(i, []).append(u)

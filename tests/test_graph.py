@@ -15,6 +15,8 @@ from coarse_menger.graph import (
     CenteredSet,
     Graph,
     VertexSet,
+    _bfs,
+    _walk,
     _within,
     certify_centered,
     distance,
@@ -289,6 +291,45 @@ def test_vertex_set_validates_host():
     g = path_graph(3)
     with pytest.raises(InputError):
         VertexSet(frozenset([7]), g)
+
+
+@pytest.mark.parametrize("vs", [{99}, {0, 99}, [1, 2, 99]])
+def test_is_connected_set_refuses_a_vertex_outside_the_host(vs):
+    # a bare KeyError or False before, depending on which vertex came first
+    with pytest.raises(InputError, match="unknown vertex id 99"):
+        path_graph(3).is_connected_set(vs)
+
+
+# sources 1 and 0; 4 is reached from 3 or, without 3, from 2
+BFS_HOST = Graph(range(7), [(0, 2), (1, 3), (2, 4), (3, 4), (4, 5), (1, 6)])
+
+
+def test_bfs_reaches_vertices_level_by_level_from_the_sources_in_order():
+    parent, hit = _bfs(BFS_HOST, [1, 0], set(range(7)))
+    assert hit is None
+    assert list(parent.items()) == [(1, None), (0, None), (3, 1), (6, 1), (2, 0),
+                                    (4, 3), (5, 4)]
+    assert _walk(parent, 5) == [5, 4, 3, 1]
+    parent, _ = _bfs(BFS_HOST, [1, 0], set(range(7)) - {3})
+    assert _walk(parent, 5) == [5, 4, 2, 0]
+
+
+def test_bfs_stops_at_the_first_target_reached():
+    parent, hit = _bfs(BFS_HOST, [1, 0], set(range(7)), {5, 4, 2})
+    assert hit == 2
+    assert list(parent) == [1, 0, 3, 6, 2]
+
+
+def test_bfs_finds_a_source_that_is_a_target_first():
+    parent, hit = _bfs(BFS_HOST, [1, 0], set(range(7)), {3, 0})
+    assert hit == 0
+    assert parent == {1: None, 0: None}
+
+
+def test_bfs_without_a_reachable_target_hits_nothing():
+    parent, hit = _bfs(BFS_HOST, [0], {0, 2, 5}, {5})
+    assert hit is None
+    assert parent == {0: None, 2: 0}
 
 
 def test_centered_set_invariant_enforced():

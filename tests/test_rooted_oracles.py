@@ -43,6 +43,7 @@ from coarse_menger.graph import Graph, leq, set_distance
 from coarse_menger.trees import (
     _minimal_supports,
     _SupportMasks,
+    _transversal_sweep,
     min_degree_decomposition,
     min_transversal_blocker,
     rooted_fat_minor_ep,
@@ -303,7 +304,7 @@ def test_boundary_dp_returns_the_pair_encoding_result_in_any_order(host):
     # in a random order the root sets run out at different phases, which is
     # when the DP drops the states that can no longer finish
     g, roots, order = host
-    assert _outcome(two_disjoint_connected_transversals, g, roots, order) == \
+    assert _outcome(_transversal_sweep, g, roots, order, 8) == \
         _outcome(pair_two_disjoint_connected_transversals, g, roots, order)
 
 
@@ -326,7 +327,7 @@ def test_boundary_dp_states_hold_ascending_disjoint_blocks(host):
         return drop(layer)
 
     with mock.patch.object(trees, "_drop_dominated", checked):
-        _outcome(two_disjoint_connected_transversals, g, roots, order)
+        _outcome(_transversal_sweep, g, roots, order, 8)
 
 
 def test_boundary_dp_returns_the_pair_encoding_result_on_a_planted_5x5_grid():

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from coarse_menger.errors import CapacityError, InputError
 from coarse_menger.generators import grid, grid_column, grid_row
 from coarse_menger.graph import Graph, CenteredSet, certify_centered, set_distance
+from coarse_menger.paths import check_fat_minor
 from coarse_menger.trees import (
     ExchangeableFamily,
+    _extract_path_model,
+    _minimal_supports,
+    _SupportMasks,
     Location,
     Separation,
     TreeDecomposition,
@@ -253,6 +257,28 @@ def test_min_transversal_blocker_empty_when_already_blocked():
 
 # ---------------------------------------------------------------------------
 # rooted fat minors
+
+
+def test_path_models_on_minimal_supports_stay_inside_them():
+    # the three-root model is split at the point y where the arm from the
+    # middle representative meets the x1-x3 path: inside it, or on an end,
+    # where the edge path through that end has three vertices
+    rng = random.Random(7)
+    cases = set()
+    for _ in range(60):
+        g = random_connected(rng, rng.randint(3, 8), rng.choice([0.1, 0.3]))
+        for k in (2, 3):
+            roots = {h: frozenset(rng.sample(g.vertices, rng.randint(1, 2)))
+                     for h in range(k)}
+            pattern = Graph(range(k), [(h, h + 1) for h in range(k - 1)])
+            for support in _minimal_supports(_SupportMasks(g, list(roots.values()))):
+                m = _extract_path_model(g, support, pattern, roots)
+                assert check_fat_minor(g, m)
+                assert frozenset().union(*m.branch_sets.values(),
+                                         *m.edge_paths.values()) <= support
+                if k == 3:
+                    cases.add((len(m.edge_paths[(0, 1)]), len(m.edge_paths[(1, 2)])))
+    assert cases == {(2, 2), (2, 3), (3, 2)}
 
 
 def test_rooted_p3_packing_on_disjoint_paths():
