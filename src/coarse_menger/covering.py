@@ -350,16 +350,14 @@ def gallai_check(g: Graph, a, k: int) -> GallaiVerdict:
     result = gallai_packing(g, a.members, with_witness=True)
     if result.count >= k:
         return GallaiVerdict("packing", k, packing=result)
+    # a radius-0 ball is its centre, so the fewest balls are the fewest vertices
     paths = _enumerate_a_paths(g, a.members)
-    if not paths:
-        return GallaiVerdict("hitting", k, hitting_set=frozenset())
-    sets = {v: frozenset(i for i, p in enumerate(paths) if v in p.vertex_set) for v in g.vertices}
-    chosen, _ = min_set_cover(range(len(paths)), sets)
+    chosen = _ball_hitting(g, [p.vertex_set for p in paths], 0).centered.centers.members
     if len(chosen) > 2 * k - 2:
         raise InternalInconsistencyError(
             f"Gallai bound violated: hitting set {len(chosen)} > {2 * k - 2}"
         )
-    return GallaiVerdict("hitting", k, hitting_set=frozenset(chosen))
+    return GallaiVerdict("hitting", k, hitting_set=chosen)
 
 
 def min_separating_balls(g: Graph, x, y, radius: Number):

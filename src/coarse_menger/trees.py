@@ -266,20 +266,16 @@ def tree_helly(t: Graph, subtrees: Sequence[frozenset], k: int) -> TreeHellyResu
     for v, p in _bfs(t, [min(t.vertices)], t._vset)[0].items():  # parents first
         depth[v] = 0 if p is None else depth[p] + 1
 
-    def top(s: frozenset) -> int:
-        return min(s, key=lambda v: (depth[v], v))
-
+    tops = [min(s, key=lambda v: (depth[v], v)) for s in subtrees]
     remaining = list(range(len(subtrees)))
     picks: List[int] = []
-    tops: List[int] = []
     while remaining:
-        i = max(remaining, key=lambda j: (depth[top(subtrees[j])], -top(subtrees[j]), -j))
+        i = max(remaining, key=lambda j: (depth[tops[j]], -tops[j], -j))
         picks.append(i)
-        tops.append(top(subtrees[i]))
         remaining = [j for j in remaining if not (subtrees[j] & subtrees[i])]
     if len(picks) >= k:
         return TreeHellyResult("packing", packing=tuple(picks[:k]))
-    return TreeHellyResult("hitting", hitting=frozenset(tops))
+    return TreeHellyResult("hitting", hitting=frozenset(tops[i] for i in picks))
 
 
 def multi_family_select(
@@ -473,18 +469,15 @@ def easy_tree_hitting(
 
     # extended tree: one fresh leaf per separation, bag = the small side
     next_id = max(td.tree.vertices) + 1
-    leaf_of: Dict[int, int] = {}
     edges = list(td.tree.edges)
     nodes = list(td.tree.vertices)
     ext_bags = dict(td.bags)
-    for idx in range(len(loc.separations)):
+    for idx, sep in enumerate(loc.separations):
         leaf = next_id + idx
-        leaf_of[idx] = leaf
         nodes.append(leaf)
         edges.append((anchor[idx], leaf))
-        ext_bags[leaf] = loc.separations[idx].a
+        ext_bags[leaf] = sep.a
     ext_tree = Graph(nodes, edges)
-    leaf_nodes = set(leaf_of.values())
 
     traces: List[List[frozenset]] = []
     for j in range(c):
@@ -507,11 +500,8 @@ def easy_tree_hitting(
     for j in range(c):
         res = tree_helly(ext_tree, traces[j], c * k)
         if res.branch == "hitting":
-            nodes_hit = {
-                anchor[next(i for i, lf in leaf_of.items() if lf == t)]
-                if t in leaf_nodes else t
-                for t in res.hitting
-            }
+            nodes_hit = {anchor[t - next_id] if t >= next_id else t
+                         for t in res.hitting}
             z = neighborhood(
                 g, frozenset().union(*(td.bags[t] for t in nodes_hit)), r
             ).members

@@ -1,14 +1,8 @@
-"""The names that the ``scripts/bench_*.py`` timers wrap resolve in the
-library.
+"""The names that ``scripts/bench.py`` wraps or reads resolve in the library.
 
-``bench_duality.py`` times a layer at the first name of its ``LAYERS`` entry
-that a tree defines and at the names of its ``ALSO`` entry, and counts
-through ``COUNTED`` and ``FAMILY``.
-``bench_rooted_oracle.py`` wraps the names in its ``WRAPPED`` and counts the
-oracle's nested ``SEARCHES`` and its ``MEMO`` local.  ``bench_rooted_grid.py``
-counts the boundary DP's states through the names in its ``WRAPPED``.  A
-renamed function would silently move a layer to its fallback, or make a
-count read 0, so the innermost names must exist in ``src``.
+``WRAPPED`` lists them all; a tree that lacks one fails the script, so the
+names must exist in ``src``.  The rooted-oracle topic also counts the
+oracle's nested ``SEARCHES`` and reads its ``MEMO`` local.
 """
 
 import importlib
@@ -17,25 +11,15 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SPEC = importlib.util.spec_from_file_location(
+    "bench", Path(__file__).resolve().parent.parent / "scripts" / "bench.py")
+BENCH = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(BENCH)
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-BENCH = _load("bench_duality")
-NAMES = sorted(
-    {names[0] for names in BENCH.LAYERS.values()}
-    | {name for names in BENCH.ALSO.values() for name in names}
-    | {name for name, _ in BENCH.COUNTED.values()}
-    | {BENCH.FAMILY}
-)
-ORACLE_BENCH = _load("bench_rooted_oracle")
-GRID_BENCH = _load("bench_rooted_grid")
+def _topic(*modules):
+    """The wrapped names in ``modules``: one topic's share of ``WRAPPED``."""
+    return [name for name in BENCH.WRAPPED if name.split(".")[0] in modules]
 
 
 def _resolve(name):
@@ -46,23 +30,28 @@ def _resolve(name):
     return obj
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", _topic("graph", "packing", "covering"))
 def test_bench_duality_names_resolve(name):
     assert callable(_resolve(name))
 
 
-@pytest.mark.parametrize("name", ORACLE_BENCH.WRAPPED)
+@pytest.mark.parametrize("name", _topic("acceptance"))
 def test_bench_rooted_oracle_names_resolve(name):
     assert callable(_resolve(name))
 
 
-@pytest.mark.parametrize("name", GRID_BENCH.WRAPPED)
+@pytest.mark.parametrize("name", _topic("trees"))
 def test_bench_rooted_grid_names_resolve(name):
     assert callable(_resolve(name))
 
 
+def test_every_wrapped_name_belongs_to_a_topic():
+    assert sorted(_topic("graph", "packing", "covering", "acceptance", "trees")) \
+        == sorted(BENCH.WRAPPED)
+
+
 def test_bench_rooted_oracle_counts_the_oracle_own_searches_and_memo():
-    code = _resolve(ORACLE_BENCH.WRAPPED[0]).__code__
+    code = _resolve("acceptance.exhaustive_two_disjoint_supports").__code__
     nested = set()
     stack = [code]
     while stack:
@@ -70,5 +59,5 @@ def test_bench_rooted_oracle_counts_the_oracle_own_searches_and_memo():
             if hasattr(const, "co_name"):
                 nested.add(const.co_name)
                 stack.append(const)
-    assert set(ORACLE_BENCH.SEARCHES) <= nested
-    assert ORACLE_BENCH.MEMO in code.co_varnames + code.co_cellvars
+    assert set(BENCH.SEARCHES) <= nested
+    assert BENCH.MEMO in code.co_varnames + code.co_cellvars

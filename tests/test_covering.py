@@ -16,8 +16,9 @@ from coarse_menger.covering import (
     min_set_cover,
 )
 from coarse_menger.errors import InputError, InternalInconsistencyError
-from coarse_menger.generators import grid, grid_column
+from coarse_menger.generators import grid, grid_column, random_instances
 from coarse_menger.graph import Graph
+from coarse_menger.packing import _enumerate_a_paths, gallai_packing
 
 from conftest import cycle_graph, path_graph, small_connected_graphs
 
@@ -184,6 +185,21 @@ def test_gallai_check_hitting_branch_respects_bound():
     verdict = gallai_check(g, frozenset([1, 2, 3, 4]), 3)
     assert verdict.branch == "hitting"
     assert len(verdict.hitting_set) <= 2 * 3 - 2
+
+
+def test_gallai_hitting_set_is_the_vertex_set_cover_of_the_a_paths():
+    # oracle: min_set_cover over each vertex's set of path indices; a host
+    # with no A-path takes no vertex
+    for seed in range(6):
+        for spec in random_instances(seed, 150, {"max_vertices": 12}):
+            g, a = spec.graph, spec.a
+            paths = _enumerate_a_paths(g, a)
+            sets = {v: frozenset(i for i, p in enumerate(paths) if v in p.vertex_set)
+                    for v in g.vertices}
+            expected = frozenset(min_set_cover(range(len(paths)), sets)[0])
+            verdict = gallai_check(g, a, gallai_packing(g, a) + 1)
+            assert verdict.branch == "hitting"
+            assert verdict.hitting_set == expected
 
 
 @settings(max_examples=25, deadline=None)
