@@ -348,11 +348,12 @@ def main() -> int:
     parser.add_argument("--one", help=argparse.SUPPRESS)
     args = parser.parse_args()
     measure, widths, header = TOPICS[args.topic]
+    if args.widths and widths is None:
+        parser.error(f"--widths does not apply to {args.topic}")
     widths = args.widths or widths
     if args.one:
         sys.path.insert(0, args.one)
-        json.dump(measure(args.runs, widths and [int(w) for w in widths.split(",")]),
-                  sys.stdout)
+        print(json.dumps(measure(args.runs, widths and [int(w) for w in widths.split(",")])))
         return 0
     if not args.trees:
         parser.error("name at least one label=src-dir")
@@ -371,8 +372,7 @@ def main() -> int:
             at = f" w={row['w']}" if "w" in row else ""
             for key, value in _quantities(row):
                 print(f"{label} {args.topic}{at} {key}: {value}", file=sys.stderr)
-    json.dump(out, sys.stdout, indent=1)
-    print()
+    print(json.dumps(out, indent=1))
     return 0
 
 

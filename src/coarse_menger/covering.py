@@ -350,14 +350,16 @@ def gallai_check(g: Graph, a, k: int) -> GallaiVerdict:
     result = gallai_packing(g, a.members, with_witness=True)
     if result.count >= k:
         return GallaiVerdict("packing", k, packing=result)
-    # a radius-0 ball is its centre, so the fewest balls are the fewest vertices
+    # the fewest vertices meeting every A-path: a set cover of the path
+    # indices by the paths through each vertex, free of distances
     paths = _enumerate_a_paths(g, a.members)
-    chosen = _ball_hitting(g, [p.vertex_set for p in paths], 0).centered.centers.members
+    through = _member_masks(g, [p.vertex_set for p in paths])
+    chosen, _ = _set_cover((1 << len(paths)) - 1, [through.get(v, 0) for v in g.vertices])
     if len(chosen) > 2 * k - 2:
         raise InternalInconsistencyError(
             f"Gallai bound violated: hitting set {len(chosen)} > {2 * k - 2}"
         )
-    return GallaiVerdict("hitting", k, hitting_set=chosen)
+    return GallaiVerdict("hitting", k, hitting_set=frozenset(g.vertices[i] for i in chosen))
 
 
 def min_separating_balls(g: Graph, x, y, radius: Number):

@@ -46,3 +46,12 @@ def test_bench_topic_matches_the_committed_change_tree(topic):
     assert done.stderr.splitlines() == [
         f"change {topic}{at} {key}: {value}" for key, value in BENCH._quantities(got)
     ]
+
+
+def test_bench_duality_rejects_widths():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "duality", "change=src", "--widths", "3"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    assert "--widths does not apply to duality" in done.stderr

@@ -187,19 +187,29 @@ def test_gallai_check_hitting_branch_respects_bound():
     assert len(verdict.hitting_set) <= 2 * 3 - 2
 
 
+def _gallai_hosts():
+    for seed in range(6):
+        for spec in random_instances(seed, 150, {"max_vertices": 12}):
+            yield spec.graph, spec.a
+    # A-paths 0-1-2 and 3-4-5 joined by an edge far shorter than the float
+    # tolerance: no distance may let vertex 4 stand in for vertex 1
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (1, 4)]
+    weights = {e: 1.0 for e in edges}
+    weights[1, 4] = 1e-12
+    yield Graph(range(6), edges, weights), frozenset([0, 2, 3, 5])
+
+
 def test_gallai_hitting_set_is_the_vertex_set_cover_of_the_a_paths():
     # oracle: min_set_cover over each vertex's set of path indices; a host
     # with no A-path takes no vertex
-    for seed in range(6):
-        for spec in random_instances(seed, 150, {"max_vertices": 12}):
-            g, a = spec.graph, spec.a
-            paths = _enumerate_a_paths(g, a)
-            sets = {v: frozenset(i for i, p in enumerate(paths) if v in p.vertex_set)
-                    for v in g.vertices}
-            expected = frozenset(min_set_cover(range(len(paths)), sets)[0])
-            verdict = gallai_check(g, a, gallai_packing(g, a) + 1)
-            assert verdict.branch == "hitting"
-            assert verdict.hitting_set == expected
+    for g, a in _gallai_hosts():
+        paths = _enumerate_a_paths(g, a)
+        sets = {v: frozenset(i for i, p in enumerate(paths) if v in p.vertex_set)
+                for v in g.vertices}
+        expected = frozenset(min_set_cover(range(len(paths)), sets)[0])
+        verdict = gallai_check(g, a, gallai_packing(g, a) + 1)
+        assert verdict.branch == "hitting"
+        assert verdict.hitting_set == expected
 
 
 @settings(max_examples=25, deadline=None)
