@@ -199,7 +199,7 @@ def cmd_run_acceptance(args) -> int:
                              {"seed": args.seed, "only": only}))
     _emit(doc, args.out)
     for r in report.results:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.key} ({r.seconds:.1f}s)",
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.key} ({r.seconds * 1000:.0f} ms)",
               file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_INVARIANT
 

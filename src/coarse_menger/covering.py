@@ -17,17 +17,16 @@ from .graph import (
     Number,
     VertexSet,
     _bfs,
-    _exact_against,
     _greedy_cover,
     _hit_masks,
     _implicit_hitting_set,
     _json_num,
     _member_masks,
+    _ratio,
     _set_cover,
     _walk,
     _within,
     as_vertex_set,
-    is_exact,
     leq,
     neighborhood,
 )
@@ -167,7 +166,7 @@ class DualityReport:
                     continue
                 if not pc.exact or not cc.exact:
                     continue
-                if r > 2 * beta and cc.value < pc.value:
+                if _ratio(r) > 2 * _ratio(beta) and cc.value < pc.value:
                     bad.append(f"r={r} beta={beta}: cover {cc.value} < packing {pc.value}")
         return bad
 
@@ -237,18 +236,17 @@ def duality_sweep(
 
     Two bounds cut the searches; neither changes a value:
 
-    - Packing cells run by ascending r.  Once paths through a common vertex
-      conflict (``not leq(r, 0)``), an r-far packing is vertex-disjoint, so
-      :func:`menger_packing` bounds it.  So does the value at the previous r
-      of the same kind, exact or float (``leq`` adds its tolerance to a float
-      r only): the conflict relation grows with r.
+    - Packing cells run by ascending r, a float read as its shortest
+      decimal (:func:`graph._ratio`), as the radius test reads it.  Once
+      paths through a common vertex conflict (``not leq(r, 0)``), an r-far
+      packing is vertex-disjoint, so :func:`menger_packing` bounds it.  So
+      does the value at the previous r: the conflict relation grows with r.
       ``max_independent_set(..., enough=bound)`` stops at the first set of
       that size, and returns the maximum when there is none.
     - Weak duality: a radius-beta ball has diameter at most 2*beta, so for
       r > 2*beta it meets at most one path of an r-far packing.  A greedy
       cover of packing(r) balls is then optimal, and the branch-and-bound is
-      skipped.  This needs exact weights, r and beta: under the float
-      tolerance one ball can meet two paths that count as r-far.
+      skipped.
 
     When the enumeration is refused, each packing cell falls back to the
     flagged greedy packing of :func:`max_far_packing`.  A cover cell at l = 0
@@ -284,16 +282,14 @@ def duality_sweep(
     value = {}  # position in packs -> exact packing value
     if family is not None and len(g) <= EXACT_PACKING_VERTEX_CAP:
         flow = menger_packing(g, x.members, y.members)
-        last = {}  # is_exact(r) -> the value at the previous r of that kind
-        for i in sorted(range(len(packs)), key=lambda i: packs[i].r):
-            r = packs[i].r
+        last = flow  # the value at the previous r, or the flow
+        for i in sorted(range(len(packs)), key=lambda i: _ratio(packs[i].r)):
             if conflict_free[i]:
-                value[i] = last[is_exact(r)] = everything
+                value[i] = last = everything
                 continue
-            bounds = [flow] + ([last[is_exact(r)]] if is_exact(r) in last else [])
-            rows = _conflicts_through(family, _reach(g, through, r, strict=True))
-            chosen, _ = max_independent_set(rows, enough=min(bounds))
-            value[i] = last[is_exact(r)] = len(chosen)
+            rows = _conflicts_through(family, _reach(g, through, packs[i].r, strict=True))
+            chosen, _ = max_independent_set(rows, enough=min(flow, last))
+            value[i] = last = len(chosen)
     for i, inst in enumerate(packs):
         if i in value:
             report.packing_by_r[inst.r] = DualityCell(value[i], True)
@@ -306,9 +302,9 @@ def duality_sweep(
             hits = _within(g, through, beta)
             target = (1 << len(family)) - 1
             floor = max((v for i, v in value.items()
-                         if is_exact(packs[i].r) and packs[i].r > 2 * beta), default=0)
+                         if _ratio(packs[i].r) > 2 * _ratio(beta)), default=0)
             chosen, _ = _greedy_cover(target, hits)
-            if len(chosen) > (floor if _exact_against(g, beta) else 0):
+            if len(chosen) > floor:
                 chosen, _ = _set_cover(target, hits)
             report.cover_by_radius[beta] = DualityCell(len(chosen), True)
         elif family is not None:

@@ -1,12 +1,13 @@
 """Finite graphs, shortest-path metrics, neighborhoods and centered-set
 certificates.
 
-A :class:`Graph` is immutable after construction.  Every weight is an exact
-ratio (a float is m * 2**e), so distances are summed exactly, as ints scaled
-by the LCM of the denominators.  They are handed out as ints on unweighted
-and int-weighted graphs, as ``Fraction``s when some weight is one, and as the
-correctly rounded floats of the exact sums when some weight is a float; a
-float distance or radius is compared with an absolute tolerance of ``TOL``.
+A :class:`Graph` is immutable after construction.  Every weight and radius
+is an exact ratio: a finite float means its shortest decimal, the one
+``repr`` prints (0.1 is 1/10; :func:`_ratio`).  Distances are summed
+exactly, as ints scaled by the LCM of the denominators, and every comparison
+is exact.  They are handed out as ints on unweighted and int-weighted graphs,
+as ``Fraction``s when some weight is one, and as the correctly rounded floats
+of the exact sums when some weight is a float.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import CapacityError, InputError
 
-TOL = 1e-9
-
 #: hard cap for the exhaustive centered-set search
 EXACT_CENTER_CAP = 20
 
@@ -34,17 +33,19 @@ def is_exact(x: Number) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _ratio(x: Number) -> Number:
+    """``x`` as an exact number: a finite float as its shortest decimal, the
+    one ``repr`` prints (0.1 is 1/10, 0.7 + 0.2 + 0.1 is 1), anything else
+    as it is.  A float subclass (NumPy's ``float64``) is read as its float,
+    whatever its own ``repr``."""
+    return Fraction(repr(float(x))) if isinstance(x, float) and math.isfinite(x) else x
+
+
 def leq(a: Number, b: Number) -> bool:
-    """``a <= b`` with float tolerance; exact when both sides are exact.
-    Every infinite float is ``INF``, however it was made (an exact value is
-    finite)."""
-    if is_exact(a) and is_exact(b):
-        return a <= b
-    if a == INF:
-        return b == INF
-    if b == INF:
-        return True
-    return a <= b + TOL
+    """``a <= b``, exactly, a float read as its shortest decimal
+    (:func:`_ratio`).  Every infinite float is ``INF``, however it was made,
+    and exceeds every finite value."""
+    return _ratio(a) <= _ratio(b)
 
 
 def _norm_edge(u: int, v: int) -> tuple:
@@ -56,7 +57,7 @@ class Graph:
 
     __slots__ = (
         "vertices", "edges", "weights", "_vset", "_adj", "_dist_cache", "_bits", "_closed",
-        "_scaled", "_exact", "_int_rows", "_lengths",
+        "_scaled", "_int_rows", "_lengths",
     )
 
     def __init__(
@@ -83,7 +84,6 @@ class Graph:
         except (TypeError, ValueError) as exc:
             raise InputError(f"bad edge: {exc}") from None
         self.edges = tuple(sorted(es))
-        self._exact = True  # every distance is an int, a Fraction or INF
         if weights is not None:
             w = {}
             try:
@@ -100,7 +100,6 @@ class Graph:
                         # or a Fraction is always finite
                         if isinstance(val, bool) or not math.isfinite(val):
                             raise InputError(f"weight {val!r} on edge {e} is not a finite number")
-                        self._exact = False
                     w[e] = val
             except (TypeError, ValueError) as exc:
                 raise InputError(f"bad edge weight: {exc}") from None
@@ -304,9 +303,9 @@ class Graph:
 
     def _scaled_adjacency(self):
         """``(scale, adjacency, kind)``, computed once per graph.  Every
-        weight is an exact ratio (``as_integer_ratio``; a float is m * 2**e),
-        and ``scale`` is the LCM of their denominators: 1 on unit and int
-        hosts, a power of two when every weight is a float.
+        weight is an exact ratio (:func:`_ratio`: a float is its shortest
+        decimal), and ``scale`` is the LCM of their denominators: 1 on unit
+        and int hosts, 10 when the float weights are 0.1, 0.2 and 0.7.
         ``adjacency[u]`` lists ``(n, weight(u, n) * scale)`` with int weights
         (None on a unit host).  ``kind`` is the type of a length: float if
         some weight is a float, else ``Fraction`` if some weight is one,
@@ -316,10 +315,10 @@ class Graph:
             if ws is None:
                 self._scaled = (1, None, int)
             else:
-                ratios = {e: w.as_integer_ratio() for e, w in ws.items()}
+                ratios = {e: _ratio(w).as_integer_ratio() for e, w in ws.items()}
                 scale = math.lcm(*(q for _, q in ratios.values()))
                 ints = {e: p * (scale // q) for e, (p, q) in ratios.items()}
-                kind = (float if not self._exact else
+                kind = (float if not all(map(is_exact, ws.values())) else
                         Fraction if any(isinstance(w, Fraction) for w in ws.values()) else int)
                 self._scaled = (scale, {
                     u: tuple((n, ints[_norm_edge(u, n)]) for n in ns)
@@ -508,12 +507,6 @@ def _member_masks(g: Graph, members: Sequence) -> dict:
     return through
 
 
-def _exact_against(g: Graph, r: Number) -> bool:
-    """Whether ``r`` and the distances of ``g`` are exact, so that ``leq``
-    between them is plain ``<=`` (``inf`` too: it exceeds every exact ``r``)."""
-    return g._exact and is_exact(r)
-
-
 def _within(g: Graph, through: dict, r: Number, strict: bool = False,
             centers: Optional[Iterable[int]] = None) -> list:
     """The library's one test of a distance against a radius.
@@ -525,22 +518,19 @@ def _within(g: Graph, through: dict, r: Number, strict: bool = False,
     with a family's :func:`_member_masks`, the mask of the members the ball
     meets.  The call takes one int threshold ``t`` and compares the int rows
     (:meth:`Graph._int_row`, the exact distances times ``scale``) with it:
-    ``d * scale <= t``.  On an exact host with an exact ``r``, ``t`` is
-    ``floor(r * scale)``, or ``ceil(r * scale) - 1`` when ``strict``;
-    otherwise the tolerance moves ``r`` first, to ``r + TOL``, or to
-    ``r - TOL`` when ``strict``.  An infinite ``r`` takes every vertex, or
-    when ``strict`` every vertex at a finite distance.
+    ``d * scale <= t``.  For a finite ``r`` (a float read by :func:`_ratio`),
+    ``t`` is ``floor(r * scale)``, or ``ceil(r * scale) - 1`` when
+    ``strict``.  An infinite ``r`` takes every vertex, or when ``strict``
+    every vertex at a finite distance.
     """
     scale, adj, _ = g._scaled_adjacency()
-    if _exact_against(g, r):
-        t = math.ceil(r * scale) - 1 if strict else math.floor(r * scale)
-    elif r == INF:
+    if r == INF:
         # the total scaled weight is past every finite distance
         t = INF if not strict else (
             len(g.edges) if adj is None else sum(w for ns in adj.values() for _, w in ns))
     else:
-        t = (math.ceil(Fraction(r - TOL) * scale) - 1 if strict
-             else math.floor(Fraction(r + TOL) * scale))
+        rs = _ratio(r) * scale
+        t = math.ceil(rs) - 1 if strict else math.floor(rs)
     masks = []
     for c in g.vertices if centers is None else centers:
         dc = g._int_row(c)

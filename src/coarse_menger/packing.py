@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
 from .graph import (Graph, Number, _bfs, _member_masks, _walk, _within, as_vertex_set,
-                    distance, leq, set_distance)
+                    set_distance)
 from .paths import PathWitness, _enumerate, enumerate_chordless_paths, make_path
 
 EXACT_PACKING_VERTEX_CAP = 16
@@ -82,14 +82,13 @@ def far_conflicts(g: Graph, members: Sequence, r: Number) -> List[Adjacency]:
     ``result[i]`` is set iff ``i != j`` and ``set_distance(g, members[i],
     members[j]) < r``.
 
-    ``leq`` decides each vertex pair on the row of its vertex in
-    ``members[i]``, so int, Fraction and float weights compare as in
-    :func:`set_distance` (``leq`` is monotone in its second argument: no pair
-    is closer than ``r`` iff the set distance is not).  On an exact host with
-    an exact ``r`` that is plain ``<``.
+    The radius test :func:`graph._within` decides each vertex pair, exactly:
+    no pair is closer than ``r`` iff the set distance is not.
     """
     if not all(members):
         raise InputError("far conflicts over an empty set")
+    if not r >= 0:  # NaN too
+        raise InputError("negative radius")
     return _conflicts_through(members, _reach(g, _member_masks(g, members), r, strict=True))
 
 
@@ -231,12 +230,15 @@ def _shortest_lxy_path(g: Graph, allowed: set, x: frozenset, y: frozenset, l):
     Endpoint distance is measured in the full host graph.
     """
     best = None
+    bit = g.vertex_bits()
     for s in sorted(x & allowed):
         # BFS tree inside allowed (unweighted hop count is fine for greedy
         # ordering even on weighted hosts)
         parent, _ = _bfs(g, [s], allowed)
+        # the vertices closer than l (none at l = 0, where no row is read)
+        near = 0 if l == 0 else _within(g, bit, l, strict=True, centers=[s])[0]
         for t in sorted(y):
-            if t not in parent or not leq(l, distance(g, s, t)):
+            if t not in parent or near & bit[t]:
                 continue
             cand = make_path(g, _walk(parent, t)[::-1])
             key = (cand.length, cand.sequence)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
-from .graph import INF, Graph, Number, as_vertex_set, distance, leq, set_distance
+from .graph import INF, Graph, Number, _within, as_vertex_set, distance, leq, set_distance
 
 #: default vertex-count limit for uncapped path enumeration
 ENUM_VERTEX_LIMIT = 16
@@ -139,6 +139,8 @@ def _sequences(
     """
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
+    if not l >= 0:  # NaN too
+        raise InputError("need l >= 0")
     if cap is None and len(g) > ENUM_VERTEX_LIMIT:
         raise CapacityError(
             f"uncapped path enumeration limited to {ENUM_VERTEX_LIMIT} vertices",
@@ -153,15 +155,13 @@ def _sequences(
     bit = g.vertex_bits()
     ends = y.members
     barred = x.members - ends if minimal else frozenset()
-    # distances are >= 0, so at l = 0 every end passes without a test, and
-    # no distance row is read
-    any_end = l == 0
 
-    def extend(seq: list, body: int, dist_start: Optional[dict]) -> bool:
-        # ``body`` is the mask of seq[:-1]; True once ``stop`` paths are found
+    def extend(seq: list, body: int, near: int) -> bool:
+        # ``body`` is the mask of seq[:-1], ``near`` that of the vertices
+        # closer than l to seq[0]; True once ``stop`` paths are found
         tail = seq[-1]
         if tail in ends:
-            if any_end or leq(l, dist_start[tail]):
+            if not near & bit[tail]:
                 found[canonical_sequence(seq)] = None
                 if len(found) >= stop:
                     return True
@@ -172,14 +172,16 @@ def _sequences(
             if blocking[n] & body or n in barred:
                 continue
             seq.append(n)
-            done = extend(seq, grown, dist_start)
+            done = extend(seq, grown, near)
             seq.pop()
             if done:
                 return True
         return False
 
     for start in sorted(x.members):
-        if extend([start], 0, None if any_end else g.dist_from(start)):
+        # distances are >= 0: at l = 0 no vertex is closer, and no row is read
+        near = 0 if l == 0 else _within(g, bit, l, strict=True, centers=[start])[0]
+        if extend([start], 0, near):
             break
     return list(found)
 

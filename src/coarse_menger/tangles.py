@@ -26,6 +26,7 @@ from .graph import (
     Number,
     VertexSet,
     _components,
+    _ratio,
     as_vertex_set,
     certify_centered,
     leq,
@@ -247,7 +248,7 @@ def _check_premises(g: Graph, l: VertexSet, fam, k: int, r: Number,
     r/2, the subgraph's boundary inside z, z (xi, eta)-centered, a valid
     family, and fewer than k members pairwise r-far.  Returns z's
     certificate, the subgraph induced on l and the checked members."""
-    if not leq(r / 2, r_prime):
+    if not leq(r, 2 * _ratio(r_prime)):  # r' >= r/2, with no rounding
         raise PreconditionError("need r' >= r/2",
                                 detail={"r": r, "r_prime": r_prime})
     boundary = frozenset(
@@ -306,7 +307,7 @@ def easy_tangle_trichotomy(
         z_star = fat_z | extra
         all_centers = frozenset(z_cert.centers.members) | centers
         cert = CenteredSet(
-            VertexSet(z_star, g), VertexSet(all_centers, g), eta + r_prime
+            VertexSet(z_star, g), VertexSet(all_centers, g), _ratio(eta) + _ratio(r_prime)
         )
         for f in members:
             if not z_star & f:
@@ -430,6 +431,7 @@ def tangle_decompose(
             actual=(len(l), k, max(thetas)),
         )
     z_cert, sub_l, members = _check_premises(g, l, fam, k, r, r_prime, z, xi, eta)
+    r2 = 2 * _ratio(r_prime)  # exact, as the radius test reads r'
 
     def fatten(s: frozenset, radius: Number) -> frozenset:
         return neighborhood(g, s, radius).members
@@ -473,11 +475,11 @@ def tangle_decompose(
                 return fat_z, [HPiece(homes[0], 0, fat_z)]
             # shrink: some oriented separation has no doubly-far member on
             # its big side; its fattened separator then meets every member
-            far2 = _far_members(mem, fatten(zv, 2 * r_prime))
+            far2 = _far_members(mem, fatten(zv, r2))
             for s in t.members:
                 shadow = fatten(s.separator, r_prime)
                 if not any(f <= s.b - shadow for f in far2):
-                    z_star = ((fatten(zv, 2 * r_prime) | shadow) & lv) | fat_z
+                    z_star = ((fatten(zv, r2) | shadow) & lv) | fat_z
                     return z_star, []
             raise InternalInconsistencyError(
                 "orientation exists for the input set but not its fattening,"
@@ -530,7 +532,7 @@ def tangle_decompose(
 
     # --- re-verify every conclusion ---
     fat_z = fatten(z.members, r_prime)
-    fat2_z = fatten(z.members, 2 * r_prime)
+    fat2_z = fatten(z.members, r2)
     if not (fat_z <= z_star and z_star <= fat_z | l.members):
         raise InternalInconsistencyError("z_star escapes its sandwich bounds")
     if len(raw_pieces) > k - 1:
@@ -541,12 +543,12 @@ def tangle_decompose(
 
     fresh_budget = _theta_budget(thetas, k - 1)
     fresh_cert = _certify_or_raise(
-        g, z_star - fat2_z, fresh_budget, 2 * r_prime, "fresh part of z_star"
+        g, z_star - fat2_z, fresh_budget, r2, "fresh part of z_star"
     )
     full_cert = CenteredSet(
         VertexSet(z_star, g),
         VertexSet(z_cert.centers.members | fresh_cert.centers.members, g),
-        eta + 2 * r_prime,
+        _ratio(eta) + r2,
     )
     if full_cert.center_count > xi + fresh_budget:
         raise InternalInconsistencyError("z_star center budget exceeded")
@@ -583,7 +585,7 @@ def tangle_decompose(
         else:
             _certify_or_raise(
                 g, p.z_h - fat2_z, _theta_budget(thetas, p.i_h),
-                2 * r_prime, "piece boundary"
+                r2, "piece boundary"
             )
         # component absorption
         for c in leftover:

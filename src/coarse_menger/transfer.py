@@ -19,6 +19,7 @@ from .graph import (
     Number,
     VertexSet,
     _json_num,
+    _ratio,
     as_vertex_set,
     distance,
     leq,
@@ -87,7 +88,9 @@ def _check_total(src: Graph, tgt: Graph, q: QuasiIsometry):
 
 
 def verify_quasi_isometry(src: Graph, tgt: Graph, q: QuasiIsometry) -> QuasiIsometryVerdict:
-    """Exhaustive check of both distance bounds and target coverage."""
+    """Exhaustive check of both distance bounds and target coverage.  The
+    slacks, the tightest one too, are exact: a float is read as its shortest
+    decimal (:func:`graph._ratio`)."""
     if len(src) > VERIFY_PAIRS_CAP or len(tgt) > VERIFY_PAIRS_CAP:
         raise CapacityError(
             "all-pairs verification capped",
@@ -96,6 +99,7 @@ def verify_quasi_isometry(src: Graph, tgt: Graph, q: QuasiIsometry) -> QuasiIsom
         )
     _check_total(src, tgt, q)
 
+    m = _ratio(q.m)
     needed_a = 0
     worst = None
     upper_ok = lower_ok = True
@@ -108,8 +112,9 @@ def verify_quasi_isometry(src: Graph, tgt: Graph, q: QuasiIsometry) -> QuasiIsom
                 return QuasiIsometryVerdict(False, False, False, False, None, (u, v))
             if math.isinf(ds):
                 continue
-            over = dt - q.m * ds       # upper bound slack needed
-            under = ds / q.m - dt      # lower bound slack needed
+            ds, dt = _ratio(ds), _ratio(dt)
+            over = dt - m * ds                # upper bound slack needed
+            under = Fraction(ds) / m - dt     # lower bound slack needed
             gap = max(over, under)
             if gap > needed_a:
                 needed_a, worst = gap, (u, v)
@@ -121,7 +126,7 @@ def verify_quasi_isometry(src: Graph, tgt: Graph, q: QuasiIsometry) -> QuasiIsom
     image = frozenset(q.map[v] for v in src.vertices)
     coverage_ok = True
     for y in tgt.vertices:
-        d = min(distance(tgt, y, im) for im in image)
+        d = _ratio(min(distance(tgt, y, im) for im in image))
         if d > needed_a:
             needed_a, worst = d, (y, y)
         if not leq(d, q.a):
@@ -260,9 +265,9 @@ def pullback_hitting_set(
     z_target = as_vertex_set(tgt, z_target)
     a_vs = as_vertex_set(src, a_set)
     b_vs = as_vertex_set(src, b_set)
-    m, a = q.m, q.a
+    m, a = _ratio(q.m), _ratio(q.a)  # exact radii and lengths below
 
-    l1 = m * l + 3 * a
+    l1 = m * _ratio(l) + 3 * a
     ia = frozenset(q.map[v] for v in a_vs.members)
     ib = frozenset(q.map[v] for v in b_vs.members)
     from .paths import ENUM_VERTEX_LIMIT, enumerate_chordless_paths
@@ -295,7 +300,7 @@ def pullback_hitting_set(
     chosen = []
     enum = enumerate_chordless_paths(src, l, a_vs, b_vs, cap=None)
     for p in enum.paths:
-        d = p.endpoint_distance
+        d = _ratio(p.endpoint_distance)
         if not (leq(l, d) and d < l2 and p.length <= d + 1):
             continue
         if all(leq(r, set_distance(src, p.vertex_set, c.vertex_set))
@@ -303,7 +308,7 @@ def pullback_hitting_set(
             chosen.append(p)
     union = frozenset().union(*(p.vertex_set for p in chosen)) \
         if chosen else frozenset()
-    z4 = neighborhood(src, union, r + l2 + 1).members if union else frozenset()
+    z4 = neighborhood(src, union, _ratio(r) + l2 + 1).members if union else frozenset()
 
     out = VertexSet(z3 | z4, src)
     for p in enum.paths:

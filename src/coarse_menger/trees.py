@@ -33,6 +33,7 @@ from .graph import (
     _bfs,
     _implicit_hitting_set,
     _member_masks,
+    _ratio,
     _walk,
     as_vertex_set,
     certify_centered,
@@ -450,18 +451,19 @@ def easy_tree_hitting(
                                 "separation": sep.to_json_dict()},
                     )
 
+    radius = _ratio(eta) + _ratio(r)  # the hitting side's, summed exactly
     if not fam.members:
         empty = VertexSet(frozenset(), g)
         return EasyTreeResult(
             "hitting",
-            centered=CenteredSet(empty, empty, eta + r),
+            centered=CenteredSet(empty, empty, radius),
             center_budget=(c * k - 1) * xi,
-            radius_budget=eta + r,
+            radius_budget=radius,
         )
 
     # direct packing attempt: members pairwise farther than 2r
     unions = [fam.union(m) for m in fam.members]
-    near = _reach(g, _member_masks(g, unions), 2 * r, strict=False)
+    near = _reach(g, _member_masks(g, unions), 2 * _ratio(r), strict=False)
     packing, _ = max_independent_set(_conflicts_through(unions, near), enough=k)
     if len(packing) >= k:
         return EasyTreeResult("packing",
@@ -508,7 +510,7 @@ def easy_tree_hitting(
             centers = frozenset().union(
                 *(bag_certs[t].centers.members for t in nodes_hit)
             )
-            cert = CenteredSet(VertexSet(z, g), VertexSet(centers, g), eta + r)
+            cert = CenteredSet(VertexSet(z, g), VertexSet(centers, g), radius)
             for m in fam.members:
                 if not (z & fam.union(m)):
                     raise InternalInconsistencyError(
@@ -520,7 +522,7 @@ def easy_tree_hitting(
                 "hitting",
                 centered=cert,
                 center_budget=(c * k - 1) * xi,
-                radius_budget=eta + r,
+                radius_budget=radius,
             )
 
     # every component index admits c·k disjoint traces: recombine
@@ -530,7 +532,7 @@ def easy_tree_hitting(
         recombined.append(tuple(fam.members[selection[j][beta]][j] for j in range(c)))
     for m1, m2 in itertools.combinations(recombined, 2):
         d = set_distance(g, frozenset().union(*m1), frozenset().union(*m2))
-        if not d > 2 * r:
+        if leq(d, 2 * _ratio(r)):
             raise InternalInconsistencyError(
                 "recombined members are not pairwise far"
             )
@@ -1153,7 +1155,7 @@ def rooted_fat_minor_ep(
     if problems:
         raise InputError(f"invalid tree-decomposition: {problems}")
 
-    rho = max(math.ceil((r - 1) / 2), 0)  # cover radius, l = 0
+    rho = max(math.ceil((_ratio(r) - 1) / 2), 0)  # cover radius, l = 0
     budget = td.max_bag_size * k
 
     if len(g) <= MODEL_ENUM_CAP:

@@ -28,8 +28,8 @@ R_VALUES = (1, 2, 3)
 BETA_VALUES = (0, 1)
 FRACTION_WEIGHTS = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2))
 FRACTION_COPIES = 4
-#: sums such as 0.3 + 0.7 land next to an integer threshold, so the float
-#: copy exercises the TOL comparison
+#: sums such as 0.3 + 0.7 land on an integer threshold, so the float copy
+#: exercises the shortest-decimal reading of its weights
 FLOAT_WEIGHTS = (0.3, 0.7, 1.0)
 
 

@@ -2,8 +2,8 @@
 cross-check oracles.
 
 For ``coarse_menger.packing`` they are the straightforward formulations: one
-``set_distance`` per pair of members, and a branch-and-bound over Python lists
-and adjacency sets.  The relations that ``gallai_packing`` and
+exact set distance per pair of members, and a branch-and-bound over Python
+lists and adjacency sets.  The relations that ``gallai_packing`` and
 ``easy_tree_hitting`` built with one test per pair of members, before the one
 row builder ``packing._conflicts_through`` made them, are kept as
 ``set_sharing_conflicts`` and ``set_near_conflicts``.  For the rooted-grid path they are the frozenset versions
@@ -12,8 +12,10 @@ of the boundary DP, the blocker scan and the minimal-support scan in
 ``coarse_menger.acceptance``, with the same search orders; that oracle also
 keeps its earlier mask search, which revisits states, and the DP its earlier
 mask version, whose blocks are ``(label, mask)`` pairs.
-For the radius test ``graph._within`` it is the per-(center, vertex)
-``leq`` loop ``within_through``, on distances summed by ``fraction_dijkstra``.
+For the radius test ``graph._within`` it is the per-(center, vertex) loop
+``within_through``.  Every oracle here reads a float weight or radius as its
+shortest decimal itself (``decimal``) and compares exact distances, summed by
+``fraction_dijkstra``, without the library's ``leq``.
 For the covering side they are the per-(center, member) loop of
 ``graph._hit_masks``, the frozenset set covers (``min_set_cover``,
 the exact and greedy search of ``certify_centered`` and the search of
@@ -35,6 +37,7 @@ import heapq
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from coarse_menger.acceptance import _RootedSupports
@@ -57,10 +60,7 @@ from coarse_menger.graph import (
     _norm_edge,
     as_vertex_set,
     distance,
-    is_exact,
-    leq,
     neighborhood,
-    set_distance,
 )
 from coarse_menger.packing import (
     EXACT_PACKING_VERTEX_CAP,
@@ -79,13 +79,18 @@ from coarse_menger.tangles import enumerate_separations
 from coarse_menger.trees import MODEL_ENUM_CAP, Separation
 
 
+def decimal(x):
+    """``x`` as an exact number: a finite float as its shortest decimal,
+    ``Fraction(repr(x))``; anything else as it is."""
+    return Fraction(repr(x)) if isinstance(x, float) and math.isfinite(x) else x
+
+
 def fraction_dijkstra(g: Graph, source: int) -> dict:
-    """Shortest-path lengths from ``source``, summing the weights as given
-    (1 per edge on a unit host): the source at int 0, unreachable vertices
-    at ``INF``.  This is the Dijkstra that ``Graph.dist_from`` ran on hosts
-    with float weights, and on hosts mixing int and ``Fraction`` weights,
-    before every host summed scaled ints.  It is exact on ``Fraction``
-    weights; on floats each sum rounds, in the order of the path."""
+    """Exact shortest-path lengths from ``source``, summing the weights read
+    by :func:`decimal` (1 per edge on a unit host): the source at int 0,
+    unreachable vertices at ``INF``.  This is the Dijkstra that
+    ``Graph.dist_from`` ran on hosts mixing int and ``Fraction`` weights,
+    before every host summed scaled ints."""
     dist = {}
     heap = [(0, source)]
     while heap:
@@ -95,16 +100,25 @@ def fraction_dijkstra(g: Graph, source: int) -> dict:
         dist[u] = d
         for n in g.neighbors(u):
             if n not in dist:
-                w = 1 if g.weights is None else g.weights[_norm_edge(u, n)]
+                w = 1 if g.weights is None else decimal(g.weights[_norm_edge(u, n)])
                 heapq.heappush(heap, (d + w, n))
     return {v: dist.get(v, INF) for v in g.vertices}
+
+
+def exact_set_distance(g: Graph, members: Sequence[frozenset]):
+    """The set distance of two of ``members``, as a function: the least
+    :func:`fraction_dijkstra` length from a vertex of one to one of the
+    other, on one row per vertex of the members."""
+    rows = {v: fraction_dijkstra(g, v) for v in frozenset().union(*members)}
+    return lambda s, t: min(rows[u][v] for u in s for v in t)
 
 
 def set_far_conflicts(g, members: Sequence[frozenset], r) -> List[set]:
     """``j in result[i]`` iff ``i != j`` and the members are closer than r."""
     conflicts: List[set] = [set() for _ in members]
+    dist = exact_set_distance(g, members)
     for i, j in itertools.combinations(range(len(members)), 2):
-        if not leq(r, set_distance(g, members[i], members[j])):
+        if dist(members[i], members[j]) < decimal(r):
             conflicts[i].add(j)
             conflicts[j].add(i)
     return conflicts
@@ -126,13 +140,10 @@ def set_sharing_conflicts(members: Sequence[frozenset]) -> List[int]:
     return pairwise_conflicts(members, lambda s, t: not s.isdisjoint(t))
 
 
-def set_near_conflicts(g, members: Sequence[frozenset], radius, tolerant=False) -> List[int]:
-    """Members conflict iff their set distance is at most ``radius``: exactly,
-    as ``not set_distance > radius``, or with ``leq``'s float tolerance when
-    ``tolerant``."""
-    if tolerant:
-        return pairwise_conflicts(members, lambda s, t: leq(set_distance(g, s, t), radius))
-    return pairwise_conflicts(members, lambda s, t: not set_distance(g, s, t) > radius)
+def set_near_conflicts(g, members: Sequence[frozenset], radius) -> List[int]:
+    """Members conflict iff their set distance is at most ``radius``."""
+    dist = exact_set_distance(g, members)
+    return pairwise_conflicts(members, lambda s, t: dist(s, t) <= decimal(radius))
 
 
 def set_max_independent_set(conflicts: List[set], order: Sequence[int]):
@@ -804,17 +815,18 @@ def memo_exhaustive_two_disjoint_supports(g: Graph, roots: Sequence[frozenset]):
 
 
 def _ball(g: Graph, center: int, r) -> frozenset:
-    du = g.dist_from(center)
-    return frozenset(v for v, d in du.items() if leq(d, r))
+    r = decimal(r)
+    return frozenset(v for v, d in fraction_dijkstra(g, center).items() if d <= r)
 
 
 def _ball_mask(g: Graph, center: int, r) -> int:
-    """:func:`_ball` as a mask over ``Graph.vertex_bits``, one ``leq`` per
-    vertex."""
+    """:func:`_ball` as a mask over ``Graph.vertex_bits``, one comparison
+    per vertex."""
     bit = g.vertex_bits()
+    r = decimal(r)
     mask = 0
-    for v, d in g.dist_from(center).items():
-        if leq(d, r):
+    for v, d in fraction_dijkstra(g, center).items():
+        if d <= r:
             mask |= bit[v]
     return mask
 
@@ -822,23 +834,19 @@ def _ball_mask(g: Graph, center: int, r) -> int:
 def within_through(g: Graph, through: dict, r, strict: bool = False,
                    centers=None) -> List[int]:
     """Per center (every vertex in vertex order by default), the OR of
-    ``through[v]`` over the vertices ``v`` within ``r`` of it (``leq(d,
-    r)``), or closer than ``r`` (``not leq(r, d)``) when ``strict``: one
-    ``leq`` per (center, vertex), the loop of ``graph._within`` before it
-    compared scaled int rows, and its reference.  The distances come from
-    :func:`fraction_dijkstra`, not from ``dist_from``: on float hosts they
-    are the sums as given, so a mask that moves against the old summation
-    shows.  There every length is made a float, as ``dist_from`` hands it
-    out, so that each comparison takes the tolerance."""
-    exact = g.weights is None or all(is_exact(w) for w in g.weights.values())
+    ``through[v]`` over the vertices ``v`` within ``r`` of it (``d <= r``),
+    or closer than ``r`` (``d < r``) when ``strict``: one comparison per
+    (center, vertex), the loop of ``graph._within`` before it compared
+    scaled int rows, and its reference.  The distances are the exact
+    :func:`fraction_dijkstra` sums, not ``dist_from``'s rows, and ``r`` is
+    read by :func:`decimal`."""
+    r = decimal(r)
     masks = []
     for c in g.vertices if centers is None else centers:
         dc = fraction_dijkstra(g, c)
-        if not exact:
-            dc = {v: float(d) for v, d in dc.items()}
         mask = 0
         for v, holders in through.items():
-            if not leq(r, dc[v]) if strict else leq(dc[v], r):
+            if dc[v] < r if strict else dc[v] <= r:
                 mask |= holders
         masks.append(mask)
     return masks
@@ -1029,10 +1037,12 @@ def set_enumerate_paths(g: Graph, l, x, y, cap: Optional[int] = None) -> PathEnu
         return PathEnumeration((), False)
 
     found = {}  # canonical sequences, in the order the search finds them
+    rows = {v: fraction_dijkstra(g, v) for v in x.members}
+    l = decimal(l)
 
     def extend(seq: list, seen: set):
         tail = seq[-1]
-        if tail in y.members and leq(l, distance(g, seq[0], tail)):
+        if tail in y.members and l <= rows[seq[0]][tail]:
             found.setdefault(canonical_sequence(seq))
         for n in g.neighbors(tail):
             if n not in seen:

@@ -22,7 +22,7 @@ def test_criterion(key, capsys):
     result = run_criterion(key)
     with capsys.disabled():
         print(f"{'PASS' if result.passed else 'FAIL'}: {key} "
-              f"({result.seconds:.1f}s)")
+              f"({result.seconds * 1000:.0f} ms)")
     assert result.passed, result.detail
 
 

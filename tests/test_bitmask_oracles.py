@@ -20,10 +20,8 @@ from coarse_menger.errors import InputError, InternalInconsistencyError
 from coarse_menger.generators import grid, grid_column
 from coarse_menger.graph import (
     INF,
-    TOL,
     Graph,
     VertexSet,
-    is_exact,
     _greedy_cover,
     _hit_masks,
     _member_masks,
@@ -44,6 +42,7 @@ from coarse_menger.paths import _enumerate, enumerate_chordless_paths, enumerate
 from conftest import random_connected
 from set_oracles import (
     _ball,
+    decimal,
     find_clique,
     nx_menger_packing,
     plain_duality_sweep,
@@ -193,8 +192,8 @@ def test_gallai_rows_match_the_disjointness_oracle(seed, kind):
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(sorted(ROW_WEIGHTS)),
        st.sampled_from(RADII))
 def test_easy_tree_rows_match_the_per_pair_oracle(seed, kind, r):
-    # members conflict iff they are within 2r: exactly on exact hosts with an
-    # exact r, else with the float tolerance of every other radius test
+    # members conflict iff they are within 2r, a float r read as its
+    # shortest decimal, like every other radius
     g, rng = _row_host(seed, kind)
     fam = trees.ExchangeableFamily(
         g, [(_connected_set(g, rng),) for _ in range(rng.randint(1, 6))], 1)
@@ -203,13 +202,13 @@ def test_easy_tree_rows_match_the_per_pair_oracle(seed, kind, r):
         g, frozenset(g.vertices), fam, trees.Location(g, ()), td, r=r, k=2,
         xi=td.max_bag_size, eta=0))
     unions = [fam.union(m) for m in fam.members]
-    tolerant = kind == "float" or not is_exact(r)
-    assert rows == set_near_conflicts(g, unions, 2 * r, tolerant)
+    assert rows == set_near_conflicts(g, unions, 2 * decimal(r))
     assert all(type(row) is Adjacency for row in rows)
 
 
 def test_easy_tree_members_within_tol_above_2r_conflict():
-    # the members are 1/2 apart; 2r falls short of that by 2e-10 or by 2e-8
+    # the members are 1/2 apart; 2r falls short of that by 2e-10 or by 2e-8,
+    # so they are farther than 2r on every host, and within 2r at r = 1/4
     def rows(weights, r):
         g = Graph([0, 1], [(0, 1)], weights)
         fam = trees.ExchangeableFamily(g, [(frozenset([0]),), (frozenset([1]),)], 1)
@@ -218,10 +217,11 @@ def test_easy_tree_members_within_tol_above_2r_conflict():
             g, frozenset(g.vertices), fam, trees.Location(g, ()), td, r=r, k=2,
             xi=td.max_bag_size, eta=0))
 
-    assert rows({(0, 1): 0.5}, 0.25 - 1e-10) == [0b10, 0b01]
+    assert rows({(0, 1): 0.5}, 0.25 - 1e-10) == [0, 0]
     assert rows({(0, 1): 0.5}, 0.25 - 1e-8) == [0, 0]
-    assert rows({(0, 1): Fraction(1, 2)}, 0.25 - 1e-10) == [0b10, 0b01]
+    assert rows({(0, 1): Fraction(1, 2)}, 0.25 - 1e-10) == [0, 0]
     assert rows({(0, 1): Fraction(1, 2)}, Fraction(1, 4) - Fraction(1, 10**10)) == [0, 0]
+    assert rows({(0, 1): 0.5}, 0.25) == rows({(0, 1): Fraction(1, 2)}, 0.25) == [0b10, 0b01]
 
 
 @settings(max_examples=150, deadline=None)
@@ -316,7 +316,7 @@ def test_far_conflicts_reject_bad_members():
 
 
 def test_far_conflicts_use_float_tolerance():
-    # 0.7 + 0.2 + 0.1 sums to just below 1: within TOL of r = 1, so not closer
+    # 0.7 + 0.2 + 0.1 is exactly 1 as decimals: not closer than r = 1
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)], {(0, 1): 0.7, (1, 2): 0.2, (2, 3): 0.1})
     members = [frozenset([0]), frozenset([3])]
     assert set_far_conflicts(g, members, 1) == [set(), set()]
@@ -486,8 +486,8 @@ def test_within_matches_the_per_pair_reference(seed, kind, connected, strict):
     # disconnected hosts put INF in the rows; the radii are 0, exact and float
     # values on every kind of host, every distance as given and as a Fraction
     # (r * scale on a distance), a sixth either side of one (r * scale off
-    # the int lattice), and distances moved by half the float tolerance
-    # either way, down to an exact r
+    # the int lattice), and distances moved by 5e-10 either way, down to an
+    # exact r
     rng = random.Random(seed)
     n = rng.randint(2, 9)
     if connected:
@@ -501,7 +501,7 @@ def test_within_matches_the_per_pair_reference(seed, kind, connected, strict):
     d = rng.choice(dists)
     r = rng.choice((0, 1, Fraction(3, 2), 2, 0.3, 1.0, 2.5, d, float(d), Fraction(d),
                     Fraction(d) + Fraction(1, 6), max(Fraction(d) - Fraction(1, 6), 0),
-                    d + TOL / 2, float(d) - TOL / 2, max(Fraction(d) - Fraction(TOL) / 2, 0)))
+                    d + 5e-10, float(d) - 5e-10, max(Fraction(d) - Fraction(5, 10**10), 0)))
     through = rng.choice((
         g.vertex_bits(),
         _member_masks(g, _members(g, rng)),
@@ -549,7 +549,8 @@ def test_menger_packing_matches_networkx_flow(n, p, connected, seed):
 
 # -- duality sweep --------------------------------------------------------------
 
-#: with 1e-10 <= TOL, paths through a common vertex are 1e-10-far
+#: 1e-10 is a positive radius: paths through a common vertex are not
+#: 1e-10-far
 SWEEP_R = RADII + (1e-10, 1.0, 4)
 SWEEP_BETA = (0, 0.25, Fraction(1, 2), 1, 1.5)
 
@@ -578,19 +579,21 @@ def test_duality_sweep_matches_the_plain_sweep(host, l, r_values, beta_values):
 
 
 def test_duality_sweep_has_no_flow_cap_at_a_float_r_within_tolerance():
-    # two paths through x = {0}: one disjoint path, two 1e-10-far ones
+    # two paths through x = {0}: r = 1e-10 is positive, so they conflict and
+    # the flow's one disjoint path caps the cell, as at r = 1
     g = Graph(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
     report = _same_sweep(g, {0}, {3}, 0, [1, 1e-10], [])
     assert menger_packing(g, {0}, {3}) == 1
-    assert report.packing_by_r[1e-10].value == 2
+    assert report.packing_by_r[1e-10].value == 1
 
 
 def test_duality_sweep_counts_every_chordless_path_at_a_float_r_within_tolerance():
-    # x & y = {1}: the minimal family is the one-vertex path (1,), while the
-    # 1e-10 cell packs all four chordless paths (0,1), (0,1,2), (1,), (1,2)
+    # x & y = {1}: the minimal family is the one-vertex path (1,); the four
+    # chordless paths (0,1), (0,1,2), (1,), (1,2) all hold vertex 1, so none
+    # two are 1e-10-far and every cell is 1
     g = Graph(range(3), [(0, 1), (1, 2)])
     report = _same_sweep(g, {0, 1}, {1, 2}, 0, [1, 1e-10, 0.5], [0, 1])
-    assert [c.value for c in report.packing_by_r.values()] == [1, 4, 1]
+    assert [c.value for c in report.packing_by_r.values()] == [1, 1, 1]
     assert [c.value for c in report.cover_by_radius.values()] == [1, 1]
 
 
@@ -629,11 +632,58 @@ def test_duality_sweep_has_no_cover_floor_at_r_equal_to_two_beta():
 
 def test_duality_sweep_bounds_r_only_by_a_smaller_r_of_its_kind():
     # the paths {0, 2} and {1, 3} are d = 1 - 2e-10 apart: closer than the
-    # exact r = 1, but 1e-9-far from the larger float r
+    # exact r = 1 and the float r = 1.0000000005, and far at the float r =
+    # 0.9999999997, whose cell bounds the others whatever their kind
     d = Fraction(4999999999, 5000000000)
     g = Graph(range(4), [(0, 1), (0, 2), (1, 3)], {(0, 1): d, (0, 2): 1, (1, 3): 1})
-    report = _same_sweep(g, {0, 1}, {2, 3}, 0, [1.0000000005, 1], [])
-    assert [c.value for c in report.packing_by_r.values()] == [2, 1]
+    report = _same_sweep(g, {0, 1}, {2, 3}, 0, [1.0000000005, 1, 0.9999999997], [])
+    assert [c.value for c in report.packing_by_r.values()] == [1, 1, 2]
+
+
+@pytest.mark.parametrize("r_values", [[Fraction("0.299999999999999995"), 0.3],
+                                      [0.3, Fraction("0.299999999999999995")]])
+def test_duality_sweep_orders_r_by_its_decimal(r_values):
+    # the float 0.3 is below the Fraction by its binary value and above it as
+    # the decimal 0.3; the paths lie between them, far at the Fraction only,
+    # so a sweep in binary order would cap the Fraction's cell at 0.3's value
+    d = Fraction("0.2999999999999999975")
+    g = Graph(range(4), [(0, 1), (0, 2), (1, 3)], {(0, 1): d, (0, 2): 1, (1, 3): 1})
+    report = _same_sweep(g, {0, 1}, {2, 3}, 0, r_values, [])
+    for r in r_values:
+        alone = duality_sweep(g, {0, 1}, {2, 3}, 0, [r], []).packing_by_r[r].value
+        assert report.packing_by_r[r].value == alone == (1 if isinstance(r, float) else 2)
+
+
+#: float weights with short and with 17-digit decimals, the smallest
+#: subnormal and a large value, for the float host and its decimal twin
+TWIN_WEIGHTS = (0.1, 0.2, 0.3, 0.7, 1.3, 0.30000000000000004, 0.1234567890123456,
+                5e-324, 2.5e-7, 12345.678)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_a_float_host_and_its_decimal_twin_agree(seed):
+    # the twin holds Fraction(repr(w)) for each float weight w, and its radii
+    # are the decimals of the float radii: every mask and every cell is equal
+    rng = random.Random(seed)
+    g = random_connected(rng, rng.randint(2, 9), p=0.3)
+    g = Graph(g.vertices, g.edges, {e: rng.choice(TWIN_WEIGHTS) for e in g.edges})
+    twin = Graph(g.vertices, g.edges, {e: decimal(w) for e, w in g.weights.items()})
+    dists = sorted({d for c in g.vertices for d in g.dist_from(c).values()} - {0})
+    radii = sorted(set(rng.sample(dists, min(3, len(dists))) + [0.3, 0.6, 1.0]))
+    through = _member_masks(g, _members(g, rng))
+    for r in radii:
+        for strict in (False, True):
+            assert _within(g, through, r, strict) == _within(twin, through, decimal(r), strict)
+    x, y = _endpoints(g, rng)
+
+    def cells(report):
+        return ([c.value for c in report.packing_by_r.values()],
+                [c.value for c in report.cover_by_radius.values()])
+
+    decimals = [decimal(r) for r in radii]
+    assert cells(duality_sweep(g, x, y, 0, radii, radii[:2])) \
+        == cells(duality_sweep(twin, x, y, 0, decimals, decimals[:2]))
 
 
 # -- ball separator -------------------------------------------------------------

@@ -191,8 +191,8 @@ def _gallai_hosts():
     for seed in range(6):
         for spec in random_instances(seed, 150, {"max_vertices": 12}):
             yield spec.graph, spec.a
-    # A-paths 0-1-2 and 3-4-5 joined by an edge far shorter than the float
-    # tolerance: no distance may let vertex 4 stand in for vertex 1
+    # A-paths 0-1-2 and 3-4-5 joined by an edge of weight 1e-12: no distance
+    # may let vertex 4 stand in for vertex 1
     edges = [(0, 1), (1, 2), (3, 4), (4, 5), (1, 4)]
     weights = {e: 1.0 for e in edges}
     weights[1, 4] = 1e-12

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarse_menger.covering import CoverInstance, min_separating_balls
+from coarse_menger.covering import CoverInstance, duality_sweep, min_separating_balls
 from coarse_menger.errors import CapacityError, InputError
 from coarse_menger.generators import grid
 from coarse_menger.graph import (
@@ -29,7 +30,8 @@ from coarse_menger.graph import (
     to_edge_list,
     to_json,
 )
-from coarse_menger.packing import PackingInstance
+from coarse_menger.packing import PackingInstance, far_conflicts
+from coarse_menger.paths import enumerate_paths
 from coarse_menger.trees import min_degree_decomposition, rooted_fat_minor_ep
 
 from conftest import cycle_graph, path_graph, random_connected, small_connected_graphs
@@ -163,11 +165,11 @@ def test_float_distances_are_symmetric(n, seed, backwards):
 
 
 def test_float_distance_on_a_path_does_not_depend_on_argument_order():
-    # 0.7 + 0.2 + 0.1 is 0.9999999999999999 and 0.1 + 0.2 + 0.7 is 1.0; the
-    # exact sum of the three floats rounds to 1.0
+    # 0.7 + 0.2 + 0.1 is 0.9999999999999999 and 0.1 + 0.2 + 0.7 is 1.0 in
+    # float arithmetic; the three decimals sum to exactly 1
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)], {(0, 1): 0.7, (1, 2): 0.2, (2, 3): 0.1})
     assert distance(g, 3, 0) == distance(g, 0, 3) == 1.0
-    assert distance(g, 0, 3) == float(Fraction(0.7) + Fraction(0.2) + Fraction(0.1))
+    assert Fraction("0.7") + Fraction("0.2") + Fraction("0.1") == 1
 
 
 #: edge weights of the float-distance hosts; "mixed" puts int, Fraction and
@@ -191,18 +193,18 @@ def _rounded(d):
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6),
        st.booleans(), st.sampled_from(sorted(FLOAT_HOST_WEIGHTS)))
 def test_float_distances_are_the_rounded_exact_sums(n, seed, split, kind):
-    # value by value against the exact Fraction sums, type by type, in a
-    # random request order, with and without the radius test first
+    # value by value against the exact sums of the weights read as their
+    # shortest decimals (0.1 is 1/10), type by type, in a random request
+    # order, with and without the radius test first
     rng = random.Random(seed)
     g = random_connected(rng, n)
     edges = [e for e in g.edges if not split or rng.random() < 0.6]
     g = Graph(g.vertices, edges, {e: rng.choice(FLOAT_HOST_WEIGHTS[kind]) for e in edges})
-    exact = Graph(g.vertices, edges, {e: Fraction(w) for e, w in g.weights.items()})
     if rng.random() < 0.5:
         neighborhood(g, frozenset(rng.sample(g.vertices, rng.randint(1, n))), 0.5)
     rounded = _rounded if _length_type(g) is float else Fraction
     for s in rng.sample(g.vertices, n):
-        got, expected = g.dist_from(s), fraction_dijkstra(exact, s)
+        got, expected = g.dist_from(s), fraction_dijkstra(g, s)
         assert got == {v: d if d == 0 or d == math.inf else rounded(d) for v, d in expected.items()}
         assert [type(d) for d in got.values()] == _types(g, expected)
 
@@ -243,32 +245,71 @@ def test_an_infinite_radius_takes_every_vertex_or_every_reachable_one(weights):
     assert (_within(g, bit, math.inf, strict=True) == within_through(g, bit, math.inf, True)
             == [0b0111] * 3 + [0b1000])
     assert neighborhood(g, [3], math.inf).members == frozenset(range(4))
+    # an infinity made by overflow too, and one ball covers the component
+    assert neighborhood(g, [0], float("1e999")).members == frozenset(range(4))
+    assert certify_centered(g, [0, 1, 2], 1, float("1e999")).center_count == 1
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-300])
+def test_tiny_float_weights_beside_one_give_exact_rows(tiny):
+    # 1 + tiny rounds to the float 1.0, but the row is exact: vertex 2 is
+    # outside the radius-1 ball of vertex 0 and inside that of radius 1 + tiny
+    g = from_json_dict(json.loads(json.dumps(
+        {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2]], "weights": [tiny, 1.0]})))
+    assert g.dist_from(0) == {0: 0, 1: tiny, 2: 1.0}
+    assert Fraction(g._int_row(0)[2], g._scaled_adjacency()[0]) == 1 + Fraction(repr(tiny))
+    assert neighborhood(g, [0], 1.0).members == frozenset([0, 1])
+    assert neighborhood(g, [0], 1 + Fraction(repr(tiny))).members == frozenset([0, 1, 2])
+    assert neighborhood(g, [0], 0).members == frozenset([0])
+
+
+def test_a_float_subclass_is_read_as_its_float():
+    # NumPy's float64 prints as np.float64(0.1); its decimal is still 1/10
+    class Wrapped(float):
+        def __repr__(self):
+            return f"Wrapped({float(self)!r})"
+
+    g = Graph(range(3), [(0, 1), (1, 2)], {(0, 1): Wrapped(0.1), (1, 2): 0.2})
+    assert neighborhood(g, [0], Wrapped(0.3)).members == frozenset(range(3))
 
 
 GRID = grid(3, 3)
 
-#: one call per public entry point that takes a radius or a path length
-NAN_CALLS = {
-    "neighborhood": lambda: neighborhood(GRID, [0], math.nan),
-    "certify_centered": lambda: certify_centered(GRID, [0, 8], 1, math.nan),
-    "CoverInstance": lambda: CoverInstance(GRID, math.nan, l=0, x=frozenset([0]),
-                                           y=frozenset([8])),
-    "CoverInstance.l": lambda: CoverInstance(GRID, 1, l=math.nan, x=frozenset([0]),
+#: one call per public entry point that takes a radius or a path length,
+#: given the bad value
+BAD_RADIUS_CALLS = {
+    "neighborhood": lambda x: neighborhood(GRID, [0], x),
+    "certify_centered": lambda x: certify_centered(GRID, [0, 8], 1, x),
+    "CoverInstance": lambda x: CoverInstance(GRID, x, l=0, x=frozenset([0]),
                                              y=frozenset([8])),
-    "min_separating_balls": lambda: min_separating_balls(GRID, {0}, {8}, math.nan),
-    "PackingInstance.l": lambda: PackingInstance(GRID, frozenset([0]), frozenset([8]),
-                                                 l=math.nan),
-    "rooted_fat_minor_ep": lambda: rooted_fat_minor_ep(
+    "CoverInstance.l": lambda x: CoverInstance(GRID, 1, l=x, x=frozenset([0]),
+                                               y=frozenset([8])),
+    "min_separating_balls": lambda x: min_separating_balls(GRID, {0}, {8}, x),
+    "PackingInstance": lambda x: PackingInstance(GRID, frozenset([0]), frozenset([8]), r=x),
+    "PackingInstance.l": lambda x: PackingInstance(GRID, frozenset([0]), frozenset([8]),
+                                                   l=x),
+    "duality_sweep": lambda x: duality_sweep(GRID, {0}, {8}, 0, [1, x], [0]),
+    "enumerate_paths.l": lambda x: enumerate_paths(GRID, x, {0}, {8}),
+    "duality_sweep.beta": lambda x: duality_sweep(GRID, {0}, {8}, 0, [1], [0, x]),
+    "far_conflicts": lambda x: far_conflicts(GRID, [frozenset([0]), frozenset([8])], x),
+    "rooted_fat_minor_ep": lambda x: rooted_fat_minor_ep(
         GRID, min_degree_decomposition(GRID), Graph([1, 2, 3], [(1, 2), (2, 3)]),
-        {1: frozenset([0]), 2: frozenset([4]), 3: frozenset([8])}, k=2, r=math.nan),
+        {1: frozenset([0]), 2: frozenset([4]), 3: frozenset([8])}, k=2, r=x),
 }
 
 
-@pytest.mark.parametrize("name", sorted(NAN_CALLS))
+@pytest.mark.parametrize("name", sorted(BAD_RADIUS_CALLS))
 def test_a_nan_radius_or_length_is_an_input_error(name):
-    # NaN fails every comparison, so ``r < 0`` would let it through
+    # NaN fails every comparison, so ``r < 0`` would let it through, and it
+    # has no decimal: never the ValueError of ``Fraction("nan")``
     with pytest.raises(InputError):
-        NAN_CALLS[name]()
+        BAD_RADIUS_CALLS[name](math.nan)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RADIUS_CALLS))
+def test_a_minus_infinite_radius_or_length_is_an_input_error(name):
+    with pytest.raises(InputError):
+        BAD_RADIUS_CALLS[name](-math.inf)
 
 
 def test_a_negative_length_is_an_input_error():

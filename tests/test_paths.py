@@ -1,6 +1,7 @@
 """Path enumeration, and the chordless-path reduction it rests on."""
 
 import random
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from coarse_menger.errors import CapacityError, InputError
 from coarse_menger.generators import grid
-from coarse_menger.graph import Graph, set_distance
+from coarse_menger.graph import Graph, distance, set_distance
+from coarse_menger.packing import PackingInstance, max_far_packing
 from coarse_menger.paths import (
     enumerate_chordless_paths,
     enumerate_paths,
@@ -131,3 +133,17 @@ def test_every_path_contains_a_chordless_path_as_subset(g, seed):
             and {c.sequence[0], c.sequence[-1]} == ends
             for c in chordless
         ), p.sequence
+
+
+def test_an_endpoint_distance_equal_to_l_passes_on_long_decimal_weights():
+    # d(0, 2) is exactly the 17-digit decimal 0.7854138572100987 +
+    # 0.5253608691488931, and the float handed out for it reads below it:
+    # at l = d the path 0-1-2 still counts, in the enumeration and in the
+    # greedy packing's shortest-path search
+    a, b = 0.7854138572100987, 0.5253608691488931
+    g = Graph(range(3), [(0, 1), (1, 2)], {(0, 1): a, (1, 2): b})
+    d = Fraction(repr(a)) + Fraction(repr(b))
+    assert Fraction(repr(distance(g, 0, 2))) < d
+    assert [p.sequence for p in enumerate_chordless_paths(g, d, {0}, {2}).paths] == [(0, 1, 2)]
+    greedy = max_far_packing(PackingInstance(g, frozenset([0]), frozenset([2]), l=d, mode="greedy"))
+    assert [p.sequence for p in greedy.paths] == [(0, 1, 2)]
