@@ -24,7 +24,7 @@ from .covering import (
 )
 from .errors import CoarseMengerError, InputError, InternalInconsistencyError
 from .generators import menger_lower_bound_instance, random_instances, rooted_p3_grid
-from .graph import Graph, certify_centered, distance
+from .graph import CenteredRefusal, Graph, certify_centered, distance, set_distance
 from .packing import PackingInstance, gallai_packing, max_far_packing, menger_packing
 from .paths import enumerate_chordless_paths
 from .tangles import _max_far_count, easy_tangle_trichotomy, verify_tangle
@@ -32,6 +32,7 @@ from .transfer import (
     QuasiIsometry,
     constant_witness,
     pullback_hitting_set,
+    scale_metric,
     transfer_chain,
     transfer_constants,
 )
@@ -269,8 +270,6 @@ def check_easy_tree(seed: int) -> CriterionResult:
                              "error": type(exc).__name__, "msg": str(exc)})
             continue
         if res.branch == "hitting":
-            from .graph import CenteredRefusal
-
             cert = certify_centered(
                 g, res.centered.z, res.center_budget, res.radius_budget,
                 "exact"
@@ -287,7 +286,7 @@ def check_easy_tree(seed: int) -> CriterionResult:
         else:
             sets = [frozenset().union(*m) for m in res.packing]
             ok = len(sets) >= k and all(
-                _set_distance_gt(g, a, b, 2 * r)
+                set_distance(g, a, b) > 2 * r
                 for a, b in itertools.combinations(sets, 2)
             )
         if not ok:
@@ -297,12 +296,6 @@ def check_easy_tree(seed: int) -> CriterionResult:
         "easy-tree", not failures,
         {"instances": len(instances), "failures": failures},
     )
-
-
-def _set_distance_gt(g: Graph, a: frozenset, b: frozenset, bound) -> bool:
-    from .graph import set_distance
-
-    return set_distance(g, a, b) > bound
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +709,6 @@ def check_pullback(seed: int) -> CriterionResult:
 
 
 def check_scaling(seed: int) -> CriterionResult:
-    from .transfer import scale_metric
-
     rng = random.Random(seed + 10)
     instances = random_instances(seed + 10, 50, {"max_vertices": 9})
     weights_pool = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]

@@ -223,13 +223,13 @@ def duality_sweep(
       chordless x-y paths, which meet x only at their start and y only at
       their end (Menger's X-Y paths).  Every x-y path holds one as a vertex
       subset, so a set of balls hits them all iff it hits every path.  For a
-      packing cell with ``not leq(r, 0)``, replacing each path of an r-far
-      packing by a minimal path inside it only grows distances, and two paths
-      that hold the same minimal path are 0 apart, so not r-far: the maxima
-      agree.
-    - A cell with ``leq(r, 0)`` has no conflicts: every chordless path is
-      r-far from every other, and its value is their count.  The full family
-      is enumerated for that count only when such an r is given.
+      packing cell (r > 0), replacing each path of an r-far packing by a
+      minimal path inside it only grows distances, and two paths that hold
+      the same minimal path are 0 apart, so not r-far: the maxima agree.
+    - :class:`PackingInstance` refuses r <= 0, so no cell is conflict-free
+      and the ``conflict_free`` branch below never runs.  It stays only for
+      its ``leq`` calls, which the ``leq_calls`` of ``BENCH_duality.json``
+      count; it goes with them when that document is next regenerated.
     - At l > 0 the family is every chordless (l,x,y)-path: the minimal path
       inside a path may have its ends closer than l, and then it is not in
       the family, so the replacement above fails.
@@ -237,10 +237,10 @@ def duality_sweep(
     Two bounds cut the searches; neither changes a value:
 
     - Packing cells run by ascending r, a float read as its shortest
-      decimal (:func:`graph._ratio`), as the radius test reads it.  Once
-      paths through a common vertex conflict (``not leq(r, 0)``), an r-far
-      packing is vertex-disjoint, so :func:`menger_packing` bounds it.  So
-      does the value at the previous r: the conflict relation grows with r.
+      decimal (:func:`graph._ratio`), as the radius test reads it.  Paths
+      through a common vertex conflict (r > 0), so an r-far packing is
+      vertex-disjoint and :func:`menger_packing` bounds it.  So does the
+      value at the previous r: the conflict relation grows with r.
       ``max_independent_set(..., enough=bound)`` stops at the first set of
       that size, and returns the maximum when there is none.
     - Weak duality: a radius-beta ball has diameter at most 2*beta, so for
@@ -267,7 +267,8 @@ def duality_sweep(
     report = DualityReport(graph_fingerprint(g, sorted(x.members), sorted(y.members), l))
     # the instances validate l, r and beta even when the family is shared
     packs = [PackingInstance(g, x.members, y.members, l, r, "exact") for r in r_values]
-    conflict_free = [leq(inst.r, 0) for inst in packs]
+    rs = [_ratio(inst.r) for inst in packs]
+    conflict_free = [leq(inst.r, 0) for inst in packs]  # never true (see above)
     try:
         if l == 0:
             family = _minimal_family(g, x.members, y.members)
@@ -283,7 +284,7 @@ def duality_sweep(
     if family is not None and len(g) <= EXACT_PACKING_VERTEX_CAP:
         flow = menger_packing(g, x.members, y.members)
         last = flow  # the value at the previous r, or the flow
-        for i in sorted(range(len(packs)), key=lambda i: _ratio(packs[i].r)):
+        for i in sorted(range(len(packs)), key=rs.__getitem__):
             if conflict_free[i]:
                 value[i] = last = everything
                 continue
@@ -301,8 +302,8 @@ def duality_sweep(
         if family:
             hits = _within(g, through, beta)
             target = (1 << len(family)) - 1
-            floor = max((v for i, v in value.items()
-                         if _ratio(packs[i].r) > 2 * _ratio(beta)), default=0)
+            floor = max((v for i, v in value.items() if rs[i] > 2 * _ratio(beta)),
+                        default=0)
             chosen, _ = _greedy_cover(target, hits)
             if len(chosen) > floor:
                 chosen, _ = _set_cover(target, hits)

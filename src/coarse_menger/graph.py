@@ -464,8 +464,19 @@ def distance(g: Graph, u: int, v: int) -> Number:
 
 
 def set_distance(g: Graph, s, t) -> Number:
-    s = as_vertex_set(g, s)
-    t = as_vertex_set(g, t)
+    return _set_distance(g, s, t, g.dist_from)
+
+
+def _exact_distance(g: Graph, s, t) -> Number:
+    """:func:`set_distance`, exact where a float host hands out rounded
+    floats: a check of a distance against a radius agrees with :func:`_within`."""
+    d = _set_distance(g, s, t, g._int_row)
+    return d if d is INF else Fraction(d, g._scaled_adjacency()[0])
+
+
+def _set_distance(g: Graph, s, t, row: Callable[[int], dict]):
+    """The least ``row(u)[v]`` over ``u`` in ``s`` and ``v`` in ``t``."""
+    s, t = as_vertex_set(g, s), as_vertex_set(g, t)
     if not s.members or not t.members:
         raise InputError("set_distance over an empty set")
     if s.members & t.members:
@@ -473,7 +484,7 @@ def set_distance(g: Graph, s, t) -> Number:
     small, large = (s, t) if len(s) <= len(t) else (t, s)
     best = INF
     for u in small:
-        du = g.dist_from(u)
+        du = row(u)
         for v in large:
             d = du[v]
             if d < best:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import CapacityError, InputError
-from .graph import INF, Graph, Number, _within, as_vertex_set, distance, leq, set_distance
+from .graph import INF, Graph, Number, _exact_distance, _within, as_vertex_set, distance, leq
 
 #: default vertex-count limit for uncapped path enumeration
 ENUM_VERTEX_LIMIT = 16
@@ -73,14 +73,15 @@ def make_path(g: Graph, sequence: Sequence[int]) -> PathWitness:
 
 def is_lxy_path(g: Graph, p: PathWitness, l: Number, x, y) -> bool:
     """True iff ``p`` runs between ``x`` and ``y`` with endpoint distance at
-    least ``l``.  Internal vertices may revisit ``x`` or ``y``."""
+    least ``l``, the exact distance in ``g`` (:func:`graph._exact_distance`).
+    Internal vertices may revisit ``x`` or ``y``."""
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
     a, b = p.end_a, p.end_b
     ends_ok = (a in x and b in y) or (a in y and b in x)
     if not ends_ok:
         return False
-    return leq(l, p.endpoint_distance)
+    return leq(l, _exact_distance(g, [a], [b]))
 
 
 def is_a_path(g: Graph, p: PathWitness, a) -> bool:
@@ -305,8 +306,7 @@ def check_fat_minor(g: Graph, m: FatMinorModel) -> ModelReport:
             for xj, sj in pieces[i + 1:]:
                 if incident(xi, xj):
                     continue
-                d = set_distance(g, si, sj) if si and sj else None
-                if d is not None and not leq(m.fatness, d):
+                if si and sj and not leq(m.fatness, d := _exact_distance(g, si, sj)):
                     violations.append(
                         f"fatness: dist({xi},{xj}) = {d} < {m.fatness}"
                     )

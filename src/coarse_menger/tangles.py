@@ -248,7 +248,7 @@ def _check_premises(g: Graph, l: VertexSet, fam, k: int, r: Number,
     r/2, the subgraph's boundary inside z, z (xi, eta)-centered, a valid
     family, and fewer than k members pairwise r-far.  Returns z's
     certificate, the subgraph induced on l and the checked members."""
-    if not leq(r, 2 * _ratio(r_prime)):  # r' >= r/2, with no rounding
+    if not leq(r, 2 * r_prime):  # r' >= r/2
         raise PreconditionError("need r' >= r/2",
                                 detail={"r": r, "r_prime": r_prime})
     boundary = frozenset(
@@ -294,6 +294,7 @@ def easy_tangle_trichotomy(
     z = as_vertex_set(g, z)
     if k < 1 or theta < 1:
         raise InputError("need k >= 1 and theta >= 1")
+    r, r_prime, eta = _ratio(r), _ratio(r_prime), _ratio(eta)  # exact from here on
     z_cert, sub, members = _check_premises(g, l, fam, k, r, r_prime, z, xi, eta)
 
     fat_z = neighborhood(g, z, r_prime).members
@@ -307,7 +308,7 @@ def easy_tangle_trichotomy(
         z_star = fat_z | extra
         all_centers = frozenset(z_cert.centers.members) | centers
         cert = CenteredSet(
-            VertexSet(z_star, g), VertexSet(all_centers, g), _ratio(eta) + _ratio(r_prime)
+            VertexSet(z_star, g), VertexSet(all_centers, g), eta + r_prime
         )
         for f in members:
             if not z_star & f:
@@ -430,8 +431,9 @@ def tangle_decompose(
             cap=(DECOMPOSE_VERTEX_CAP, DECOMPOSE_K_CAP, DECOMPOSE_THETA_CAP),
             actual=(len(l), k, max(thetas)),
         )
+    r, r_prime, eta = _ratio(r), _ratio(r_prime), _ratio(eta)  # exact from here on
     z_cert, sub_l, members = _check_premises(g, l, fam, k, r, r_prime, z, xi, eta)
-    r2 = 2 * _ratio(r_prime)  # exact, as the radius test reads r'
+    r2 = 2 * r_prime
 
     def fatten(s: frozenset, radius: Number) -> frozenset:
         return neighborhood(g, s, radius).members
@@ -548,7 +550,7 @@ def tangle_decompose(
     full_cert = CenteredSet(
         VertexSet(z_star, g),
         VertexSet(z_cert.centers.members | fresh_cert.centers.members, g),
-        _ratio(eta) + r2,
+        eta + r2,
     )
     if full_cert.center_count > xi + fresh_budget:
         raise InternalInconsistencyError("z_star center budget exceeded")

@@ -15,17 +15,18 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .errors import CapacityError, InputError, PreconditionError
 from .graph import (
+    INF,
     Graph,
     Number,
     VertexSet,
+    _exact_distance,
     _json_num,
     _ratio,
     as_vertex_set,
-    distance,
     leq,
     neighborhood,
-    set_distance,
 )
+from .paths import ENUM_VERTEX_LIMIT, enumerate_chordless_paths
 
 VERIFY_PAIRS_CAP = 32
 
@@ -89,8 +90,8 @@ def _check_total(src: Graph, tgt: Graph, q: QuasiIsometry):
 
 def verify_quasi_isometry(src: Graph, tgt: Graph, q: QuasiIsometry) -> QuasiIsometryVerdict:
     """Exhaustive check of both distance bounds and target coverage.  The
-    slacks, the tightest one too, are exact: a float is read as its shortest
-    decimal (:func:`graph._ratio`)."""
+    distances (:func:`graph._exact_distance`) and the slacks, the tightest
+    one too, are exact."""
     if len(src) > VERIFY_PAIRS_CAP or len(tgt) > VERIFY_PAIRS_CAP:
         raise CapacityError(
             "all-pairs verification capped",
@@ -106,13 +107,12 @@ def verify_quasi_isometry(src: Graph, tgt: Graph, q: QuasiIsometry) -> QuasiIsom
     verts = sorted(src.vertices)
     for i, u in enumerate(verts):
         for v in verts[i + 1:]:
-            ds = distance(src, u, v)
-            dt = distance(tgt, q.map[u], q.map[v])
-            if math.isinf(ds) != math.isinf(dt):
+            ds = _exact_distance(src, [u], [v])
+            dt = _exact_distance(tgt, [q.map[u]], [q.map[v]])
+            if (ds == INF) != (dt == INF):
                 return QuasiIsometryVerdict(False, False, False, False, None, (u, v))
-            if math.isinf(ds):
+            if ds == INF:
                 continue
-            ds, dt = _ratio(ds), _ratio(dt)
             over = dt - m * ds                # upper bound slack needed
             under = Fraction(ds) / m - dt     # lower bound slack needed
             gap = max(over, under)
@@ -126,7 +126,7 @@ def verify_quasi_isometry(src: Graph, tgt: Graph, q: QuasiIsometry) -> QuasiIsom
     image = frozenset(q.map[v] for v in src.vertices)
     coverage_ok = True
     for y in tgt.vertices:
-        d = _ratio(min(distance(tgt, y, im) for im in image))
+        d = _exact_distance(tgt, [y], image)
         if d > needed_a:
             needed_a, worst = d, (y, y)
         if not leq(d, q.a):
@@ -265,13 +265,11 @@ def pullback_hitting_set(
     z_target = as_vertex_set(tgt, z_target)
     a_vs = as_vertex_set(src, a_set)
     b_vs = as_vertex_set(src, b_set)
-    m, a = _ratio(q.m), _ratio(q.a)  # exact radii and lengths below
+    m, a, l, r = _ratio(q.m), _ratio(q.a), _ratio(l), _ratio(r)  # exact from here on
 
-    l1 = m * _ratio(l) + 3 * a
+    l1 = m * l + 3 * a
     ia = frozenset(q.map[v] for v in a_vs.members)
     ib = frozenset(q.map[v] for v in b_vs.members)
-    from .paths import ENUM_VERTEX_LIMIT, enumerate_chordless_paths
-
     if len(tgt) <= ENUM_VERTEX_LIMIT:
         tgt_paths = enumerate_chordless_paths(tgt, l1, ia, ib, cap=None)
         for p in tgt_paths.paths:
@@ -287,7 +285,7 @@ def pullback_hitting_set(
     for y in sorted(z_target.members):
         best = None
         for x in src_verts:
-            d = distance(tgt, q.map[x], y)
+            d = _exact_distance(tgt, [q.map[x]], [y])
             if leq(d, a) and (best is None or d < best[1]):
                 best = (x, d)
         if best is not None:
@@ -300,15 +298,14 @@ def pullback_hitting_set(
     chosen = []
     enum = enumerate_chordless_paths(src, l, a_vs, b_vs, cap=None)
     for p in enum.paths:
-        d = _ratio(p.endpoint_distance)
+        d = _exact_distance(src, [p.end_a], [p.end_b])
         if not (leq(l, d) and d < l2 and p.length <= d + 1):
             continue
-        if all(leq(r, set_distance(src, p.vertex_set, c.vertex_set))
-               for c in chosen):
+        if all(leq(r, _exact_distance(src, p.vertex_set, c.vertex_set)) for c in chosen):
             chosen.append(p)
     union = frozenset().union(*(p.vertex_set for p in chosen)) \
         if chosen else frozenset()
-    z4 = neighborhood(src, union, _ratio(r) + l2 + 1).members if union else frozenset()
+    z4 = neighborhood(src, union, r + l2 + 1).members if union else frozenset()
 
     out = VertexSet(z3 | z4, src)
     for p in enum.paths:

@@ -31,6 +31,7 @@ from .graph import (
     Number,
     VertexSet,
     _bfs,
+    _exact_distance,
     _implicit_hitting_set,
     _member_masks,
     _ratio,
@@ -39,10 +40,9 @@ from .graph import (
     certify_centered,
     leq,
     neighborhood,
-    set_distance,
 )
 from .packing import _conflicts_through, _reach, far_conflicts, max_independent_set
-from .paths import FatMinorModel
+from .paths import FatMinorModel, check_fat_minor
 
 #: exact model-union enumeration bound
 MODEL_ENUM_CAP = 12
@@ -403,6 +403,7 @@ def easy_tree_hitting(
     l = as_vertex_set(g, l)
     if k < 1:
         raise InputError("k must be positive")
+    r, eta = _ratio(r), _ratio(eta)  # exact, as the radius test reads them
     c = fam.component_count
     for m in fam.members:
         if not fam.union(m) <= l.members:
@@ -451,7 +452,7 @@ def easy_tree_hitting(
                                 "separation": sep.to_json_dict()},
                     )
 
-    radius = _ratio(eta) + _ratio(r)  # the hitting side's, summed exactly
+    radius = eta + r  # the hitting side's
     if not fam.members:
         empty = VertexSet(frozenset(), g)
         return EasyTreeResult(
@@ -463,7 +464,7 @@ def easy_tree_hitting(
 
     # direct packing attempt: members pairwise farther than 2r
     unions = [fam.union(m) for m in fam.members]
-    near = _reach(g, _member_masks(g, unions), 2 * _ratio(r), strict=False)
+    near = _reach(g, _member_masks(g, unions), 2 * r, strict=False)
     packing, _ = max_independent_set(_conflicts_through(unions, near), enough=k)
     if len(packing) >= k:
         return EasyTreeResult("packing",
@@ -531,8 +532,7 @@ def easy_tree_hitting(
     for beta in range(k):
         recombined.append(tuple(fam.members[selection[j][beta]][j] for j in range(c)))
     for m1, m2 in itertools.combinations(recombined, 2):
-        d = set_distance(g, frozenset().union(*m1), frozenset().union(*m2))
-        if leq(d, 2 * _ratio(r)):
+        if leq(_exact_distance(g, frozenset().union(*m1), frozenset().union(*m2)), 2 * r):
             raise InternalInconsistencyError(
                 "recombined members are not pairwise far"
             )
@@ -1205,8 +1205,6 @@ def rooted_fat_minor_ep(
 
 
 def _check_model_packing(g: Graph, models: Sequence[FatMinorModel], r: Number):
-    from .paths import check_fat_minor
-
     for m in models:
         report = check_fat_minor(g, m)
         if not report:
@@ -1214,6 +1212,5 @@ def _check_model_packing(g: Graph, models: Sequence[FatMinorModel], r: Number):
                 f"constructed model invalid: {report.violations}"
             )
     for m1, m2 in itertools.combinations(models, 2):
-        d = set_distance(g, m1.union_vertices(), m2.union_vertices())
-        if not leq(r, d):
+        if not leq(r, _exact_distance(g, m1.union_vertices(), m2.union_vertices())):
             raise InternalInconsistencyError("packed models too close")

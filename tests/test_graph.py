@@ -17,6 +17,7 @@ from coarse_menger.graph import (
     Graph,
     VertexSet,
     _bfs,
+    _exact_distance,
     _walk,
     _within,
     certify_centered,
@@ -169,7 +170,8 @@ def test_float_distance_on_a_path_does_not_depend_on_argument_order():
     # float arithmetic; the three decimals sum to exactly 1
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)], {(0, 1): 0.7, (1, 2): 0.2, (2, 3): 0.1})
     assert distance(g, 3, 0) == distance(g, 0, 3) == 1.0
-    assert Fraction("0.7") + Fraction("0.2") + Fraction("0.1") == 1
+    assert distance(g, 0, 3) == float(Fraction("0.7") + Fraction("0.2") + Fraction("0.1"))
+    assert _exact_distance(g, [0], [3]) == _exact_distance(g, [3], [0]) == 1
 
 
 #: edge weights of the float-distance hosts; "mixed" puts int, Fraction and
@@ -207,6 +209,30 @@ def test_float_distances_are_the_rounded_exact_sums(n, seed, split, kind):
         got, expected = g.dist_from(s), fraction_dijkstra(g, s)
         assert got == {v: d if d == 0 or d == math.inf else rounded(d) for v, d in expected.items()}
         assert [type(d) for d in got.values()] == _types(g, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10**6),
+       st.booleans(), st.sampled_from(sorted(FLOAT_HOST_WEIGHTS)))
+def test_exact_and_set_distances_are_the_exact_sums(n, seed, split, kind):
+    # set_distance is the host's kind of length of the least exact sum, and
+    # _exact_distance that sum itself
+    rng = random.Random(seed)
+    g = random_connected(rng, n)
+    edges = [e for e in g.edges if not split or rng.random() < 0.6]
+    g = Graph(g.vertices, edges, {e: rng.choice(FLOAT_HOST_WEIGHTS[kind]) for e in edges})
+    rounded = _rounded if _length_type(g) is float else Fraction
+    rows = {s: fraction_dijkstra(g, s) for s in g.vertices}
+    for s in rng.sample(g.vertices, n):
+        assert {v: _exact_distance(g, [s], [v]) for v in g.vertices} == rows[s]
+    for _ in range(4):
+        a = rng.sample(g.vertices, rng.randint(1, n))
+        b = rng.sample(g.vertices, rng.randint(1, n))
+        least = min(rows[u][v] for u in a for v in b)
+        assert _exact_distance(g, a, b) == least
+        got = set_distance(g, a, b)
+        assert got == (least if least == 0 or least == math.inf else rounded(least))
+        assert [type(got)] == _types(g, {None: least})
 
 
 def test_float_distances_past_the_float_maximum_are_infinite():

@@ -13,6 +13,8 @@ from coarse_menger.generators import grid
 from coarse_menger.graph import Graph, distance, set_distance
 from coarse_menger.packing import PackingInstance, max_far_packing
 from coarse_menger.paths import (
+    FatMinorModel,
+    check_fat_minor,
     enumerate_chordless_paths,
     enumerate_paths,
     is_a_path,
@@ -147,3 +149,19 @@ def test_an_endpoint_distance_equal_to_l_passes_on_long_decimal_weights():
     assert [p.sequence for p in enumerate_chordless_paths(g, d, {0}, {2}).paths] == [(0, 1, 2)]
     greedy = max_far_packing(PackingInstance(g, frozenset([0]), frozenset([2]), l=d, mode="greedy"))
     assert [p.sequence for p in greedy.paths] == [(0, 1, 2)]
+
+
+def test_the_path_checks_read_the_exact_distance_on_long_decimal_weights():
+    # the host above: d(0, 2) is exactly d, and the float handed out reads
+    # below it; is_lxy_path and the fatness check compare with d itself
+    a, b = 0.7854138572100987, 0.5253608691488931
+    g = Graph(range(3), [(0, 1), (1, 2)], {(0, 1): a, (1, 2): b})
+    d = Fraction(repr(a)) + Fraction(repr(b))
+    (p,) = enumerate_chordless_paths(g, d, {0}, {2}).paths
+    assert is_lxy_path(g, p, d, {0}, {2})
+    assert not is_lxy_path(g, p, d + Fraction(1, 10**20), {0}, {2})
+    two = Graph([0, 1], [])
+    model = FatMinorModel(two, {0: (0,), 1: (2,)}, {}, d)
+    assert check_fat_minor(g, model).valid
+    thicker = FatMinorModel(two, {0: (0,), 1: (2,)}, {}, d + Fraction(1, 10**20))
+    assert not check_fat_minor(g, thicker).valid

@@ -217,3 +217,21 @@ def test_ledger_rejects_contradictions():
         c_h_ledger({"apex": True, "planar": True})
     with pytest.raises(InputError):
         c_h_ledger({})  # no genus bound given
+
+
+def test_long_decimal_distances_are_compared_exactly():
+    # d(0, 2) is exactly the decimal sum d of the two weights, and the float
+    # handed out for it reads an ulp below d
+    a, b = 0.7854138572100987, 0.5253608691488931
+    g = Graph(range(3), [(0, 1), (1, 2)], {(0, 1): a, (1, 2): b})
+    twin = Graph(range(3), [(0, 1), (1, 2)],
+                 {(0, 1): Fraction(repr(a)), (1, 2): Fraction(repr(b))})
+    d = Fraction(repr(a)) + Fraction(repr(b))
+    # the identity onto the Fraction twin is an exact isometry
+    verdict = verify_quasi_isometry(g, twin, QuasiIsometry({v: v for v in range(3)}, 1, 0))
+    assert verdict.ok and verdict.tightest_a == 0
+    # at l = d the source path 0-1-2 is in the family, and the pullback keeps
+    # it among its far paths: no target path is long enough to need z
+    q = QuasiIsometry({v: 0 for v in range(3)}, 1, 1)
+    out = pullback_hitting_set(g, Graph([0], []), q, [], 1, 1, d, [0], [2])
+    assert out.members == frozenset(range(3))

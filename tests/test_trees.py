@@ -412,3 +412,16 @@ def test_exchangeable_family_validation():
         ExchangeableFamily(g, ((frozenset([0, 2]),),), 1)  # disconnected
     with pytest.raises(InputError):
         ExchangeableFamily(g, ((frozenset([0]), frozenset([0])),), 2)  # overlap
+
+
+def test_rooted_packing_at_r_equal_to_a_long_decimal_distance():
+    # the roots 0 and 2 lie exactly r apart, where r is the decimal sum of
+    # the two weights and the float d(0, 2) reads an ulp below it: the two
+    # one-vertex models are r-far, and the packing's own check agrees
+    a, b = 0.7854138572100987, 0.5253608691488931
+    g = Graph(range(3), [(0, 1), (1, 2)], {(0, 1): a, (1, 2): b})
+    r = Fraction(repr(a)) + Fraction(repr(b))
+    td = min_degree_decomposition(g)
+    res = rooted_fat_minor_ep(g, td, Graph([0], []), {0: frozenset([0, 2])}, k=2, r=r)
+    assert res.branch == "packing"
+    assert sorted(m.union_vertices() for m in res.models) == [frozenset([0]), frozenset([2])]
