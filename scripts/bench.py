@@ -48,7 +48,6 @@ LAYERS = {
 COUNTED = {
     "max_independent_set_nodes": ("packing.max_independent_set", lambda a, res: res[1]),
     "set_cover_nodes": ("graph._set_cover", lambda a, res: res[1]),
-    "leq_calls": ("graph.leq", lambda a, res: 1),
     "member_masks_calls": ("graph._member_masks", lambda a, res: 1),
 }
 #: work -> what each transposition of a host's path family ``a[1]`` in
@@ -305,7 +304,7 @@ TOPICS = {
         "what": "median seconds of a duality_sweep pass over the duality host "
                 "family, of its unit and its Fraction-weighted hosts, and of "
                 "its far-conflict, independent-set and ball-hit layers; search "
-                "nodes, leq and _member_masks calls per pass; the paths each "
+                "nodes and _member_masks calls per pass; the paths each "
                 "sweep transposes and the work on them per pass, and a digest "
                 "of the reports",
         "hosts": f"random_instances({BASE_SEED}, {HOSTS}), 8-14 vertices, plus "

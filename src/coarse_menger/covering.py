@@ -27,7 +27,6 @@ from .graph import (
     _walk,
     _within,
     as_vertex_set,
-    leq,
     neighborhood,
 )
 from .packing import (
@@ -42,7 +41,7 @@ from .packing import (
     max_independent_set,
     menger_packing,
 )
-from .paths import _chordless_sequences
+from .paths import _path_family
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,8 @@ class CoverInstance:
                     raise InputError("empty family member cannot be hit")
                 as_vertex_set(self.host, member)
             return self.explicit_family
-        # a set hits every path iff it hits every chordless path
-        return tuple(map(frozenset, _chordless_sequences(self.host, self.l, self.x, self.y)))
+        # a set hits every path iff it hits every path of this family
+        return tuple(map(frozenset, _path_family(self.host, self.l, self.x, self.y)))
 
 
 @dataclass
@@ -199,40 +198,16 @@ def graph_fingerprint(g: Graph, *extra) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _minimal_family(g: Graph, x: frozenset, y: frozenset) -> list:
-    """The inclusion-minimal chordless x-y paths, as canonical sequences: the
-    paths with no interior vertex in ``x | y``, less the longer ones with an
-    end in ``x & y`` (they hold that end's one-vertex path).  Every x-y path
-    holds one as a vertex subset: shortcut it along its chords, then keep the
-    stretch from its last vertex in x to the next vertex in y."""
-    both = x & y
-    return [p for p in _chordless_sequences(g, 0, x, y, minimal=True)
-            if len(p) == 1 or not (p[0] in both or p[-1] in both)]
-
-
 def duality_sweep(
     g: Graph, x, y, l: Number, r_values: Sequence[Number], beta_values: Sequence[Number]
 ) -> DualityReport:
     """Fill packing and cover tables; exact where caps permit, greedy with a
     per-cell flag otherwise.
 
-    Every exact cell works on one family of paths, as vertex sequences,
-    transposed once (:func:`graph._member_masks`), and finds only its count.
-
-    - At l = 0 the family is :func:`_minimal_family`: the inclusion-minimal
-      chordless x-y paths, which meet x only at their start and y only at
-      their end (Menger's X-Y paths).  Every x-y path holds one as a vertex
-      subset, so a set of balls hits them all iff it hits every path.  For a
-      packing cell (r > 0), replacing each path of an r-far packing by a
-      minimal path inside it only grows distances, and two paths that hold
-      the same minimal path are 0 apart, so not r-far: the maxima agree.
-    - :class:`PackingInstance` refuses r <= 0, so no cell is conflict-free
-      and the ``conflict_free`` branch below never runs.  It stays only for
-      its ``leq`` calls, which the ``leq_calls`` of ``BENCH_duality.json``
-      count; it goes with them when that document is next regenerated.
-    - At l > 0 the family is every chordless (l,x,y)-path: the minimal path
-      inside a path may have its ends closer than l, and then it is not in
-      the family, so the replacement above fails.
+    Every exact cell works on one family of paths, that of
+    :func:`paths._path_family` (at l = 0 the inclusion-minimal chordless x-y
+    paths), as vertex sequences transposed once
+    (:func:`graph._member_masks`), and finds only its count.
 
     Two bounds cut the searches; neither changes a value:
 
@@ -268,15 +243,8 @@ def duality_sweep(
     # the instances validate l, r and beta even when the family is shared
     packs = [PackingInstance(g, x.members, y.members, l, r, "exact") for r in r_values]
     rs = [_ratio(inst.r) for inst in packs]
-    conflict_free = [leq(inst.r, 0) for inst in packs]  # never true (see above)
     try:
-        if l == 0:
-            family = _minimal_family(g, x.members, y.members)
-            if any(conflict_free):
-                everything = len(_chordless_sequences(g, l, x.members, y.members))
-        else:
-            family = _chordless_sequences(g, l, x.members, y.members)
-            everything = len(family)
+        family = _path_family(g, l, x.members, y.members)
     except CapacityError:
         family = None
     through = None if family is None else _member_masks(g, family)
@@ -285,9 +253,6 @@ def duality_sweep(
         flow = menger_packing(g, x.members, y.members)
         last = flow  # the value at the previous r, or the flow
         for i in sorted(range(len(packs)), key=rs.__getitem__):
-            if conflict_free[i]:
-                value[i] = last = everything
-                continue
             rows = _conflicts_through(family, _reach(g, through, packs[i].r, strict=True))
             chosen, _ = max_independent_set(rows, enough=min(flow, last))
             value[i] = last = len(chosen)

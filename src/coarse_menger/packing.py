@@ -1,6 +1,7 @@
 """Packings of pairwise-far paths: the packing side of the coarse duality.
 
-Exact mode enumerates the chordless x-y paths, builds the conflict relation
+Exact mode reads the path family of :func:`paths._path_family` (at l = 0
+the inclusion-minimal chordless x-y paths), builds the conflict relation
 "set-distance < r" and extracts a maximum independent set of the conflict
 graph by branch-and-bound with greedy clique-cover bounds.
 
@@ -22,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import CapacityError, InputError
 from .graph import (Graph, Number, _bfs, _member_masks, _walk, _within, as_vertex_set,
                     set_distance)
-from .paths import PathWitness, _enumerate, enumerate_chordless_paths, make_path
+from .paths import PathWitness, _enumerate, _path_family, make_path
 
 EXACT_PACKING_VERTEX_CAP = 16
 GALLAI_EXHAUSTIVE_CAP = 14
@@ -177,7 +178,8 @@ def max_independent_set(adj: Sequence[int], enough: Optional[int] = None):
 
 def max_far_packing(inst: PackingInstance) -> PackingSolution:
     """Maximum collection of simple (l,x,y)-paths pairwise at set-distance at
-    least r (exact mode), or a maximal greedy collection."""
+    least r (exact mode, its paths drawn from :func:`paths._path_family`), or
+    a maximal greedy collection."""
     g = inst.host
     if inst.mode == "greedy":
         return _greedy_far_packing(inst)
@@ -187,19 +189,11 @@ def max_far_packing(inst: PackingInstance) -> PackingSolution:
             cap=EXACT_PACKING_VERTEX_CAP,
             actual=len(g),
         )
-    # chordless paths suffice: shortcutting keeps endpoints and shrinks
-    # vertex sets, so it never breaks a far packing
-    enum = enumerate_chordless_paths(g, inst.l, inst.x, inst.y, cap=None)
-    return _far_packing(g, enum.paths, inst.r)
-
-
-def _far_packing(g: Graph, paths: Sequence[PathWitness], r: Number) -> PackingSolution:
-    """Exact maximum ``r``-far subfamily of ``paths`` (the chordless family)."""
-    conflicts = far_conflicts(g, [p.sequence for p in paths], r)
-    chosen, nodes = max_independent_set(conflicts)
-    chosen_paths = tuple(paths[i] for i in sorted(chosen))
-    mind = _min_pairwise_distance(g, [p.vertex_set for p in chosen_paths])
-    return PackingSolution(chosen_paths, mind, optimal=True, nodes_explored=nodes)
+    family = _path_family(g, inst.l, inst.x, inst.y)
+    chosen, nodes = max_independent_set(far_conflicts(g, family, inst.r))
+    paths = tuple(make_path(g, family[i]) for i in chosen)
+    mind = _min_pairwise_distance(g, [p.vertex_set for p in paths])
+    return PackingSolution(paths, mind, optimal=True, nodes_explored=nodes)
 
 
 def _greedy_far_packing(inst: PackingInstance) -> PackingSolution:

@@ -187,11 +187,35 @@ def _sequences(
     return list(found)
 
 
-def _chordless_sequences(g: Graph, l: Number, x, y, minimal: bool = False):
-    """The uncapped :func:`enumerate_chordless_paths` family (with
-    ``minimal``, its members with no interior vertex in ``x | y``) as
-    canonical vertex sequences, for callers that need only vertex sets."""
-    return sorted(_sequences(g, l, x, y, None, g.closed_neighborhood_masks(), minimal))
+def _path_family(g: Graph, l: Number, x, y) -> List[Tuple[int, ...]]:
+    """The one family of (l,x,y)-paths that the exact packing and covering
+    solvers read, as sorted canonical vertex sequences (uncapped: refused
+    above :data:`ENUM_VERTEX_LIMIT` vertices).
+
+    - At l = 0, the inclusion-minimal chordless x-y paths: those with no
+      interior vertex in ``x | y``, less the longer ones with an end in
+      ``x & y`` (they hold that end's one-vertex path).  They meet x only at
+      their start and y only at their end (Menger's X-Y paths).  Every x-y
+      path holds one as a vertex subset: shortcut it along its chords, then
+      keep the stretch from its last vertex in x to the next vertex in y.  So
+      a set of balls hits them all iff it hits every path.  For r > 0,
+      replacing each path of an r-far packing by a minimal path inside it
+      only grows distances, and two paths that hold the same minimal path are
+      0 apart, so not r-far: the maxima agree.
+    - At l > 0, every chordless (l,x,y)-path: the minimal path inside a path
+      may have its ends closer than l, and then it is not in the family, so
+      the replacement above fails.  Shortcutting a path along its chords
+      keeps its ends and shrinks its vertex set, so the same argument holds
+      with the chordless path inside it.
+    """
+    x = as_vertex_set(g, x)
+    y = as_vertex_set(g, y)
+    minimal = l == 0
+    found = sorted(_sequences(g, l, x, y, None, g.closed_neighborhood_masks(), minimal))
+    if not minimal:
+        return found
+    both = x.members & y.members
+    return [p for p in found if len(p) == 1 or not (p[0] in both or p[-1] in both)]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ class QuasiIsometry:
     a: Number
 
     def __post_init__(self):
-        if self.m < 1 or self.a < 0:
+        if not (self.m >= 1 and self.a >= 0):  # NaN too
             raise InputError("need m >= 1 and a >= 0")
 
     def to_json_dict(self) -> dict:
@@ -161,7 +161,7 @@ def constant_witness(count: Number, radius: Number) -> WitnessFunctions:
 
 def transfer_constants(m: Number, a: Number) -> Tuple[Number, Number]:
     """The two additive constants of the quasi-isometry transfer."""
-    if m < 1 or a < 0:
+    if not (m >= 1 and a >= 0):  # NaN too
         raise InputError("need m >= 1 and a >= 0")
     c1 = 2 * m * m * (3 * a + 1) + 2 * m + 3 * a
     c2 = (m + 8 * a + 1) * m + 2
@@ -201,7 +201,7 @@ def transfer_witness(m: Number, a: Number, w: WitnessFunctions,
     separation pinned to zero; ``gallai`` uses the simpler two-parameter
     composition.
     """
-    if m < 1 or a < 0:
+    if not (m >= 1 and a >= 0):  # NaN too
         raise InputError("need m >= 1 and a >= 0")
     c1, c2 = transfer_constants(m, a)
     if variant == "remote":

@@ -1,8 +1,10 @@
 """Inputs of the golden ``duality_sweep`` test, and the script that records
 its expected output.
 
-Regenerate ``tests/data/duality_golden.json`` only from a tree whose sweep
-output is known good (a speed-up must leave the file unchanged):
+A speed-up leaves ``tests/data/duality_golden.json`` unchanged.  A change
+that moves a witness on purpose, and names each host whose packing paths or
+cover centers move, re-records it once, from a tree whose sweep output is
+known good; the sweep entries and every witness count stay the same:
 
     PYTHONPATH=src python tests/duality_golden.py
 """

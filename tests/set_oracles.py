@@ -24,11 +24,13 @@ ran before its implicit-hitting-set loop, and for path enumeration the
 ``seen``-set depth-first search of ``enumerate_paths``.
 For ``menger_packing`` the oracle is networkx maximum flow on the vertex-split
 digraph, and for ``max_independent_set(..., enough=k)`` the k-clique search
-over the complementary "far" relation that ``trees`` used before.  For
-``duality_sweep`` it is the sweep that solves every cell on its own, without
-the bounds one cell gives the next.  For ``build_gfrtz_tangle`` it is the
-orientation loop that tries both orientations of each separation, with one
-shadow each.
+over the complementary "far" relation that ``trees`` used before.  For the
+exact ``max_far_packing`` and ``min_ball_hitting`` they are the route that
+reads every chordless path, not the minimal ones only: ``set_far_packing``
+and ``set_ball_cover``.  For ``duality_sweep`` it is the sweep that solves
+every cell on its own with them, without the bounds one cell gives the next.
+For ``build_gfrtz_tangle`` it is the orientation loop that tries both
+orientations of each separation, with one shadow each.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from coarse_menger.covering import (
     CoverInstance,
     DualityCell,
     DualityReport,
-    _ball_hitting,
     graph_fingerprint,
 )
 from coarse_menger.errors import CapacityError, InputError, InternalInconsistencyError
@@ -65,7 +66,6 @@ from coarse_menger.graph import (
 from coarse_menger.packing import (
     EXACT_PACKING_VERTEX_CAP,
     PackingInstance,
-    _far_packing,
     max_far_packing,
 )
 from coarse_menger.paths import (
@@ -915,6 +915,17 @@ def set_hit_masks(g: Graph, family: Sequence[frozenset], r) -> List[int]:
     return hits
 
 
+def set_ball_cover(g: Graph, paths: Sequence[PathWitness], radius) -> frozenset:
+    """The centers of a fewest radius-``radius`` balls meeting every one of
+    ``paths`` (every chordless path, from ``enumerate_chordless_paths``):
+    :func:`set_min_set_cover` over :func:`set_hit_masks`."""
+    family = [p.vertex_set for p in paths]
+    hits = set_hit_masks(g, family, radius)
+    sets = {c: frozenset(i for i in range(len(family)) if hits[k] >> i & 1)
+            for k, c in enumerate(g.vertices)}
+    return frozenset(set_min_set_cover(range(len(family)), sets)[0])
+
+
 def set_certify_centered(g: Graph, z, k: int, r, mode: str = "exact"):
     """Search for at most ``k`` vertex centers whose radius-``r`` balls cover
     ``z``.  Returns a :class:`CenteredSet` on success, else a
@@ -1063,13 +1074,21 @@ def set_enumerate_paths(g: Graph, l, x, y, cap: Optional[int] = None) -> PathEnu
     return PathEnumeration(paths, truncated)
 
 
+def set_far_packing(g: Graph, paths: Sequence[PathWitness], r) -> Tuple[PathWitness, ...]:
+    """A largest pairwise ``r``-far subfamily of ``paths`` (every chordless
+    path, from ``enumerate_chordless_paths``): :func:`set_max_independent_set`
+    over :func:`set_far_conflicts`."""
+    conflicts = set_far_conflicts(g, [p.vertex_set for p in paths], r)
+    chosen, _ = set_max_independent_set(conflicts, range(len(paths)))
+    return tuple(paths[i] for i in sorted(chosen))
+
+
 def plain_duality_sweep(
     g: Graph, x, y, l, r_values: Sequence, beta_values: Sequence
 ) -> DualityReport:
     """``covering.duality_sweep`` without shared bounds: every packing cell a
-    full maximum independent set search, every cover cell a full set-cover
-    search with its certificate, each on its own transposition of the
-    chordless family."""
+    full :func:`set_far_packing`, every cover cell a full
+    :func:`set_ball_cover`, each over every chordless path."""
     x = as_vertex_set(g, x)
     y = as_vertex_set(g, y)
     report = DualityReport(graph_fingerprint(g, sorted(x.members), sorted(y.members), l))
@@ -1081,17 +1100,14 @@ def plain_duality_sweep(
         # the instances validate l, r and beta even when the family is shared
         inst = PackingInstance(g, x.members, y.members, l, r, "exact")
         if paths is not None and len(g) <= EXACT_PACKING_VERTEX_CAP:
-            sol = _far_packing(g, paths, r)
-            report.packing_by_r[r] = DualityCell(sol.size, True)
+            report.packing_by_r[r] = DualityCell(len(set_far_packing(g, paths, r)), True)
         else:
             sol = max_far_packing(replace(inst, mode="greedy"))
             report.packing_by_r[r] = DualityCell(sol.size, False, "capacity:greedy")
-    family = None if paths is None else tuple(p.vertex_set for p in paths)
     for beta in beta_values:
         CoverInstance(g, beta, l=l, x=x.members, y=y.members)
-        if family is not None:
-            sol = _ball_hitting(g, family, beta)
-            report.cover_by_radius[beta] = DualityCell(sol.count, True)
+        if paths is not None:
+            report.cover_by_radius[beta] = DualityCell(len(set_ball_cover(g, paths, beta)), True)
         elif l == 0:
             # at l = 0 the balls hit every x-y path iff they separate x from y
             count, _ = scan_separating_balls(g, x.members, y.members, beta)

@@ -3,6 +3,7 @@ unit, Fraction- and float-weighted random hosts and random set systems."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarse_menger.covering import (
+    CoverInstance,
     _ball_hitting,
-    _minimal_family,
     duality_sweep,
+    min_ball_hitting,
     min_separating_balls,
     min_set_cover,
 )
@@ -31,26 +33,32 @@ from coarse_menger.graph import (
 from coarse_menger import packing, trees
 from coarse_menger.packing import (
     Adjacency,
+    PackingInstance,
     _enumerate_a_paths,
     far_conflicts,
     gallai_packing,
+    max_far_packing,
     max_independent_set,
     menger_packing,
 )
-from coarse_menger.paths import _enumerate, enumerate_chordless_paths, enumerate_paths
+from coarse_menger.paths import (_enumerate, _path_family, enumerate_chordless_paths,
+                                 enumerate_paths, is_lxy_path)
 
 from conftest import random_connected
 from set_oracles import (
     _ball,
     decimal,
+    exact_set_distance,
     find_clique,
     nx_menger_packing,
     plain_duality_sweep,
     scan_separating_balls,
     separated,
+    set_ball_cover,
     set_certify_centered,
     set_enumerate_paths,
     set_far_conflicts,
+    set_far_packing,
     set_hit_masks,
     set_hitting_center_search,
     set_max_independent_set,
@@ -70,11 +78,11 @@ WEIGHT_KINDS = {
 
 
 @st.composite
-def weighted_hosts(draw, max_n: int = 9):
+def weighted_hosts(draw, max_n: int = 9, kinds: dict = WEIGHT_KINDS):
     n = draw(st.integers(min_value=2, max_value=max_n))
     rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
     g = random_connected(rng, n, p=draw(st.sampled_from((0.15, 0.3, 0.5))))
-    choices = WEIGHT_KINDS[draw(st.sampled_from(sorted(WEIGHT_KINDS)))]
+    choices = kinds[draw(st.sampled_from(sorted(kinds)))]
     if choices is not None:
         g = Graph(g.vertices, g.edges, {e: rng.choice(choices) for e in g.edges})
     return g, rng
@@ -206,7 +214,7 @@ def test_easy_tree_rows_match_the_per_pair_oracle(seed, kind, r):
     assert all(type(row) is Adjacency for row in rows)
 
 
-def test_easy_tree_members_within_tol_above_2r_conflict():
+def test_easy_tree_members_conflict_at_2r_and_not_just_below():
     # the members are 1/2 apart; 2r falls short of that by 2e-10 or by 2e-8,
     # so they are farther than 2r on every host, and within 2r at r = 1/4
     def rows(weights, r):
@@ -297,8 +305,8 @@ def test_minimal_mode_keeps_the_chordless_paths_with_a_clean_interior(host, l, a
         assert {p.end_a, p.end_b} & x and {p.end_a, p.end_b} & y and _induced(g, p.sequence)
         assert (p.end_a in x and p.end_b in y) or (p.end_a in y and p.end_b in x)
     if l == 0:
-        # the sweep's family: inclusion-minimal, and below every path
-        sweep = [frozenset(p) for p in _minimal_family(g, x, y)]
+        # the solvers' family: inclusion-minimal, and below every path
+        sweep = [frozenset(p) for p in _path_family(g, 0, x, y)]
         assert set(sweep) <= {p.vertex_set for p in minimal}
         assert not any(s < t for s in sweep for t in sweep)
         for p in full:
@@ -315,7 +323,7 @@ def test_far_conflicts_reject_bad_members():
 
 
 
-def test_far_conflicts_use_float_tolerance():
+def test_far_conflicts_read_float_weights_as_decimals():
     # 0.7 + 0.2 + 0.1 is exactly 1 as decimals: not closer than r = 1
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)], {(0, 1): 0.7, (1, 2): 0.2, (2, 3): 0.1})
     members = [frozenset([0]), frozenset([3])]
@@ -578,7 +586,33 @@ def test_duality_sweep_matches_the_plain_sweep(host, l, r_values, beta_values):
     _same_sweep(g, x, y, l, r_values, beta_values)
 
 
-def test_duality_sweep_has_no_flow_cap_at_a_float_r_within_tolerance():
+@settings(max_examples=150, deadline=None)
+@given(weighted_hosts(max_n=8, kinds=ROW_WEIGHTS), st.sampled_from((0, 1, Fraction(3, 2))),
+       st.sampled_from((Fraction(1, 2), 1, 2)), st.sampled_from((0, Fraction(1, 2), 1)))
+def test_the_public_solvers_match_the_full_chordless_route(host, l, r, beta):
+    # the exact solvers read the minimal paths at l = 0: their sizes are those
+    # over every chordless path, and their witnesses hold for every path
+    g, rng = host
+    x, y = _endpoints(g, rng)
+    packing = max_far_packing(PackingInstance(g, x, y, l, r))
+    cover = min_ball_hitting(CoverInstance(g, beta, l=l, x=x, y=y))
+    chordless = enumerate_chordless_paths(g, l, x, y).paths
+    assert packing.size == len(set_far_packing(g, chordless, r))
+    assert cover.count == len(cover.centered.centers.members) \
+        == len(set_ball_cover(g, chordless, beta))
+    for p in packing.paths:
+        assert is_lxy_path(g, p, l, x, y)
+        if l == 0:  # a Menger path: it meets x at one end only, y at the other
+            at_x, at_y = p.vertex_set & x, p.vertex_set & y
+            assert len(at_x) == len(at_y) == 1 and at_x | at_y == {p.end_a, p.end_b}
+    sets = [p.vertex_set for p in packing.paths]
+    dist = exact_set_distance(g, sets)
+    assert all(dist(s, t) >= decimal(r) for s, t in combinations(sets, 2))
+    balls = frozenset().union(*(_ball(g, c, beta) for c in cover.centered.centers.members))
+    assert all(balls & p.vertex_set for p in set_enumerate_paths(g, l, x, y).paths)
+
+
+def test_duality_sweep_caps_a_tiny_positive_float_r_by_the_flow():
     # two paths through x = {0}: r = 1e-10 is positive, so they conflict and
     # the flow's one disjoint path caps the cell, as at r = 1
     g = Graph(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -587,7 +621,7 @@ def test_duality_sweep_has_no_flow_cap_at_a_float_r_within_tolerance():
     assert report.packing_by_r[1e-10].value == 1
 
 
-def test_duality_sweep_counts_every_chordless_path_at_a_float_r_within_tolerance():
+def test_duality_sweep_at_a_tiny_float_r_packs_one_path_through_x_and_y():
     # x & y = {1}: the minimal family is the one-vertex path (1,); the four
     # chordless paths (0,1), (0,1,2), (1,), (1,2) all hold vertex 1, so none
     # two are 1e-10-far and every cell is 1
@@ -630,7 +664,7 @@ def test_duality_sweep_has_no_cover_floor_at_r_equal_to_two_beta():
     assert (report.packing_by_r[2].value, report.cover_by_radius[1].value) == (3, 2)
 
 
-def test_duality_sweep_bounds_r_only_by_a_smaller_r_of_its_kind():
+def test_duality_sweep_bounds_r_by_a_smaller_r_of_any_kind():
     # the paths {0, 2} and {1, 3} are d = 1 - 2e-10 apart: closer than the
     # exact r = 1 and the float r = 1.0000000005, and far at the float r =
     # 0.9999999997, whose cell bounds the others whatever their kind

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -46,6 +48,29 @@ def test_constants_validate_inputs():
         transfer_constants(0, 1)
     with pytest.raises(InputError):
         transfer_constants(1, -1)
+
+
+#: one call per entry point that takes a stretch m and a slack a, given a
+#: NaN for one of them
+NAN_STRETCH_CALLS = {
+    "QuasiIsometry.m": lambda: QuasiIsometry({0: 0}, math.nan, 0),
+    "QuasiIsometry.a": lambda: QuasiIsometry({0: 0}, 1, math.nan),
+    "transfer_constants.m": lambda: transfer_constants(math.nan, 0),
+    "transfer_constants.a": lambda: transfer_constants(1, math.nan),
+    "transfer_witness.m": lambda: transfer_witness(math.nan, 0, constant_witness(5, 7)),
+    "transfer_witness.a": lambda: transfer_witness(1, math.nan, constant_witness(5, 7)),
+    "quasi_isometry_from_json_dict.m": lambda: quasi_isometry_from_json_dict(
+        json.loads('{"map": [[0, 0]], "m": NaN, "a": 0}')),
+    "quasi_isometry_from_json_dict.a": lambda: quasi_isometry_from_json_dict(
+        json.loads('{"map": [[0, 0]], "m": 1, "a": NaN}')),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_STRETCH_CALLS))
+def test_a_nan_stretch_or_slack_is_an_input_error(name):
+    # NaN fails every comparison, so ``m < 1 or a < 0`` would let it through
+    with pytest.raises(InputError):
+        NAN_STRETCH_CALLS[name]()
 
 
 def test_pinned_constants():
